@@ -1,44 +1,17 @@
 #!/usr/bin/env python3
-"""Run every builtin scenario and print a one-line summary per family.
+"""Run every builtin scenario through ``mmse-lab run``.
 
-Exit status is nonzero when any verdict disagrees with the registered
-expectation, so the script doubles as a quick regression probe:
+Extra arguments go to ``run`` unchanged, so the exit status is nonzero when
+any verdict disagrees with the registered expectation and the script
+doubles as a quick regression probe:
 
-    python scripts/run_catalog.py --n-stop 64 --seed 0
+    python scripts/run_catalog.py --n-stop 64 --seed 0 --out reports
 """
 
-import argparse
 import sys
 
-from mmse_lab import builtin_scenarios, run_scenario
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n-stop", type=int, default=64)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol", type=float, default=0.02)
-    args = parser.parse_args(argv)
-
-    grid, n = [], 1
-    while n <= args.n_stop:
-        grid.append(n)
-        n *= 2
-
-    header = (f"{'scenario':<28} {'kind':<18} {'mmse@n=' + str(grid[-1]):>14} "
-              f"{'limit':>12} verdict")
-    print(header)
-    print("-" * len(header))
-    failures = 0
-    for name, scenario in sorted(builtin_scenarios().items()):
-        report = run_scenario(scenario, grid, tol_abs=args.tol, seed=args.seed)
-        verdict = "match" if report.verdict_matches else "MISMATCH"
-        failures += not report.verdict_matches
-        print(f"{name:<28} {scenario.expected.kind.name:<18} "
-              f"{report.rows[-1].mmse:>14.6g} {report.limit_value:>12.6g} "
-              f"{verdict}")
-    return 1 if failures else 0
-
+from mmse_lab import builtin_scenarios
+from mmse_lab.cli import main
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(["run", "--scenarios", *builtin_scenarios(), *sys.argv[1:]]))

@@ -20,13 +20,11 @@ from .degradedness import (
     GarblingCertificate,
     binary_symmetric_channel,
     blackwell_verify,
-    channel_from_joint,
     compose,
     is_degraded,
 )
 from .errors import (
     AlphabetMismatch,
-    DegenerateRange,
     EmptySupport,
     InsufficientSamples,
     InvalidDistribution,

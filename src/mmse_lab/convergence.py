@@ -36,14 +36,7 @@ from .errors import MissingWitness, MmseLabError, ScenarioRunError
 from .exact import conditional_expectation, mmse_exact
 from .linear import lmmse, tail_window
 from .mc import RegressionConfig, mc_mmse
-from .probcore import (
-    FiniteJoint,
-    Sampler,
-    moments_empirical,
-    moments_exact,
-    rng_stream,
-    sample_pairs,
-)
+from .probcore import FiniteJoint, moments_exact, rng_stream
 from .scenarios import ExpectedOutcome, ScenarioSequence
 
 UI_GRID = (1.0, 2.0, 4.0, 8.0, 16.0)
@@ -59,6 +52,13 @@ class ReportRow:
     std_err: float
     second_moment_x: float
     second_moment_y: float
+
+
+@dataclass(frozen=True)
+class McRow:
+    n: int
+    mmse: float
+    std_err: float
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,11 @@ class ConvergenceReport:
     scenario: str
     rows: tuple[ReportRow, ...]
     limit_value: float
-    limit_std_err: float
     verdict_matches: bool
     expected: ExpectedOutcome
     diagnostics: DiagnosticsBundle
     tol_abs: float
-    mc_rows: tuple[ReportRow, ...] = ()
+    mc_rows: tuple[McRow, ...] = ()
 
 
 def ui_functional(joint: FiniteJoint, threshold: float) -> float:
@@ -99,35 +98,21 @@ def ui_functional(joint: FiniteJoint, threshold: float) -> float:
     return float((px * sq * (sq > threshold)).sum())
 
 
-def _second_moments(obj: FiniteJoint | Sampler, seed: int) -> tuple[float, float]:
-    if isinstance(obj, FiniteJoint):
-        smx = float(obj.x_marginal() @ (obj.x_support ** 2).sum(axis=1))
-        smy = float(obj.y_marginal() @ (obj.y_support ** 2).sum(axis=1))
-        return smx, smy
-    xs, ys = sample_pairs(obj, 100_000, rng_stream(seed, "moments"))
-    ms = moments_empirical((xs, ys))
-    return ms.second_moment_x, ms.second_moment_y
+def _second_moments(joint: FiniteJoint) -> tuple[float, float]:
+    smx = float(joint.x_marginal() @ (joint.x_support ** 2).sum(axis=1))
+    smy = float(joint.y_marginal() @ (joint.y_support ** 2).sum(axis=1))
+    return smx, smy
 
 
-def _audit_value(scenario: ScenarioSequence, obj: FiniteJoint | Sampler,
-                 n: int | None, seed: int) -> tuple[float, float]:
-    """(value, std_err) of the audited functional on one pair law."""
-    if isinstance(obj, FiniteJoint):
-        if scenario.audit == "lmmse":
-            return lmmse(moments_exact(obj)).value, 0.0
-        return mmse_exact(obj).mmse, 0.0
+def _audit_value(scenario: ScenarioSequence, joint: FiniteJoint) -> float:
+    """Exact value of the audited functional on one pair law."""
     if scenario.audit == "lmmse":
-        xs, ys = sample_pairs(obj, 100_000, rng_stream(seed, "lmmse-draw"))
-        return lmmse(moments_empirical((xs, ys))).value, 0.0
-    if scenario.mc_config is not None and n is not None:
-        config = scenario.mc_config(n, seed)
-    else:
-        config = RegressionConfig(n_samples=100_000, seed=seed)
-    est = mc_mmse(obj, config)
-    return est.value, est.std_error
+        return lmmse(moments_exact(joint)).value
+    return mmse_exact(joint).mmse
 
 
-def _tail_mean_within(tail: list[ReportRow], target: float, band: float) -> bool:
+def _tail_mean_within(tail: list[ReportRow] | list[McRow], target: float,
+                      band: float) -> bool:
     mean = math.fsum(r.mmse for r in tail) / len(tail)
     sem = math.sqrt(math.fsum(r.std_err ** 2 for r in tail)) / len(tail)
     return abs(mean - target) <= band + 3.0 * sem
@@ -142,37 +127,31 @@ def run_scenario(scenario: ScenarioSequence, n_grid, tol_abs: float = 0.02,
     if not tol_abs > 0.0:
         raise ScenarioRunError(f"tol_abs must be positive, got {tol_abs!r}")
 
-    realized: list[FiniteJoint | Sampler] = []
+    realized: list[FiniteJoint] = []
     rows: list[ReportRow] = []
-    mc_rows: list[ReportRow] = []
+    mc_rows: list[McRow] = []
     try:
         for n in grid:
-            obj = scenario.realize(n, seed)
-            realized.append(obj)
-            run_seed = _derived_seed(seed, scenario.name, n)
-            value, std_err = _audit_value(scenario, obj, n, run_seed)
-            smx, smy = _second_moments(obj, run_seed)
-            rows.append(ReportRow(n=n, mmse=value, std_err=std_err,
-                                  second_moment_x=smx, second_moment_y=smy))
+            joint = scenario.realize(n)
+            if not isinstance(joint, FiniteJoint):
+                raise ScenarioRunError(
+                    f"scenario {scenario.name!r}: realize({n}) returned "
+                    f"{type(joint).__name__}, not a FiniteJoint")
+            realized.append(joint)
+            smx, smy = _second_moments(joint)
+            rows.append(ReportRow(n=n, mmse=_audit_value(scenario, joint),
+                                  std_err=0.0, second_moment_x=smx,
+                                  second_moment_y=smy))
             if scenario.mc_sampler is not None:
-                sampler = scenario.mc_sampler(n)
                 mc_seed = _derived_seed(seed, scenario.name + "/mc", n)
                 if scenario.mc_config is not None:
                     config = scenario.mc_config(n, mc_seed)
                 else:
                     config = RegressionConfig(n_samples=100_000, seed=mc_seed)
-                est = mc_mmse(sampler, config)
-                xs, ys = sample_pairs(sampler, 20_000,
-                                      rng_stream(mc_seed, "mc-moments"))
-                ms = moments_empirical((xs, ys))
-                mc_rows.append(ReportRow(n=n, mmse=est.value,
-                                         std_err=est.std_error,
-                                         second_moment_x=ms.second_moment_x,
-                                         second_moment_y=ms.second_moment_y))
-        limit_seed = _derived_seed(seed, scenario.name, 0)
-        limit_value, limit_std = _audit_value(scenario, scenario.limit, None,
-                                              limit_seed)
-        smx_lim, smy_lim = _second_moments(scenario.limit, limit_seed)
+                est = mc_mmse(scenario.mc_sampler(n), config)
+                mc_rows.append(McRow(n=n, mmse=est.value, std_err=est.std_error))
+        limit_value = _audit_value(scenario, scenario.limit)
+        smx_lim, smy_lim = _second_moments(scenario.limit)
     except MmseLabError as err:
         if isinstance(err, ScenarioRunError):
             raise
@@ -196,16 +175,13 @@ def run_scenario(scenario: ScenarioSequence, n_grid, tol_abs: float = 0.02,
         prob_convergence_proxy=(
             scenario.x_deviation_prob(grid[-1], PROB_EPS)
             if scenario.x_deviation_prob is not None else None),
-        ui_proxy=(
-            {a: ui_functional(realized[-1], a) for a in UI_GRID}
-            if isinstance(realized[-1], FiniteJoint) else {}),
+        ui_proxy={a: ui_functional(realized[-1], a) for a in UI_GRID},
         markov_verified=_verify_witness(scenario, grid, realized),
     )
     return ConvergenceReport(
         scenario=scenario.name,
         rows=tuple(rows),
         limit_value=limit_value,
-        limit_std_err=limit_std,
         verdict_matches=bool(matches),
         expected=scenario.expected,
         diagnostics=diag,
@@ -221,12 +197,8 @@ def _derived_seed(seed: int, tag: str, n: int) -> int:
 def _verify_witness(scenario: ScenarioSequence, grid, realized) -> bool | None:
     if scenario.markov_witness is None:
         return None
-    if not isinstance(scenario.limit, FiniteJoint):
-        return None
     ok = True
     for n, obj in zip(grid, realized):
-        if not isinstance(obj, FiniteJoint):
-            return None
         composed = compose(scenario.limit, scenario.markov_witness(n))
         same_support = (np.array_equal(composed.x_support, obj.x_support)
                         and np.array_equal(composed.y_support, obj.y_support))
@@ -261,12 +233,12 @@ def estimator_convergence_check(scenario: ScenarioSequence, n_grid,
           = sum_{y, z} P(Y = y) D_n(z | y) || g_n(z) - g(y) ||^2 .
 
     Returns the value at the largest grid index.  Requires the scenario to
-    carry a markov_witness and an exact limit; raises MissingWitness
-    otherwise.  With an identity witness the value is exactly 0; a witness
-    that destroys the measurement entirely keeps it pinned at the limit
-    estimator's second moment.
+    carry a markov_witness; raises MissingWitness otherwise.  With an
+    identity witness the value is exactly 0; a witness that destroys the
+    measurement entirely keeps it pinned at the limit estimator's second
+    moment.
     """
-    if scenario.markov_witness is None or not isinstance(scenario.limit, FiniteJoint):
+    if scenario.markov_witness is None:
         raise MissingWitness(
             f"scenario {scenario.name!r} carries no exact degradedness witness")
     grid = [int(n) for n in n_grid]
@@ -274,24 +246,14 @@ def estimator_convergence_check(scenario: ScenarioSequence, n_grid,
         raise ScenarioRunError("n_grid must be non-empty")
     limit = scenario.limit
     g = conditional_expectation(limit)
-    # positions of the limit's positive-mass measurement atoms
-    py_full = limit.y_marginal()
-    keep_y = np.where(py_full > 0.0)[0]
-    value = 0.0
-    for n in grid:
-        channel = scenario.markov_witness(n)
-        composed = compose(limit, channel)
-        gn = conditional_expectation(composed)
-        pz_full = composed.y_marginal()
-        keep_z = pz_full > 0.0
-        z_pos = np.cumsum(keep_z) - 1  # full z index -> row of gn.estimates
-        value = 0.0
-        for yi, y_idx in enumerate(keep_y):
-            row = channel.matrix[y_idx]
-            mass = py_full[y_idx] * row
-            for z_idx in np.where(row > 0.0)[0]:
-                if not keep_z[z_idx]:  # unreachable: mass > 0 implies kept
-                    continue
-                d = gn.estimates[z_pos[z_idx]] - g.estimates[yi]
-                value += float(mass[z_idx]) * float(d @ d)
-    return value
+    channel = scenario.markov_witness(grid[-1])
+    composed = compose(limit, channel)
+    gn = conditional_expectation(composed)
+    # (y, z) table over the positive-mass atoms that index g.estimates and
+    # gn.estimates; every z with P(Y = y) D_n(z | y) > 0 has positive mass
+    py = limit.y_marginal()
+    keep_y = py > 0.0
+    keep_z = composed.y_marginal() > 0.0
+    mass = py[keep_y, None] * channel.matrix[np.ix_(keep_y, keep_z)]
+    d = gn.estimates[None, :, :] - g.estimates[:, None, :]
+    return float((mass * (d * d).sum(axis=2)).sum())

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import AlphabetMismatch, InvalidDistribution, SelfCheckError
 from .exact import mmse_exact
@@ -70,18 +69,6 @@ def binary_symmetric_channel(flip: float, support=(-1.0, 1.0)) -> Channel:
                    matrix=np.array([[1.0 - flip, flip], [flip, 1.0 - flip]]))
 
 
-def channel_from_joint(joint: FiniteJoint) -> Channel:
-    """Conditional law of Y given X, read off a finite joint by row
-    normalization.  Every input atom must carry positive probability."""
-    px = joint.x_marginal()
-    if np.any(px <= 0.0):
-        raise InvalidDistribution(
-            "cannot extract a channel: some input atom has zero probability")
-    return Channel(input_support=joint.x_support,
-                   output_support=joint.y_support,
-                   matrix=joint.pmf / px[:, None])
-
-
 @dataclass(frozen=True)
 class GarblingCertificate:
     """Outcome of the garbling feasibility program.
@@ -112,6 +99,9 @@ def is_degraded(w1: Channel, w2: Channel,
     recomputed from the returned matrix, so the certificate stands on its
     own regardless of solver internals.
     """
+    # scipy.optimize is slow to import and only this function needs it
+    from scipy.optimize import linprog
+
     if not np.array_equal(w1.input_support, w2.input_support):
         raise AlphabetMismatch("channels do not share an input alphabet")
     m1 = w1.matrix

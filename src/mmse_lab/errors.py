@@ -25,10 +25,6 @@ class EmptySupport(MmseLabError, ValueError):
     """All measurement mass is zero; no conditional estimate exists."""
 
 
-class DegenerateRange(MmseLabError, ValueError):
-    """All measurement samples coincide; binning has no range to split."""
-
-
 class AlphabetMismatch(MmseLabError, ValueError):
     """Channel and joint (or two channels) disagree on an alphabet."""
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InsufficientSamples, InvalidDistribution
 from .exact import mmse_exact
-from .probcore import FiniteJoint, Sampler, rng_stream, sample_pairs, sampler_from_joint
+from .probcore import FiniteJoint, Sampler, draw_atom_indices, rng_stream, sample_pairs
 
 MAX_MEASUREMENT_DIM = 3
 
@@ -141,11 +141,9 @@ def mc_mmse_vs_exact(joint: FiniteJoint, config: RegressionConfig
     values reports z = 0.
     """
     exact = mmse_exact(joint).mmse
-    rng = rng_stream(config.seed, "mc_vs_exact")
-    flat_pmf = joint.pmf.ravel()
-    flat_pmf = flat_pmf / flat_pmf.sum()
     ny = joint.y_support.shape[0]
-    atom = rng.choice(flat_pmf.size, size=config.n_samples, p=flat_pmf)
+    atom = draw_atom_indices(joint, config.n_samples,
+                             rng_stream(config.seed, "mc_vs_exact"))
     xs = joint.x_support[atom // ny]
     y_idx = atom % ny
     est = _binned_value(xs, y_idx, ny, config.min_bin_count, config)

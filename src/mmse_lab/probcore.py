@@ -5,9 +5,10 @@ The whole lab runs on three value types:
 * ``FiniteJoint`` — an exact joint law of a pair (X, Y) on finite supports,
   held as a dense probability matrix.  Everything "exact" downstream
   (conditional means, MMSE, LMMSE, garbling) is linear algebra on it.
-* ``Sampler`` — a seeded draw procedure for laws that are not finite
-  (uniform priors, additive noise families).  Monte Carlo paths and the
-  quantization bridge ``discretize`` consume these.
+* ``Sampler`` — a seeded batch-draw procedure for laws that are not
+  finite (uniform priors, additive noise families).  Only the Monte Carlo
+  cross-path and the quantization bridge ``discretize`` consume these; every
+  exact result is computed on a ``FiniteJoint``.
 * ``MomentSummary`` — first and second moments of a pair, with the
   second-moment identity  E||Z||^2 = trace(Cov Z) + ||E Z||^2  enforced at
   construction.
@@ -123,56 +124,50 @@ class FiniteJoint:
 
 @dataclass(frozen=True)
 class Sampler:
-    """Seed-deterministic draw procedure for a pair law.
+    """Seed-deterministic batch-draw procedure for a pair law.
 
-    ``draw(rng)`` returns one pair (x, y) of 1-D arrays.  ``draw_batch``,
-    when provided, vectorizes: ``draw_batch(rng, size)`` returns arrays of
-    shape (size, k) and (size, m) equal in law to ``size`` repeated draws.
+    ``draw_batch(rng, size)`` returns arrays of shape (size, k) and
+    (size, m) holding ``size`` independent draws of (X, Y).
     """
 
-    draw: Callable[[np.random.Generator], tuple[np.ndarray, np.ndarray]]
+    draw_batch: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
     descriptor: str
-    draw_batch: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]] | None = None
 
 
 def sample_pairs(sampler: Sampler, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n pairs as (n, k) and (n, m) arrays, vectorized when possible."""
+    """Draw n pairs as (n, k) and (n, m) arrays."""
     if n < 1:
         raise InsufficientSamples("need at least one sample")
-    if sampler.draw_batch is not None:
-        xs, ys = sampler.draw_batch(rng, n)
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        if xs.shape[0] != n:
-            xs = xs.reshape(n, -1)
-        if ys.shape[0] != n:
-            ys = ys.reshape(n, -1)
-        return xs, ys
-    xs_list, ys_list = [], []
-    for _ in range(n):
-        x, y = sampler.draw(rng)
-        xs_list.append(np.atleast_1d(np.asarray(x, dtype=float)))
-        ys_list.append(np.atleast_1d(np.asarray(y, dtype=float)))
-    return np.stack(xs_list), np.stack(ys_list)
+    xs, ys = sampler.draw_batch(rng, n)
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    if xs.shape[0] != n:
+        xs = xs.reshape(n, -1)
+    if ys.shape[0] != n:
+        ys = ys.reshape(n, -1)
+    return xs, ys
+
+
+def draw_atom_indices(joint: FiniteJoint, size: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """``size`` flat indices into ``joint.pmf`` drawn with its probabilities.
+
+    Index ``i * ny + j`` stands for the atom (x_support[i], y_support[j]).
+    """
+    flat = joint.pmf.ravel()
+    return rng.choice(flat.size, size=size, p=flat / flat.sum())
 
 
 def sampler_from_joint(joint: FiniteJoint) -> Sampler:
     """Categorical sampler over the atoms of an exact joint."""
-    flat = joint.pmf.ravel()
-    flat = flat / flat.sum()
     ny = joint.y_support.shape[0]
-    xs, ys = joint.x_support, joint.y_support
 
     def draw_batch(rng: np.random.Generator, size: int):
-        idx = rng.choice(flat.size, size=size, p=flat)
-        return xs[idx // ny], ys[idx % ny]
+        idx = draw_atom_indices(joint, size, rng)
+        return joint.x_support[idx // ny], joint.y_support[idx % ny]
 
-    def draw(rng: np.random.Generator):
-        x, y = draw_batch(rng, 1)
-        return x[0], y[0]
-
-    return Sampler(draw=draw, descriptor="categorical over finite joint atoms",
-                   draw_batch=draw_batch)
+    return Sampler(draw_batch=draw_batch,
+                   descriptor="categorical over finite joint atoms")
 
 
 @dataclass(frozen=True)
@@ -251,24 +246,15 @@ def moments_exact(joint: FiniteJoint) -> MomentSummary:
     return _summary_from_arrays(xs, ys, joint.pmf.ravel())
 
 
-def moments_empirical(samples) -> MomentSummary:
+def moments_empirical(samples: tuple[np.ndarray, np.ndarray]) -> MomentSummary:
     """Population-convention moments of a sample of pairs.
 
-    Accepts either a sequence of (x, y) pairs or a pre-stacked tuple of two
-    arrays of shape (n, k) and (n, m).  Raises InsufficientSamples below
-    two samples.
+    ``samples`` is a tuple of two arrays of shape (n, k) and (n, m), as
+    returned by ``sample_pairs``.  Raises InsufficientSamples below two
+    samples.
     """
-    if (isinstance(samples, tuple) and len(samples) == 2
-            and isinstance(samples[0], np.ndarray)):
-        xs = np.atleast_2d(np.asarray(samples[0], dtype=float))
-        ys = np.atleast_2d(np.asarray(samples[1], dtype=float))
-    else:
-        pairs = list(samples)
-        if len(pairs) < 2:
-            raise InsufficientSamples(
-                f"need at least 2 samples, got {len(pairs)}")
-        xs = np.stack([np.atleast_1d(np.asarray(x, dtype=float)) for x, _ in pairs])
-        ys = np.stack([np.atleast_1d(np.asarray(y, dtype=float)) for _, y in pairs])
+    xs = np.atleast_2d(np.asarray(samples[0], dtype=float))
+    ys = np.atleast_2d(np.asarray(samples[1], dtype=float))
     if xs.shape[0] < 2:
         raise InsufficientSamples(f"need at least 2 samples, got {xs.shape[0]}")
     if xs.shape[0] != ys.shape[0]:

@@ -34,11 +34,11 @@ canonical stress cases:
   1/2 while the limit LMMSE is 0.  (The MMSE itself is continuous here —
   the gap is a purely linear-estimation effect.)
 
-Exact realizations are used everywhere: continuous laws enter as lattice
-joints whose cell probabilities are interval overlaps computed in closed
-form, so the downstream engine sees finite joints and no sampling noise.
-Scenarios with continuous laws additionally carry a plain Monte Carlo
-sampler so the regressogram path can cross-check the exact one.
+Every realization and every limit is a ``FiniteJoint``: continuous laws
+enter as lattice joints whose cell probabilities are interval overlaps
+computed in closed form, so the downstream engine sees finite joints and no
+sampling noise.  Scenarios with continuous laws additionally carry a plain
+Monte Carlo sampler so the regressogram path can cross-check the exact one.
 """
 
 from __future__ import annotations
@@ -106,18 +106,19 @@ class ExpectedOutcome:
 class ScenarioSequence:
     """A named sequence of pair laws with a limit pair and expectations.
 
-    ``realize(n, seed)`` produces the law of (X_n, Y_n) — a FiniteJoint for
-    exact scenarios (the seed is then ignored).  ``markov_witness(n)``,
+    ``realize(n)`` produces the exact law of (X_n, Y_n) and ``limit`` is the
+    exact law of (X, Y); both are FiniteJoints.  ``markov_witness(n)``,
     when present, is a channel D_n with realize(n) = compose(limit, D_n),
     i.e. an explicit degradedness coupling of the sequence to its limit.
     ``mc_sampler(n)`` draws from the un-quantized continuous law for the
-    Monte Carlo cross-path.  ``x_deviation_prob(n, eps)`` is the exact
+    Monte Carlo cross-path, with ``mc_config(n, seed)`` overriding the
+    default regressogram settings.  ``x_deviation_prob(n, eps)`` is the exact
     P(||X_n - X|| > eps) under the scenario's natural coupling.
     """
 
     name: str
-    realize: Callable[[int, int], FiniteJoint | Sampler]
-    limit: FiniteJoint | Sampler
+    realize: Callable[[int], FiniteJoint]
+    limit: FiniteJoint
     expected: ExpectedOutcome
     markov_witness: Callable[[int], Channel] | None = None
     audit: str = "mmse"
@@ -129,6 +130,10 @@ class ScenarioSequence:
     def __post_init__(self):
         if self.audit not in ("mmse", "lmmse"):
             raise InvalidDistribution(f"unknown audit {self.audit!r}")
+        if not isinstance(self.limit, FiniteJoint):
+            raise InvalidDistribution(
+                f"scenario {self.name!r}: limit must be a FiniteJoint, "
+                f"got {type(self.limit).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +202,7 @@ def _joint_from_cell_triples(triples, x_value, y_value) -> FiniteJoint:
 # example1: escaping mass, second moment does not follow
 # ---------------------------------------------------------------------------
 
-def _example1_realize(n: int, seed: int) -> FiniteJoint:
+def _example1_realize(n: int) -> FiniteJoint:
     root = math.sqrt(n)
     half = 1.0 / (2.0 * n)
     return FiniteJoint(
@@ -237,7 +242,7 @@ EXAMPLE2_CELLS_PER_INDEX = 64
 EXAMPLE2_LIMIT_STEP = 1.0 / 1024.0
 
 
-def _example2_realize(n: int, seed: int) -> FiniteJoint:
+def _example2_realize(n: int) -> FiniteJoint:
     # X uniform on [0, 1) quantized at step h = 1/(64 n); the measurement
     # B + X/n quantized at the same step reveals exactly which of the 64
     # coarse cells X occupies, i.e. the x-cell index j up to j mod n.
@@ -269,11 +274,7 @@ def _example2_sampler(n: int) -> Sampler:
         b = rng.integers(0, 2, size).astype(float)
         return x[:, None], (b + x / n)[:, None]
 
-    def draw(rng: np.random.Generator):
-        x, y = draw_batch(rng, 1)
-        return x[0], y[0]
-
-    return Sampler(draw=draw, draw_batch=draw_batch,
+    return Sampler(draw_batch=draw_batch,
                    descriptor=f"X uniform[0,1), B fair bit, Y = B + X/{n}")
 
 
@@ -313,7 +314,7 @@ def example2_scenario() -> ScenarioSequence:
 # example3: shrinking prior observed exactly, limit keeps residual noise
 # ---------------------------------------------------------------------------
 
-def _example3_realize(n: int, seed: int) -> FiniteJoint:
+def _example3_realize(n: int) -> FiniteJoint:
     c = n / (n + 1.0)
     return FiniteJoint(
         x_support=np.array([[-c], [c]]),
@@ -359,7 +360,7 @@ def example3_scenario() -> ScenarioSequence:
 EXAMPLE4_STEP = 2.0 * SQRT3 / 256.0
 
 
-def _example4_realize(n: int, seed: int) -> FiniteJoint:
+def _example4_realize(n: int) -> FiniteJoint:
     h = EXAMPLE4_STEP
     x_cells = uniform_lattice_cells(-SQRT3, SQRT3, h)
     w_cells = uniform_lattice_cells(-SQRT3 / n, SQRT3 / n, h)
@@ -386,11 +387,7 @@ def _example4_sampler(n: int) -> Sampler:
         w = rng.uniform(-SQRT3, SQRT3, size) / n
         return x[:, None], (x + w)[:, None]
 
-    def draw(rng: np.random.Generator):
-        x, y = draw_batch(rng, 1)
-        return x[0], y[0]
-
-    return Sampler(draw=draw, draw_batch=draw_batch,
+    return Sampler(draw_batch=draw_batch,
                    descriptor=f"X uniform[-sqrt3, sqrt3], Y = X + N/{n}")
 
 
@@ -404,16 +401,12 @@ def example4_scenario() -> ScenarioSequence:
                "MMSE_n ~ 1/n^2 -> 0 and the limit measurement is exact",
     )
 
-    def mc_config(n: int, seed: int) -> RegressionConfig:
-        return RegressionConfig(n_samples=100_000, seed=seed)
-
     return ScenarioSequence(
         name="example4",
         realize=_example4_realize,
         limit=_example4_limit(),
         expected=expected,
         mc_sampler=_example4_sampler,
-        mc_config=mc_config,
         x_deviation_prob=lambda n, eps: 0.0,  # X_n = X in the coupling
         notes=f"lattice step {EXAMPLE4_STEP:.6f} fixed across n; the exact "
               "path therefore floors at O(step^2) instead of reaching 0",
@@ -427,7 +420,7 @@ def example4_scenario() -> ScenarioSequence:
 def _cor1_realize_factory(gamma_of_n, lambda_of_n):
     base = example3_limit_joint()
 
-    def realize(n: int, seed: int) -> FiniteJoint:
+    def realize(n: int) -> FiniteJoint:
         gamma = gamma_of_n(n)
         lam = lambda_of_n(n)
         h = min(gamma, lam) / 8.0
@@ -464,11 +457,7 @@ def _cor1_sampler_factory(gamma_of_n, lambda_of_n):
             meas = (rng.random(size) - 0.5) * lam
             return (x + pert)[:, None], (x + nr + meas)[:, None]
 
-        def draw(rng: np.random.Generator):
-            xs, ys = draw_batch(rng, 1)
-            return xs[0], ys[0]
-
-        return Sampler(draw=draw, draw_batch=draw_batch,
+        return Sampler(draw_batch=draw_batch,
                        descriptor=f"additive uniform perturbations "
                                   f"gamma={gamma:.6g} lambda={lam:.6g}")
 
@@ -485,9 +474,6 @@ def _cor1_scenario(name: str, gamma_of_n, lambda_of_n, path_note: str) -> Scenar
                "value is 1/2 + gamma^2/12 up to grid error",
     )
 
-    def mc_config(n: int, seed: int) -> RegressionConfig:
-        return RegressionConfig(n_samples=100_000, seed=seed)
-
     def x_dev(n: int, eps: float) -> float:
         gamma = gamma_of_n(n)
         return max(0.0, 1.0 - 2.0 * eps / gamma) if eps < gamma / 2.0 else 0.0
@@ -498,7 +484,6 @@ def _cor1_scenario(name: str, gamma_of_n, lambda_of_n, path_note: str) -> Scenar
         limit=example3_limit_joint(),
         expected=expected,
         mc_sampler=_cor1_sampler_factory(gamma_of_n, lambda_of_n),
-        mc_config=mc_config,
         x_deviation_prob=x_dev,
         notes="both noises are centered uniform of width gamma (on X) and "
               "lambda (on Y), independent of everything; " + path_note,
@@ -522,7 +507,7 @@ def cor1_scenarios() -> list[ScenarioSequence]:
 def cor2_scenario() -> ScenarioSequence:
     base = example3_limit_joint()
 
-    def realize(n: int, seed: int) -> FiniteJoint:
+    def realize(n: int) -> FiniteJoint:
         step = 1.0 / n
         return quantize_joint(base, step, step)
 
@@ -575,7 +560,7 @@ def make_markov_degraded_scenario(name: str, base: FiniteJoint,
     def witness(n: int) -> Channel:
         return binary_symmetric_channel(flip_of_n(n), support=support.ravel())
 
-    def realize(n: int, seed: int) -> FiniteJoint:
+    def realize(n: int) -> FiniteJoint:
         return compose(base, witness(n))
 
     value = mmse_exact(base).mmse
@@ -631,7 +616,7 @@ def make_random_degraded_scenario(seed: int, max_support: int = 6) -> ScenarioSe
         mat = (1.0 - eps) * np.eye(ny) + eps * mixer
         return Channel(input_support=y_vals, output_support=y_vals, matrix=mat)
 
-    def realize(n: int, seed_: int) -> FiniteJoint:
+    def realize(n: int) -> FiniteJoint:
         return compose(base, witness(n))
 
     value = mmse_exact(base).mmse
@@ -656,7 +641,7 @@ def make_random_degraded_scenario(seed: int, max_support: int = 6) -> ScenarioSe
 # LMMSE mixture: second moments converge, linear estimation still breaks
 # ---------------------------------------------------------------------------
 
-def _lmmse_mixture_realize(n: int, seed: int) -> FiniteJoint:
+def _lmmse_mixture_realize(n: int) -> FiniteJoint:
     root = math.sqrt(n)
     mix = (1.0 - 1.0 / n) / 2.0   # per sign: Y_n = X
     spike = 1.0 / (4.0 * n)       # per (sign of X, sign of spike)

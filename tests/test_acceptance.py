@@ -194,7 +194,7 @@ def test_criterion_10_linear_suite(catalog):
         predicted = 1.0 - (1.0 - 1.0 / n) ** 2 / (2.0 - 1.0 / n)
         assert abs(row.mmse - predicted) <= 1e-10
 
-    seq = [moments_exact(mixture.realize(n, 0)) for n in grid]
+    seq = [moments_exact(mixture.realize(n)) for n in grid]
     limit = moments_exact(mixture.limit)
     audit = lmmse_sequence_limit(seq, limit, tol=0.02, expected_gap=0.5)
     assert audit.verdict is ConvergenceVerdict.DIVERGES_AS_PREDICTED
@@ -206,7 +206,7 @@ def test_criterion_10_linear_suite(catalog):
         assert lmmse(moments_exact(joint)).value >= mmse_exact(joint).mmse - 1e-8
 
     vanishing = catalog["example4"]
-    seq4 = [moments_exact(vanishing.realize(n, 0)) for n in range(1, 65)]
+    seq4 = [moments_exact(vanishing.realize(n)) for n in range(1, 65)]
     audit4 = lmmse_sequence_limit(seq4, moments_exact(vanishing.limit), tol=0.02)
     assert audit4.verdict is ConvergenceVerdict.CONVERGES
     assert time.perf_counter() - t0 < 5.0

@@ -129,7 +129,7 @@ def test_run_engine_error_exits_three(tmp_path, monkeypatch):
 
     catalog = builtin_scenarios()
 
-    def exploding_realize(n, seed):
+    def exploding_realize(n):
         raise ScenarioRunError("synthetic engine failure")
 
     broken = dataclasses.replace(catalog["example3"], realize=exploding_realize)

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mmse_lab
 from mmse_lab import (
     AlphabetMismatch,
     Channel,
@@ -197,3 +203,15 @@ def test_channel_rejects_non_stochastic_matrix():
         Channel(input_support=np.array([[0.0], [1.0]]),
                 output_support=np.array([[0.0], [1.0]]),
                 matrix=np.array([[0.7, 0.7], [0.5, 0.5]]))
+
+
+def test_import_does_not_load_the_lp_solver():
+    # scipy.optimize loads inside is_degraded, not at package import
+    src = str(Path(mmse_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    subprocess.run(
+        [sys.executable, "-c",
+         "import mmse_lab, sys; assert 'scipy.optimize' not in sys.modules"],
+        env=env, check=True)

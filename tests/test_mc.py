@@ -19,12 +19,8 @@ def uniform_pair_sampler(copy_y: bool = True) -> Sampler:
         y = x.copy() if copy_y else rng.random(size)[:, None]
         return x, y
 
-    def draw(rng):
-        x, y = draw_batch(rng, 1)
-        return x[0], y[0]
-
     label = "Y = X" if copy_y else "Y independent of X"
-    return Sampler(draw=draw, draw_batch=draw_batch,
+    return Sampler(draw_batch=draw_batch,
                    descriptor=f"X uniform[0,1), {label}")
 
 
@@ -46,10 +42,10 @@ def test_independent_pair_recovers_prior_variance():
 
 
 def test_degenerate_measurement_range_flagged():
-    def draw(rng):
-        return rng.random(1), np.array([7.0])
+    def draw_batch(rng, size):
+        return rng.random((size, 1)), np.full((size, 1), 7.0)
 
-    est = mc_mmse(Sampler(draw=draw, descriptor="constant measurement"),
+    est = mc_mmse(Sampler(draw_batch=draw_batch, descriptor="constant measurement"),
                   RegressionConfig(n_samples=2_000, seed=4))
     assert est.degenerate_range is True
     # falls back to the prior variance of X ~ U[0,1)
@@ -57,11 +53,11 @@ def test_degenerate_measurement_range_flagged():
 
 
 def test_no_retained_bin_raises():
-    def draw(rng):
-        return rng.random(1), rng.random(1)
+    def draw_batch(rng, size):
+        return rng.random((size, 1)), rng.random((size, 1))
 
     with pytest.raises(InsufficientSamples):
-        mc_mmse(Sampler(draw=draw, descriptor="too few"),
+        mc_mmse(Sampler(draw_batch=draw_batch, descriptor="too few"),
                 RegressionConfig(n_samples=4, seed=5, min_bin_count=5))
 
 
@@ -92,11 +88,7 @@ def test_sparse_bins_are_excluded():
         y[:min(3, size)] = 1e6
         return x, y
 
-    def draw(rng):
-        x, y = draw_batch(rng, 1)
-        return x[0], y[0]
-
-    est = mc_mmse(Sampler(draw=draw, draw_batch=draw_batch, descriptor="outliers"),
+    est = mc_mmse(Sampler(draw_batch=draw_batch, descriptor="outliers"),
                   RegressionConfig(n_samples=20_000, seed=7))
     assert est.n_effective < 20_000
 

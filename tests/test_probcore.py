@@ -144,8 +144,8 @@ def test_independent_product_has_zero_cross_covariance():
 # --------------------------------------------------------------------------
 
 def test_empirical_two_symmetric_points():
-    ms = moments_empirical([(np.array([1.0]), np.array([1.0])),
-                            (np.array([-1.0]), np.array([-1.0]))])
+    pts = np.array([[1.0], [-1.0]])
+    ms = moments_empirical((pts, pts.copy()))
     assert ms.eta_x == pytest.approx(np.zeros(1), abs=1e-15)
     assert ms.c_x[0, 0] == pytest.approx(1.0, abs=1e-15)
     assert ms.c_xy[0, 0] == pytest.approx(1.0, abs=1e-15)
@@ -153,12 +153,11 @@ def test_empirical_two_symmetric_points():
 
 def test_empirical_requires_two_samples():
     with pytest.raises(InsufficientSamples):
-        moments_empirical([(np.array([1.0]), np.array([1.0]))])
+        moments_empirical((np.array([[1.0]]), np.array([[1.0]])))
 
 
 def test_empirical_constant_samples_zero_covariance():
-    pairs = [(np.array([2.0]), np.array([-3.0]))] * 5
-    ms = moments_empirical(pairs)
+    ms = moments_empirical((np.full((5, 1), 2.0), np.full((5, 1), -3.0)))
     np.testing.assert_allclose(ms.c_x, 0.0, atol=1e-15)
     np.testing.assert_allclose(ms.c_y, 0.0, atol=1e-15)
     np.testing.assert_allclose(ms.c_xy, 0.0, atol=1e-15)
@@ -253,10 +252,10 @@ def test_sampler_from_joint_matches_pmf():
 
 
 def test_discretize_point_mass():
-    def draw(rng):
-        return np.array([0.5]), np.array([1.5])
+    def draw_batch(rng, size):
+        return np.full((size, 1), 0.5), np.full((size, 1), 1.5)
 
-    j = discretize(Sampler(draw=draw, descriptor="point"), 0.25, 100, seed=0)
+    j = discretize(Sampler(draw_batch=draw_batch, descriptor="point"), 0.25, 100, seed=0)
     assert j.pmf.shape == (1, 1)
     assert j.pmf[0, 0] == 1.0
     assert j.x_support[0, 0] == 0.5
@@ -276,11 +275,7 @@ def test_discretize_uniform_second_moment():
         u = rng.random(size)
         return u[:, None], u[:, None].copy()
 
-    def draw(rng):
-        x, y = draw_batch(rng, 1)
-        return x[0], y[0]
-
-    sampler = Sampler(draw=draw, draw_batch=draw_batch, descriptor="U[0,1) twice")
+    sampler = Sampler(draw_batch=draw_batch, descriptor="U[0,1) twice")
     j = discretize(sampler, 1.0 / 64.0, 100_000, seed=11)
     ms = moments_exact(j)
     # binomial fluctuation of the empirical second moment
@@ -291,11 +286,11 @@ def test_discretize_uniform_second_moment():
 
 
 def test_discretize_deterministic():
-    def draw(rng):
-        u = rng.random(2)
-        return u[:1], u[1:]
+    def draw_batch(rng, size):
+        u = rng.random((size, 2))
+        return u[:, :1], u[:, 1:]
 
-    s = Sampler(draw=draw, descriptor="pair")
+    s = Sampler(draw_batch=draw_batch, descriptor="pair")
     j1 = discretize(s, 0.125, 500, seed=21)
     j2 = discretize(s, 0.125, 500, seed=21)
     np.testing.assert_array_equal(j1.pmf, j2.pmf)

@@ -101,7 +101,7 @@ def test_fractional_recovery_family_values(catalog):
     sc = catalog["example2"]
     for n in (1, 2, 4, 8, 16):
         h = 1.0 / (64 * n)
-        value = mmse_exact(sc.realize(n, 0)).mmse
+        value = mmse_exact(sc.realize(n)).mmse
         # within each coarse cell the unresolved index is uniform on n
         # lattice points: variance h^2 (n^2 - 1) / 12
         assert value == pytest.approx(h * h * (n * n - 1) / 12.0, rel=1e-9)
@@ -136,13 +136,13 @@ def test_vanishing_noise_second_moment_gaps(catalog):
     assert rep.diagnostics.second_moment_gap == 0.0
     lim_smy = moments_exact(sc.limit).second_moment_y
     for n in GRID:
-        smy = moments_exact(sc.realize(n, 0)).second_moment_y
+        smy = moments_exact(sc.realize(n)).second_moment_y
         bias_bound = 2.0 * (EXAMPLE4_STEP**2 + EXAMPLE4_STEP / n)
         assert abs(abs(smy - lim_smy) - 1.0 / n**2) <= bias_bound
 
 
 def test_quantization_family_hits_half_exactly(catalog):
-    values = [mmse_exact(catalog["cor2_quantization"].realize(n, 0)).mmse
+    values = [mmse_exact(catalog["cor2_quantization"].realize(n)).mmse
               for n in range(1, 65)]
     assert max(abs(v - 0.5) for v in values) <= 1e-12
 
@@ -171,7 +171,7 @@ def test_grid_must_increase():
 def test_engine_errors_carry_scenario_context(catalog):
     import dataclasses
 
-    def broken_realize(n, seed):
+    def broken_realize(n):
         raise InvalidDistribution("synthetic failure")
 
     broken = dataclasses.replace(catalog["example3"], name="broken-clone",
@@ -180,11 +180,28 @@ def test_engine_errors_carry_scenario_context(catalog):
         run_scenario(broken, [1, 2], seed=0)
 
 
+def test_realize_must_return_a_finite_joint(catalog):
+    import dataclasses
+
+    sampled = dataclasses.replace(catalog["example4"], name="sampled-clone",
+                                  realize=catalog["example4"].mc_sampler)
+    with pytest.raises(ScenarioRunError, match=r"sampled-clone.*realize\(1\)"):
+        run_scenario(sampled, [1, 2], seed=0)
+
+
+def test_limit_must_be_a_finite_joint(catalog):
+    import dataclasses
+
+    with pytest.raises(InvalidDistribution, match="limit must be a FiniteJoint"):
+        dataclasses.replace(catalog["example4"],
+                            limit=catalog["example4"].mc_sampler(1))
+
+
 def test_markov_witness_reconstructs_each_index(catalog):
     sc = catalog["markov_degraded_family"]
     for n in (1, 4, 64):
         witnessed = compose(sc.limit, sc.markov_witness(n))
-        direct = sc.realize(n, 0)
+        direct = sc.realize(n)
         assert np.max(np.abs(witnessed.pmf - direct.pmf)) <= 1e-9
     rep = run_scenario(sc, GRID, seed=0)
     assert rep.diagnostics.markov_verified is True
