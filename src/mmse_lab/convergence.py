@@ -127,9 +127,9 @@ def run_scenario(scenario: ScenarioSequence, n_grid, tol_abs: float = 0.02,
     if not tol_abs > 0.0:
         raise ScenarioRunError(f"tol_abs must be positive, got {tol_abs!r}")
 
-    realized: list[FiniteJoint] = []
     rows: list[ReportRow] = []
     mc_rows: list[McRow] = []
+    markov_verified = None if scenario.markov_witness is None else True
     try:
         for n in grid:
             joint = scenario.realize(n)
@@ -137,7 +137,9 @@ def run_scenario(scenario: ScenarioSequence, n_grid, tol_abs: float = 0.02,
                 raise ScenarioRunError(
                     f"scenario {scenario.name!r}: realize({n}) returned "
                     f"{type(joint).__name__}, not a FiniteJoint")
-            realized.append(joint)
+            if markov_verified is not None:
+                holds = _witness_holds(scenario, n, joint)
+                markov_verified = markov_verified and holds
             smx, smy = _second_moments(joint)
             rows.append(ReportRow(n=n, mmse=_audit_value(scenario, joint),
                                   std_err=0.0, second_moment_x=smx,
@@ -175,8 +177,8 @@ def run_scenario(scenario: ScenarioSequence, n_grid, tol_abs: float = 0.02,
         prob_convergence_proxy=(
             scenario.x_deviation_prob(grid[-1], PROB_EPS)
             if scenario.x_deviation_prob is not None else None),
-        ui_proxy={a: ui_functional(realized[-1], a) for a in UI_GRID},
-        markov_verified=_verify_witness(scenario, grid, realized),
+        ui_proxy={a: ui_functional(joint, a) for a in UI_GRID},  # last n
+        markov_verified=markov_verified,
     )
     return ConvergenceReport(
         scenario=scenario.name,
@@ -194,17 +196,14 @@ def _derived_seed(seed: int, tag: str, n: int) -> int:
     return int(rng_stream(seed, tag, n).integers(0, 2 ** 63))
 
 
-def _verify_witness(scenario: ScenarioSequence, grid, realized) -> bool | None:
-    if scenario.markov_witness is None:
-        return None
-    ok = True
-    for n, obj in zip(grid, realized):
-        composed = compose(scenario.limit, scenario.markov_witness(n))
-        same_support = (np.array_equal(composed.x_support, obj.x_support)
-                        and np.array_equal(composed.y_support, obj.y_support))
-        ok = ok and same_support and bool(
-            np.max(np.abs(composed.pmf - obj.pmf)) <= WITNESS_TOL)
-    return ok
+def _witness_holds(scenario: ScenarioSequence, n: int,
+                   joint: FiniteJoint) -> bool:
+    """Does compose(limit, witness(n)) reproduce the realized joint?"""
+    composed = compose(scenario.limit, scenario.markov_witness(n))
+    if not (np.array_equal(composed.x_support, joint.x_support)
+            and np.array_equal(composed.y_support, joint.y_support)):
+        return False
+    return bool(np.max(np.abs(composed.pmf - joint.pmf)) <= WITNESS_TOL)
 
 
 def usc_check(report: ConvergenceReport, expected: ExpectedOutcome,

@@ -10,8 +10,12 @@ and the minimum mean square error admits two algebraically equal forms,
     difference = E||X||^2 - E||g(Y)||^2.
 
 Both are computed on every call and must agree to CHECK_TOL; the direct
-form is returned.  The difference form is the orthogonality principle in
-disguise, so the agreement doubles as a structural self-check.
+form is returned.  The direct form sums over the positive-mass atoms only
+(the nonzero entries of the pmf), so its cost follows the number of atoms
+rather than the dense (nx, ny) table.  The difference form is the
+orthogonality principle in disguise, so the agreement doubles as a
+structural self-check.  A self-check whose compared values are not finite
+(overflowing atoms, say) raises SelfCheckError instead of passing.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EmptySupport, SelfCheckError
-from .probcore import FiniteJoint, MOMENT_TOL
+from .probcore import FiniteJoint
 
 CHECK_TOL = 1e-10
 
@@ -56,7 +60,7 @@ def conditional_expectation(joint: FiniteJoint) -> ConditionalExpectation:
     keep = py > 0.0
     if not np.any(keep):
         raise EmptySupport("every measurement atom has zero probability")
-    cols = joint.pmf[:, keep]
+    cols = joint.pmf if keep.all() else joint.pmf[:, keep]
     mass = py[keep]
     est = (joint.x_support.T @ cols / mass).T  # (ny', k)
     ce = ConditionalExpectation(
@@ -68,6 +72,7 @@ def conditional_expectation(joint: FiniteJoint) -> ConditionalExpectation:
     # law of total expectation: E[g(Y)] must equal E[X]
     ex = joint.x_marginal() @ joint.x_support
     eg = ce.posterior_mass @ ce.estimates
+    _require_finite("law of total expectation", ex, eg)
     if np.max(np.abs(ex - eg)) > CHECK_TOL * max(1.0, float(np.max(np.abs(ex)))):
         raise SelfCheckError(
             f"law of total expectation violated: E[X]={ex!r} vs E[g(Y)]={eg!r}")
@@ -84,6 +89,13 @@ class MmseResult:
     estimator_second_moment: float
 
 
+def _require_finite(check: str, *values) -> None:
+    """Raise SelfCheckError unless every compared value is finite: a NaN
+    or infinite operand would make ``gap > tol`` False and pass silently."""
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise SelfCheckError(f"{check}: non-finite values {values!r}")
+
+
 def mmse_exact(joint: FiniteJoint) -> MmseResult:
     """Exact MMSE of estimating X from Y under a finite joint.
 
@@ -92,21 +104,25 @@ def mmse_exact(joint: FiniteJoint) -> MmseResult:
     nonnegative by construction.  Vector X contributes the trace.
     """
     ce = conditional_expectation(joint)
-    py = joint.y_marginal()
-    keep = py > 0.0
-    pmf = joint.pmf[:, keep]
     xs = joint.x_support
-    diff = xs[:, None, :] - ce.estimates[None, :, :]     # (nx, ny', k)
-    direct = float((pmf * (diff * diff).sum(axis=2)).sum())
-    sm_x = float(joint.x_marginal() @ (xs * xs).sum(axis=1))
+    px = joint.x_marginal()
+    # every positive-mass atom sits in a positive-mass column; col maps a
+    # pmf column to its row of ce.estimates
+    i, j = np.nonzero(joint.pmf)
+    col = np.cumsum(joint.y_marginal() > 0.0) - 1
+    resid = xs[i] - ce.estimates[col[j]]
+    direct = float((joint.pmf[i, j] * (resid * resid).sum(axis=1)).sum())
+    sm_x = float(px @ (xs * xs).sum(axis=1))
     est_sm = float(ce.posterior_mass @ (ce.estimates * ce.estimates).sum(axis=1))
     difference = sm_x - est_sm
+    _require_finite("MMSE forms", direct, difference)
     scale = max(1.0, abs(sm_x))
     if abs(direct - difference) > CHECK_TOL * scale:
         raise SelfCheckError(
             f"MMSE forms disagree: direct={direct!r} difference={difference!r}")
-    eta_x = joint.x_marginal() @ xs
+    eta_x = px @ xs
     trace_cx = sm_x - float(eta_x @ eta_x)
+    _require_finite("prior variance bound", trace_cx)
     if direct > trace_cx + CHECK_TOL * scale:
         raise SelfCheckError(
             f"MMSE {direct!r} exceeds prior variance {trace_cx!r}")

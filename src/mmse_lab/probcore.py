@@ -26,13 +26,12 @@ Conventions (load-bearing, relied on by tests):
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (
-    EmptySupport,
     InsufficientSamples,
     InvalidDistribution,
     NonPositiveStep,
@@ -68,7 +67,9 @@ def _as_support(values, name: str) -> np.ndarray:
         raise InvalidDistribution(f"{name} must be a non-empty 1-D or 2-D array")
     if not np.all(np.isfinite(arr)):
         raise InvalidDistribution(f"{name} contains non-finite values")
-    if np.unique(arr, axis=0).shape[0] != arr.shape[0]:
+    # equal rows sort next to each other; == also merges 0.0 with -0.0
+    rows = arr[np.lexsort(arr.T)]
+    if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
         raise InvalidDistribution(f"{name} atoms must be pairwise distinct")
     return arr
 
@@ -263,22 +264,25 @@ def moments_empirical(samples: tuple[np.ndarray, np.ndarray]) -> MomentSummary:
     return _summary_from_arrays(xs, ys, weights)
 
 
-def floor_quantize(x, a: float) -> np.ndarray:
-    """Grid operator x -> floor(x / a) * a, entrywise.
+def floor_index(x, a: float) -> np.ndarray:
+    """Lattice cell index floor(x / a), entrywise, as floats.
 
     An ulp-level snap treats ratios within a few machine epsilons of an
-    integer as that integer, which makes the operator idempotent and keeps
+    integer as that integer, which makes floor_quantize idempotent and keeps
     exact lattice points fixed; without it, values like -1/(1/3) land just
     above -3 and would floor to the wrong cell.
     """
     if not np.isfinite(a) or a <= 0.0:
         raise NonPositiveStep(f"step must be positive, got {a!r}")
-    arr = np.asarray(x, dtype=float)
-    r = arr / a
+    r = np.asarray(x, dtype=float) / a
     nearest = np.rint(r)
     snap = np.abs(r - nearest) <= 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(r))
-    idx = np.where(snap, nearest, np.floor(r))
-    return idx * a
+    return np.where(snap, nearest, np.floor(r))
+
+
+def floor_quantize(x, a: float) -> np.ndarray:
+    """Grid operator x -> floor(x / a) * a, entrywise (see floor_index)."""
+    return floor_index(x, a) * a
 
 
 def discretize(sampler: Sampler, grid_step: float, n_samples: int, seed: int) -> FiniteJoint:
@@ -291,14 +295,8 @@ def discretize(sampler: Sampler, grid_step: float, n_samples: int, seed: int) ->
     if n_samples < 1:
         raise InsufficientSamples("n_samples must be >= 1")
     xs, ys = sample_pairs(sampler, n_samples, rng_stream(seed, "discretize"))
-    xq = floor_quantize(xs, grid_step)
-    yq = floor_quantize(ys, grid_step)
-    ux, xi = np.unique(xq, axis=0, return_inverse=True)
-    uy, yi = np.unique(yq, axis=0, return_inverse=True)
-    counts = np.bincount(xi * uy.shape[0] + yi,
-                         minlength=ux.shape[0] * uy.shape[0]).astype(float)
-    pmf = (counts / float(n_samples)).reshape(ux.shape[0], uy.shape[0])
-    return FiniteJoint(x_support=ux, y_support=uy, pmf=pmf)
+    return joint_from_keys(floor_quantize(xs, grid_step),
+                           floor_quantize(ys, grid_step), np.ones(n_samples))
 
 
 def product_joint(x_values, x_probs, y_values, y_probs) -> FiniteJoint:
@@ -310,27 +308,46 @@ def product_joint(x_values, x_probs, y_values, y_probs) -> FiniteJoint:
                        pmf=np.outer(px / px.sum(), py / py.sum()))
 
 
+def joint_from_keys(x_keys, y_keys, weights, x_value=None, y_value=None,
+                    normalize: bool = True) -> FiniteJoint:
+    """Accumulate (x_key, y_key, weight) triples into a FiniteJoint.
+
+    The keys are 1-D integer arrays (lattice cell indices) or 2-D float
+    arrays of atom rows, one entry per weight.  Equal keys merge and their
+    weights add in input order (``np.bincount``), so the pmf does not depend
+    on how the caller batched its triples.  Supports come out sorted;
+    ``x_value``/``y_value`` map the sorted unique keys to support atoms
+    (default: the keys themselves).  With ``normalize`` the pmf is divided
+    by its total.
+    """
+    x_keys, y_keys = np.asarray(x_keys), np.asarray(y_keys)
+    ux, xi = np.unique(x_keys, axis=0 if x_keys.ndim == 2 else None,
+                       return_inverse=True)
+    uy, yi = np.unique(y_keys, axis=0 if y_keys.ndim == 2 else None,
+                       return_inverse=True)
+    nx, ny = ux.shape[0], uy.shape[0]
+    pmf = np.bincount(xi.ravel() * ny + yi.ravel(),
+                      weights=np.asarray(weights, dtype=float),
+                      minlength=nx * ny).reshape(nx, ny)
+    if normalize:
+        pmf /= pmf.sum()
+    return FiniteJoint(x_support=ux if x_value is None else x_value(ux),
+                       y_support=uy if y_value is None else y_value(uy),
+                       pmf=pmf)
+
+
 def joint_from_atoms(atoms: Sequence[tuple[tuple, tuple, float]]) -> FiniteJoint:
     """Build a FiniteJoint from (x_atom, y_atom, prob) triples.
 
     Atoms are tuples of floats; repeated (x, y) pairs accumulate.  Supports
     come out in sorted order so construction is order-independent.
     """
-    mass: dict[tuple, dict[tuple, float]] = {}
-    for x, y, p in atoms:
-        xt = tuple(float(v) for v in np.atleast_1d(x))
-        yt = tuple(float(v) for v in np.atleast_1d(y))
-        mass.setdefault(xt, {})
-        mass[xt][yt] = mass[xt].get(yt, 0.0) + float(p)
-    x_atoms = sorted(mass.keys())
-    y_atoms = sorted({yt for row in mass.values() for yt in row})
-    y_index = {yt: j for j, yt in enumerate(y_atoms)}
-    pmf = np.zeros((len(x_atoms), len(y_atoms)))
-    for i, xt in enumerate(x_atoms):
-        for yt, p in mass[xt].items():
-            pmf[i, y_index[yt]] += p
-    return FiniteJoint(x_support=np.array(x_atoms), y_support=np.array(y_atoms),
-                       pmf=pmf / pmf.sum())
+    if not atoms:
+        raise InvalidDistribution("joint_from_atoms needs at least one atom")
+    xs, ys, probs = zip(*atoms)
+    return joint_from_keys(np.array([np.atleast_1d(x) for x in xs], dtype=float),
+                           np.array([np.atleast_1d(y) for y in ys], dtype=float),
+                           probs)
 
 
 def quantize_joint(joint: FiniteJoint, x_step: float, y_step: float) -> FiniteJoint:
@@ -338,10 +355,8 @@ def quantize_joint(joint: FiniteJoint, x_step: float, y_step: float) -> FiniteJo
 
     Atoms that land in the same cell merge; probabilities add exactly.
     """
+    nx, ny = joint.pmf.shape
     xq = floor_quantize(joint.x_support, x_step)
     yq = floor_quantize(joint.y_support, y_step)
-    ux, xi = np.unique(xq, axis=0, return_inverse=True)
-    uy, yi = np.unique(yq, axis=0, return_inverse=True)
-    pmf = np.zeros((ux.shape[0], uy.shape[0]))
-    np.add.at(pmf, (xi[:, None], yi[None, :]), joint.pmf)
-    return FiniteJoint(x_support=ux, y_support=uy, pmf=pmf)
+    return joint_from_keys(np.repeat(xq, ny, axis=0), np.tile(yq, (nx, 1)),
+                           joint.pmf.ravel(), normalize=False)

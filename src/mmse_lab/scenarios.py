@@ -57,7 +57,9 @@ from .mc import RegressionConfig
 from .probcore import (
     FiniteJoint,
     Sampler,
+    floor_index,
     joint_from_atoms,
+    joint_from_keys,
     product_joint,
     quantize_joint,
     rng_stream,
@@ -137,65 +139,34 @@ class ScenarioSequence:
 
 
 # ---------------------------------------------------------------------------
-# lattice-cell machinery for exact quantized realizations
+# lattice-cell machinery for exact quantized realizations: a realization is
+# a batch of (x cell, y cell, probability) triples held as integer key arrays
+# and one weight array, accumulated by probcore.joint_from_keys
 # ---------------------------------------------------------------------------
 
-_EPS = np.finfo(float).eps
-
-
-def _lattice_floor(value: float, step: float) -> int:
-    """floor(value / step) with the same ulp snap as floor_quantize."""
-    r = value / step
-    nearest = round(r)
-    if abs(r - nearest) <= 4.0 * _EPS * max(1.0, abs(r)):
-        return int(nearest)
-    return int(math.floor(r))
-
-
-def uniform_lattice_cells(lo: float, hi: float, step: float) -> list[tuple[int, float]]:
+def uniform_lattice_cells(lo: float, hi: float,
+                          step: float) -> tuple[np.ndarray, np.ndarray]:
     """Floor-lattice cells of a uniform(lo, hi) law.
 
-    Returns (cell_index, probability) pairs with probability equal to the
-    exact overlap of [index*step, (index+1)*step) with [lo, hi), normalized
-    by hi - lo.  Zero-overlap cells are skipped.
+    Returns increasing cell indices and their probabilities: the exact
+    overlap of [index*step, (index+1)*step) with [lo, hi), normalized by
+    hi - lo.  Zero-overlap cells are skipped.
     """
     if not hi > lo:
         raise InvalidDistribution("uniform interval must have positive length")
-    total = hi - lo
-    cells = []
-    j = _lattice_floor(lo, step)
-    while j * step < hi:
-        left = max(lo, j * step)
-        right = min(hi, (j + 1) * step)
-        if right > left:
-            cells.append((j, (right - left) / total))
-        j += 1
-    return cells
+    start, stop = floor_index([lo, hi], step).astype(int)
+    j = np.arange(start, stop + 2)  # one cell past hi, trimmed below
+    j = j[j * step < hi]
+    left = np.maximum(lo, j * step)
+    right = np.minimum(hi, (j + 1) * step)
+    keep = right > left
+    return j[keep], (right - left)[keep] / (hi - lo)
 
 
-def _joint_from_cell_triples(triples, x_value, y_value) -> FiniteJoint:
-    """Accumulate (x_key, y_key, prob) triples into a FiniteJoint.
-
-    Keys are hashable cell identifiers; ``x_value``/``y_value`` map a key
-    to its float support atom, evaluated once per key so equal cells merge
-    bit-exactly.
-    """
-    mass: dict[tuple, float] = {}
-    for xk, yk, p in triples:
-        mass[(xk, yk)] = mass.get((xk, yk), 0.0) + p
-    x_keys = sorted({k[0] for k in mass})
-    y_keys = sorted({k[1] for k in mass})
-    xi = {k: i for i, k in enumerate(x_keys)}
-    yi = {k: j for j, k in enumerate(y_keys)}
-    pmf = np.zeros((len(x_keys), len(y_keys)))
-    for (xk, yk), p in mass.items():
-        pmf[xi[xk], yi[yk]] += p
-    pmf /= pmf.sum()
-    return FiniteJoint(
-        x_support=np.array([[x_value(k)] for k in x_keys]),
-        y_support=np.array([[y_value(k)] for k in y_keys]),
-        pmf=pmf,
-    )
+def _lattice_joint(x_keys, y_keys, weights, h: float) -> FiniteJoint:
+    """Joint of cell triples whose support atoms are key * h on both sides."""
+    return joint_from_keys(x_keys, y_keys, weights,
+                           x_value=lambda k: k * h, y_value=lambda k: k * h)
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +217,17 @@ def _example2_realize(n: int) -> FiniteJoint:
     # X uniform on [0, 1) quantized at step h = 1/(64 n); the measurement
     # B + X/n quantized at the same step reveals exactly which of the 64
     # coarse cells X occupies, i.e. the x-cell index j up to j mod n.
+    # Triples run over (j, b) with b fastest; the y key b * 64 + q sorts
+    # like the pair (b, q).
     cells = EXAMPLE2_CELLS_PER_INDEX * n
     h = 1.0 / cells
-    p_cell = 0.5 / cells
-    triples = []
-    for j in range(cells):
-        q = j // n
-        for b in (0, 1):
-            triples.append((j, (b, q), p_cell))
-    return _joint_from_cell_triples(
-        triples,
-        x_value=lambda j, h=h: j * h,
-        y_value=lambda key, h=h: key[0] + key[1] * h,
+    j = np.repeat(np.arange(cells), 2)
+    b = np.tile(np.arange(2), cells)
+    return joint_from_keys(
+        j, b * EXAMPLE2_CELLS_PER_INDEX + j // n, np.full(2 * cells, 0.5 / cells),
+        x_value=lambda k: k * h,
+        y_value=lambda key: (key // EXAMPLE2_CELLS_PER_INDEX
+                             + key % EXAMPLE2_CELLS_PER_INDEX * h),
     )
 
 
@@ -361,24 +331,16 @@ EXAMPLE4_STEP = 2.0 * SQRT3 / 256.0
 
 
 def _example4_realize(n: int) -> FiniteJoint:
-    h = EXAMPLE4_STEP
-    x_cells = uniform_lattice_cells(-SQRT3, SQRT3, h)
-    w_cells = uniform_lattice_cells(-SQRT3 / n, SQRT3 / n, h)
-    triples = [(i, i + j, pi * pj)
-               for i, pi in x_cells for j, pj in w_cells]
-    return _joint_from_cell_triples(
-        triples,
-        x_value=lambda i, h=h: i * h,
-        y_value=lambda s, h=h: s * h,
-    )
+    x_cells, px = uniform_lattice_cells(-SQRT3, SQRT3, EXAMPLE4_STEP)
+    w_cells, pw = uniform_lattice_cells(-SQRT3 / n, SQRT3 / n, EXAMPLE4_STEP)
+    return _lattice_joint(np.repeat(x_cells, w_cells.size),
+                          (x_cells[:, None] + w_cells[None, :]).ravel(),
+                          (px[:, None] * pw[None, :]).ravel(), EXAMPLE4_STEP)
 
 
 def _example4_limit() -> FiniteJoint:
-    h = EXAMPLE4_STEP
-    cells = uniform_lattice_cells(-SQRT3, SQRT3, h)
-    triples = [(i, i, p) for i, p in cells]
-    return _joint_from_cell_triples(
-        triples, x_value=lambda i: i * h, y_value=lambda i: i * h)
+    cells, p = uniform_lattice_cells(-SQRT3, SQRT3, EXAMPLE4_STEP)
+    return _lattice_joint(cells, cells, p, EXAMPLE4_STEP)
 
 
 def _example4_sampler(n: int) -> Sampler:
@@ -424,23 +386,20 @@ def _cor1_realize_factory(gamma_of_n, lambda_of_n):
         gamma = gamma_of_n(n)
         lam = lambda_of_n(n)
         h = min(gamma, lam) / 8.0
-        triples = []
-        for i_atom in range(base.x_support.shape[0]):
-            for j_atom in range(base.y_support.shape[0]):
-                p = base.pmf[i_atom, j_atom]
-                if p == 0.0:
-                    continue
-                x0 = float(base.x_support[i_atom, 0])
-                y0 = float(base.y_support[j_atom, 0])
-                x_cells = uniform_lattice_cells(x0 - gamma / 2.0,
+        x_keys, y_keys, weights = [], [], []
+        for i_atom, j_atom in zip(*np.nonzero(base.pmf)):
+            x0 = float(base.x_support[i_atom, 0])
+            y0 = float(base.y_support[j_atom, 0])
+            x_cells, px = uniform_lattice_cells(x0 - gamma / 2.0,
                                                 x0 + gamma / 2.0, h)
-                y_cells = uniform_lattice_cells(y0 - lam / 2.0,
+            y_cells, py = uniform_lattice_cells(y0 - lam / 2.0,
                                                 y0 + lam / 2.0, h)
-                for i, pi in x_cells:
-                    for j, pj in y_cells:
-                        triples.append((i, j, p * pi * pj))
-        return _joint_from_cell_triples(
-            triples, x_value=lambda i, h=h: i * h, y_value=lambda j, h=h: j * h)
+            x_keys.append(np.repeat(x_cells, y_cells.size))
+            y_keys.append(np.tile(y_cells, x_cells.size))
+            weights.append((base.pmf[i_atom, j_atom] * px[:, None]
+                            * py[None, :]).ravel())
+        return _lattice_joint(np.concatenate(x_keys), np.concatenate(y_keys),
+                              np.concatenate(weights), h)
 
     return realize
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +101,38 @@ def test_run_json_shape(tmp_path):
     assert payload["scenario"] == "example3"
     assert payload["verdict"]["matches"] is True
     assert {"n", "mmse", "std_err"} <= set(payload["rows"][0])
+
+
+CATALOG_REFERENCE = (Path(__file__).resolve().parents[1]
+                     / "perfbench" / "reference" / "catalog_deep.json")
+REFERENCE_TOL = 1e-12
+
+
+def within_reference(got, want) -> bool:
+    """Equal in structure; numbers within REFERENCE_TOL, relative above 1."""
+    if isinstance(want, bool) or want is None or isinstance(want, str):
+        return type(got) is type(want) and got == want
+    if isinstance(want, (int, float)):
+        return (isinstance(got, (int, float)) and not isinstance(got, bool)
+                and abs(got - want) <= REFERENCE_TOL * max(1.0, abs(want)))
+    if isinstance(want, list):
+        return (isinstance(got, list) and len(got) == len(want)
+                and all(within_reference(g, w) for g, w in zip(got, want)))
+    return (isinstance(got, dict) and got.keys() == want.keys()
+            and all(within_reference(got[k], want[k]) for k in want))
+
+
+def test_run_matches_the_catalog_reference(tmp_path):
+    # every exact field of every report, at n <= 64, against the stored
+    # reference; the Monte Carlo rows depend on the seed and are left out
+    reference = json.loads(CATALOG_REFERENCE.read_text())["64"]
+    assert len(reference) == 10
+    assert main(["run", "--scenarios", *reference, "--n-stop", "64",
+                 "--format", "json", "--out", str(tmp_path)]) == EXIT_OK
+    for name, want in reference.items():
+        got = json.loads((tmp_path / f"{name}.json").read_text())
+        got["diagnostics"].pop("mc_rows", None)
+        assert within_reference(got, want), name
 
 
 def test_run_tight_tolerance_exits_one_and_names_the_scenario(tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mmse_lab import (
     FiniteJoint,
+    SelfCheckError,
     conditional_expectation,
     mmse_exact,
     moments_exact,
@@ -71,6 +72,48 @@ def test_zero_mass_measurement_column_dropped_without_value_change():
 # --------------------------------------------------------------------------
 # mmse_exact
 # --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("y_pmf", [
+    [[0.5, 0.0], [0.0, 0.5]],     # the measurement reveals X
+    [[0.25, 0.25], [0.25, 0.25]],  # blind measurement
+])
+def test_mmse_overflowing_atoms_fail_loudly(y_pmf):
+    # ||x||^2 overflows to inf: the two forms can no longer be compared,
+    # which must raise instead of letting nan > tol read as agreement
+    j = FiniteJoint(x_support=np.array([[-1e200], [1e200]]),
+                    y_support=np.array([[0.0], [1.0]]),
+                    pmf=np.array(y_pmf))
+    with np.errstate(over="ignore"), \
+            pytest.raises(SelfCheckError, match="non-finite"):
+        mmse_exact(j)
+
+
+def dense_direct_form(joint: FiniteJoint) -> float:
+    """The residual form over the dense (nx, ny', k) table, as a reference."""
+    py = joint.y_marginal()
+    keep = py > 0.0
+    pmf = joint.pmf[:, keep]
+    est = (joint.x_support.T @ pmf / py[keep]).T
+    diff = joint.x_support[:, None, :] - est[None, :, :]
+    return float((pmf * (diff * diff).sum(axis=2)).sum())
+
+
+def test_mmse_direct_form_matches_the_dense_reference():
+    rng = rng_stream(5, "dense-direct")
+    for _ in range(200):
+        nx, ny = (int(v) for v in rng.integers(1, 12, size=2))
+        pmf = rng.exponential(1.0, (nx, ny))
+        pmf[rng.random((nx, ny)) < 0.4] = 0.0
+        pmf[:, rng.random(ny) < 0.25] = 0.0   # zero-mass columns
+        if pmf.sum() == 0.0:
+            continue
+        j = FiniteJoint(x_support=rng.normal(0.0, 3.0, (nx, 2)),
+                        y_support=np.arange(ny, dtype=float),
+                        pmf=pmf / pmf.sum())
+        got = mmse_exact(j).mmse
+        sm_x = float(j.x_marginal() @ (j.x_support ** 2).sum(axis=1))
+        assert abs(got - dense_direct_form(j)) <= 1e-12 * max(1.0, sm_x)
+
 
 def test_mmse_rademacher_sum_is_half():
     assert mmse_exact(rademacher_sum_joint()).mmse == pytest.approx(0.5, abs=1e-12)

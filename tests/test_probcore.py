@@ -69,6 +69,24 @@ def test_joint_rejects_duplicate_support_rows():
         FiniteJoint(x_support=np.array([[0.0]]),
                     y_support=np.array([[2.0], [2.0]]),
                     pmf=np.array([[0.5, 0.5]]))
+    # 0.0 == -0.0, so these rows name the same atom
+    with pytest.raises(InvalidDistribution, match="pairwise distinct"):
+        FiniteJoint(x_support=np.array([[0.0], [-0.0]]),
+                    y_support=np.array([[1.0]]),
+                    pmf=np.array([[0.5], [0.5]]))
+    with pytest.raises(InvalidDistribution, match="pairwise distinct"):
+        FiniteJoint(x_support=np.array([[1.0, 0.0], [2.0, 0.0], [1.0, -0.0]]),
+                    y_support=np.array([[1.0]]),
+                    pmf=np.array([[0.25], [0.25], [0.5]]))
+    with pytest.raises(InvalidDistribution, match="pairwise distinct"):
+        FiniteJoint(x_support=np.array([[0.0]]),
+                    y_support=np.array([[1.0, 2.0], [2.0, 1.0], [1.0, 2.0]]),
+                    pmf=np.array([[0.25, 0.25, 0.5]]))
+    # rows that share one coordinate are distinct atoms
+    j = FiniteJoint(x_support=np.array([[0.0]]),
+                    y_support=np.array([[1.0, 2.0], [2.0, 2.0], [1.0, 1.0]]),
+                    pmf=np.array([[0.25, 0.25, 0.5]]))
+    assert j.y_support.shape == (3, 2)
 
 
 def test_joint_rejects_shape_mismatch():

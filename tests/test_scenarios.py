@@ -16,12 +16,20 @@ from mmse_lab import (
     run_scenario,
     usc_check,
 )
-from mmse_lab.probcore import FiniteJoint, moments_exact
+from mmse_lab.probcore import (
+    FiniteJoint,
+    floor_quantize,
+    joint_from_atoms,
+    moments_exact,
+    quantize_joint,
+)
 from mmse_lab.scenarios import (
     EXAMPLE4_STEP,
     bsc_prior_joint,
+    example3_limit_joint,
     make_markov_degraded_scenario,
     make_random_degraded_scenario,
+    uniform_lattice_cells,
 )
 
 GRID = [1, 2, 4, 8, 16, 32, 64]
@@ -299,3 +307,205 @@ def test_mixture_scenario_audits_the_linear_functional(catalog):
         assert r.mmse == pytest.approx(want, abs=1e-10)
     assert rep.limit_value == pytest.approx(0.0, abs=1e-12)
     assert rep.verdict_matches
+
+
+# --------------------------------------------------------------------------
+# array-built joints against the per-triple loop construction
+# --------------------------------------------------------------------------
+# The references below are the loop form of the lattice realizations and of
+# the probcore constructors: (x_key, y_key, prob) triples accumulated one at
+# a time in a dict, in the same triple order as the array code.  The array
+# code must reproduce their supports and pmf bit for bit.
+
+def _ref_lattice_floor(value, step):
+    r = value / step
+    nearest = round(r)
+    if abs(r - nearest) <= 4.0 * np.finfo(float).eps * max(1.0, abs(r)):
+        return int(nearest)
+    return int(math.floor(r))
+
+
+def _ref_lattice_cells(lo, hi, step):
+    total = hi - lo
+    cells = []
+    j = _ref_lattice_floor(lo, step)
+    while j * step < hi:
+        left = max(lo, j * step)
+        right = min(hi, (j + 1) * step)
+        if right > left:
+            cells.append((j, (right - left) / total))
+        j += 1
+    return cells
+
+
+def _ref_joint_from_cell_triples(triples, x_value, y_value):
+    mass = {}
+    for xk, yk, p in triples:
+        mass[(xk, yk)] = mass.get((xk, yk), 0.0) + p
+    x_keys = sorted({k[0] for k in mass})
+    y_keys = sorted({k[1] for k in mass})
+    xi = {k: i for i, k in enumerate(x_keys)}
+    yi = {k: j for j, k in enumerate(y_keys)}
+    pmf = np.zeros((len(x_keys), len(y_keys)))
+    for (xk, yk), p in mass.items():
+        pmf[xi[xk], yi[yk]] += p
+    pmf /= pmf.sum()
+    return FiniteJoint(
+        x_support=np.array([[x_value(k)] for k in x_keys]),
+        y_support=np.array([[y_value(k)] for k in y_keys]),
+        pmf=pmf,
+    )
+
+
+def _ref_example2(n):
+    cells = 64 * n
+    h = 1.0 / cells
+    triples = [(j, (b, j // n), 0.5 / cells)
+               for j in range(cells) for b in (0, 1)]
+    return _ref_joint_from_cell_triples(
+        triples, x_value=lambda j: j * h, y_value=lambda key: key[0] + key[1] * h)
+
+
+def _ref_example4(n):
+    h = EXAMPLE4_STEP
+    root3 = math.sqrt(3.0)
+    triples = [(i, i + j, pi * pj)
+               for i, pi in _ref_lattice_cells(-root3, root3, h)
+               for j, pj in _ref_lattice_cells(-root3 / n, root3 / n, h)]
+    return _ref_joint_from_cell_triples(
+        triples, x_value=lambda i: i * h, y_value=lambda s: s * h)
+
+
+def _ref_example4_limit():
+    h = EXAMPLE4_STEP
+    root3 = math.sqrt(3.0)
+    triples = [(i, i, p) for i, p in _ref_lattice_cells(-root3, root3, h)]
+    return _ref_joint_from_cell_triples(
+        triples, x_value=lambda i: i * h, y_value=lambda i: i * h)
+
+
+def _ref_cor1(gamma, lam):
+    base = example3_limit_joint()
+    h = min(gamma, lam) / 8.0
+    triples = []
+    for i_atom in range(base.x_support.shape[0]):
+        for j_atom in range(base.y_support.shape[0]):
+            p = base.pmf[i_atom, j_atom]
+            if p == 0.0:
+                continue
+            x0 = float(base.x_support[i_atom, 0])
+            y0 = float(base.y_support[j_atom, 0])
+            for i, pi in _ref_lattice_cells(x0 - gamma / 2.0, x0 + gamma / 2.0, h):
+                for j, pj in _ref_lattice_cells(y0 - lam / 2.0, y0 + lam / 2.0, h):
+                    triples.append((i, j, p * pi * pj))
+    return _ref_joint_from_cell_triples(
+        triples, x_value=lambda i: i * h, y_value=lambda j: j * h)
+
+
+def _ref_joint_from_atoms(atoms):
+    mass = {}
+    for x, y, p in atoms:
+        xt = tuple(float(v) for v in np.atleast_1d(x))
+        yt = tuple(float(v) for v in np.atleast_1d(y))
+        mass.setdefault(xt, {})
+        mass[xt][yt] = mass[xt].get(yt, 0.0) + float(p)
+    x_atoms = sorted(mass.keys())
+    y_atoms = sorted({yt for row in mass.values() for yt in row})
+    y_index = {yt: j for j, yt in enumerate(y_atoms)}
+    pmf = np.zeros((len(x_atoms), len(y_atoms)))
+    for i, xt in enumerate(x_atoms):
+        for yt, p in mass[xt].items():
+            pmf[i, y_index[yt]] += p
+    return FiniteJoint(x_support=np.array(x_atoms), y_support=np.array(y_atoms),
+                       pmf=pmf / pmf.sum())
+
+
+def _ref_quantize_joint(joint, x_step, y_step):
+    ux, xi = np.unique(floor_quantize(joint.x_support, x_step), axis=0,
+                       return_inverse=True)
+    uy, yi = np.unique(floor_quantize(joint.y_support, y_step), axis=0,
+                       return_inverse=True)
+    pmf = np.zeros((ux.shape[0], uy.shape[0]))
+    np.add.at(pmf, (xi.ravel()[:, None], yi.ravel()[None, :]), joint.pmf)
+    return FiniteJoint(x_support=ux, y_support=uy, pmf=pmf)
+
+
+def assert_bit_identical(got: FiniteJoint, want: FiniteJoint):
+    for name in ("x_support", "y_support", "pmf"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.array_equal(a, b), name
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+COR1_PATHS = {
+    "cor1_additive": (lambda n: 1.0 / n, lambda n: 1.0 / n),
+    "cor1_additive_fast_x": (lambda n: 1.0 / (n * n), lambda n: 1.0 / n),
+    "cor1_additive_fast_y": (lambda n: 1.0 / n, lambda n: 1.0 / (n * n)),
+}
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 16, 64])
+def test_lattice_realizations_match_the_loop_reference(catalog, n):
+    assert_bit_identical(catalog["example2"].realize(n), _ref_example2(n))
+    assert_bit_identical(catalog["example4"].realize(n), _ref_example4(n))
+    for name, (gamma, lam) in COR1_PATHS.items():
+        assert_bit_identical(catalog[name].realize(n), _ref_cor1(gamma(n), lam(n)))
+
+
+def test_example4_limit_matches_the_loop_reference(catalog):
+    assert_bit_identical(catalog["example4"].limit, _ref_example4_limit())
+
+
+def test_uniform_lattice_cells_match_the_loop_reference():
+    for lo, hi, step in ((-math.sqrt(3.0), math.sqrt(3.0), EXAMPLE4_STEP),
+                         (-1.0 / 3.0, 1.0 / 3.0, 1.0 / 24.0),
+                         (0.95, 1.05, 1.0 / 80.0), (0.0, 1.0, 0.25)):
+        cells, probs = uniform_lattice_cells(lo, hi, step)
+        want = _ref_lattice_cells(lo, hi, step)
+        assert cells.tolist() == [c for c, _ in want]
+        assert probs.tolist() == [p for _, p in want]
+
+
+MIXED_ATOMS = [((0.1,), (0.1,), 0.25), ((0.2,), (0.9,), 0.25),
+               ((0.6,), (1.1,), 0.5)]
+
+
+def test_joint_from_atoms_matches_the_loop_reference():
+    two_column = [((1.0, 0.5), (0.0,), 0.2), ((-1.0, 0.5), (1.0,), 0.3),
+                  ((1.0, 0.5), (0.0,), 0.1), ((1.0, -0.5), (1.0,), 0.4)]
+    cases = [MIXED_ATOMS, two_column]
+    for n in (1, 3, 7, 16, 64):
+        root, mix, spike = math.sqrt(n), (1.0 - 1.0 / n) / 2.0, 1.0 / (4.0 * n)
+        cases.append([atom for x in (-1.0, 1.0) for atom in (
+            ((x,), (x,), mix), ((x,), (-root,), spike), ((x,), (root,), spike))])
+    for atoms in cases:
+        assert_bit_identical(joint_from_atoms(atoms), _ref_joint_from_atoms(atoms))
+
+
+def test_quantize_joint_matches_the_loop_reference():
+    cases = [(joint_from_atoms(MIXED_ATOMS), 0.5, 1.0)]
+    cases += [(example3_limit_joint(), 1.0 / n, 1.0 / n) for n in (1, 3, 7, 16, 64)]
+    cells = ((np.arange(256) + 0.5) / 256)[:, None]
+    lattice = FiniteJoint(x_support=cells, y_support=cells, pmf=np.eye(256) / 256)
+    cases += [(lattice, 1.0 / 256, lam) for lam in (1 / 8, 1 / 16, 1 / 32)]
+    for joint, x_step, y_step in cases:
+        assert_bit_identical(quantize_joint(joint, x_step, y_step),
+                             _ref_quantize_joint(joint, x_step, y_step))
+
+
+# --------------------------------------------------------------------------
+# the Markov witness is checked at every index as the grid streams
+# --------------------------------------------------------------------------
+
+def test_witness_wrong_at_one_middle_index_fails_the_check(catalog):
+    import dataclasses
+
+    sc = catalog["markov_degraded_family"]
+
+    def witness(n):
+        return sc.markov_witness(1 if n == 8 else n)
+
+    broken = dataclasses.replace(sc, name="wrong-at-8", markov_witness=witness)
+    rep = run_scenario(broken, GRID, seed=0)
+    assert rep.diagnostics.markov_verified is False
+    assert run_scenario(sc, GRID, seed=0).diagnostics.markov_verified is True
