@@ -308,8 +308,8 @@ def product_joint(x_values, x_probs, y_values, y_probs) -> FiniteJoint:
                        pmf=np.outer(px / px.sum(), py / py.sum()))
 
 
-def joint_from_keys(x_keys, y_keys, weights, x_value=None, y_value=None,
-                    normalize: bool = True) -> FiniteJoint:
+def joint_from_keys(x_keys, y_keys, weights, x_value=None,
+                    y_value=None) -> FiniteJoint:
     """Accumulate (x_key, y_key, weight) triples into a FiniteJoint.
 
     The keys are 1-D integer arrays (lattice cell indices) or 2-D float
@@ -317,8 +317,7 @@ def joint_from_keys(x_keys, y_keys, weights, x_value=None, y_value=None,
     weights add in input order (``np.bincount``), so the pmf does not depend
     on how the caller batched its triples.  Supports come out sorted;
     ``x_value``/``y_value`` map the sorted unique keys to support atoms
-    (default: the keys themselves).  With ``normalize`` the pmf is divided
-    by its total.
+    (default: the keys themselves).  The pmf is divided by its total.
     """
     x_keys, y_keys = np.asarray(x_keys), np.asarray(y_keys)
     ux, xi = np.unique(x_keys, axis=0 if x_keys.ndim == 2 else None,
@@ -329,8 +328,7 @@ def joint_from_keys(x_keys, y_keys, weights, x_value=None, y_value=None,
     pmf = np.bincount(xi.ravel() * ny + yi.ravel(),
                       weights=np.asarray(weights, dtype=float),
                       minlength=nx * ny).reshape(nx, ny)
-    if normalize:
-        pmf /= pmf.sum()
+    pmf /= pmf.sum()
     return FiniteJoint(x_support=ux if x_value is None else x_value(ux),
                        y_support=uy if y_value is None else y_value(uy),
                        pmf=pmf)
@@ -354,9 +352,13 @@ def quantize_joint(joint: FiniteJoint, x_step: float, y_step: float) -> FiniteJo
     """Push a finite joint through floor quantization of both coordinates.
 
     Atoms that land in the same cell merge; probabilities add exactly.
+    The supports are merged first, so the cell keys are integer indices.
     """
     nx, ny = joint.pmf.shape
-    xq = floor_quantize(joint.x_support, x_step)
-    yq = floor_quantize(joint.y_support, y_step)
-    return joint_from_keys(np.repeat(xq, ny, axis=0), np.tile(yq, (nx, 1)),
-                           joint.pmf.ravel(), normalize=False)
+    ux, xi = np.unique(floor_quantize(joint.x_support, x_step), axis=0,
+                       return_inverse=True)
+    uy, yi = np.unique(floor_quantize(joint.y_support, y_step), axis=0,
+                       return_inverse=True)
+    return joint_from_keys(np.repeat(xi.ravel(), ny), np.tile(yi.ravel(), nx),
+                           joint.pmf.ravel(), x_value=lambda k: ux[k],
+                           y_value=lambda k: uy[k])
