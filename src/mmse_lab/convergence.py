@@ -4,9 +4,11 @@
 where the scenario says so) at every index of the grid plus the limit pair,
 then compares the tail window — the last quarter of the grid — against the
 scenario's declared sequence limit.  Scenarios carrying a Monte Carlo
-sampler are evaluated a second time through the regressogram path, and the
-verdict requires both paths to agree with the declaration (the Monte Carlo
-path gets an extra bin-bias allowance on top of its 3-sigma band).
+draw function are evaluated a second time through the regressogram path
+(100 000 draws per index, ``mc_bins(n)`` bins where the scenario sets it),
+and the verdict requires both paths to agree with the declaration (the
+Monte Carlo path gets an extra bin-bias allowance on top of its 3-sigma
+band).
 
 The diagnostics bundle records the quantities that the continuity theory
 says to watch:
@@ -145,11 +147,11 @@ def run_scenario(scenario: ScenarioSequence, n_grid, tol_abs: float = 0.02,
                                   std_err=0.0, second_moment_x=smx,
                                   second_moment_y=smy))
             if scenario.mc_sampler is not None:
-                mc_seed = _derived_seed(seed, scenario.name + "/mc", n)
-                if scenario.mc_config is not None:
-                    config = scenario.mc_config(n, mc_seed)
-                else:
-                    config = RegressionConfig(n_samples=100_000, seed=mc_seed)
+                config = RegressionConfig(
+                    n_samples=100_000,
+                    seed=_derived_seed(seed, scenario.name + "/mc", n),
+                    bins=None if scenario.mc_bins is None
+                    else scenario.mc_bins(n))
                 est = mc_mmse(scenario.mc_sampler(n), config)
                 mc_rows.append(McRow(n=n, mmse=est.value, std_err=est.std_error))
         limit_value = _audit_value(scenario, scenario.limit)
@@ -222,8 +224,7 @@ def usc_check(report: ConvergenceReport, expected: ExpectedOutcome,
     return bool(worst <= expected.limit_mmse + slack + 3.0 * noise)
 
 
-def estimator_convergence_check(scenario: ScenarioSequence, n_grid,
-                                seed: int = 0) -> float:
+def estimator_convergence_check(scenario: ScenarioSequence, n: int) -> float:
     """Exact mean-square distance between the per-n and limit estimators.
 
     Uses the degradedness witness to couple (Y, Y_n) exactly:
@@ -231,21 +232,17 @@ def estimator_convergence_check(scenario: ScenarioSequence, n_grid,
         E || g_n(Y_n) - g(Y) ||^2
           = sum_{y, z} P(Y = y) D_n(z | y) || g_n(z) - g(y) ||^2 .
 
-    Returns the value at the largest grid index.  Requires the scenario to
-    carry a markov_witness; raises MissingWitness otherwise.  With an
-    identity witness the value is exactly 0; a witness that destroys the
-    measurement entirely keeps it pinned at the limit estimator's second
-    moment.
+    Returns the value at index ``n``.  Requires the scenario to carry a
+    markov_witness; raises MissingWitness otherwise.  With an identity
+    witness the value is exactly 0; a witness that destroys the measurement
+    entirely keeps it pinned at the limit estimator's second moment.
     """
     if scenario.markov_witness is None:
         raise MissingWitness(
             f"scenario {scenario.name!r} carries no exact degradedness witness")
-    grid = [int(n) for n in n_grid]
-    if not grid:
-        raise ScenarioRunError("n_grid must be non-empty")
     limit = scenario.limit
     g = conditional_expectation(limit)
-    channel = scenario.markov_witness(grid[-1])
+    channel = scenario.markov_witness(n)
     composed = compose(limit, channel)
     gn = conditional_expectation(composed)
     # (y, z) table over the positive-mass atoms that index g.estimates and

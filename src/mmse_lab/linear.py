@@ -12,7 +12,8 @@ Singular measurement covariance is not an error: the pseudo-inverse is
 taken on the eigenspace with eigenvalues above ``rank_tolerance`` times the
 largest one, which amounts to discarding linearly dependent measurement
 coordinates.  The trace form is cross-checked against the second-moment
-difference  E||X||^2 - E||A Y + b||^2  on every call.
+difference  E||X||^2 - E||A Y + b||^2  on every call; forms that are not
+finite raise SelfCheckError instead of passing the comparison.
 """
 
 from __future__ import annotations
@@ -70,6 +71,9 @@ def lmmse(moments: MomentSummary) -> LmmseResult:
     est_sm = float(np.trace(gain @ c_y @ gain.T)
                    + (gain @ moments.eta_y + offset) @ (gain @ moments.eta_y + offset))
     alt = moments.second_moment_x - est_sm
+    if not (math.isfinite(value) and math.isfinite(alt)):
+        raise SelfCheckError(
+            f"LMMSE forms are non-finite: trace={value!r} second-moment={alt!r}")
     scale = max(1.0, abs(moments.second_moment_x))
     if abs(value - alt) > FORM_TOL * scale:
         raise SelfCheckError(

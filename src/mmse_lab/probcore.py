@@ -1,14 +1,15 @@
-"""Exact finite probability objects, samplers, and moment primitives.
+"""Exact finite probability objects, draw functions, and moment primitives.
 
 The whole lab runs on three value types:
 
 * ``FiniteJoint`` — an exact joint law of a pair (X, Y) on finite supports,
   held as a dense probability matrix.  Everything "exact" downstream
   (conditional means, MMSE, LMMSE, garbling) is linear algebra on it.
-* ``Sampler`` — a seeded batch-draw procedure for laws that are not
-  finite (uniform priors, additive noise families).  Only the Monte Carlo
-  cross-path and the quantization bridge ``discretize`` consume these; every
-  exact result is computed on a ``FiniteJoint``.
+* ``Draw`` — a seeded batch-draw function ``draw(rng, size) -> (xs, ys)``
+  for laws that are not finite (uniform priors, additive noise families);
+  it returns ``size`` independent draws of X and of Y.  Only the Monte
+  Carlo cross-path and the quantization bridge ``discretize`` consume
+  these; every exact result is computed on a ``FiniteJoint``.
 * ``MomentSummary`` — first and second moments of a pair, with the
   second-moment identity  E||Z||^2 = trace(Cov Z) + ||E Z||^2  enforced at
   construction.
@@ -123,30 +124,18 @@ class FiniteJoint:
         return self.pmf.sum(axis=0)
 
 
-@dataclass(frozen=True)
-class Sampler:
-    """Seed-deterministic batch-draw procedure for a pair law.
-
-    ``draw_batch(rng, size)`` returns arrays of shape (size, k) and
-    (size, m) holding ``size`` independent draws of (X, Y).
-    """
-
-    draw_batch: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
-    descriptor: str
+# a string, because evaluating np.random here would import numpy.random,
+# which numpy otherwise loads only when a generator is first made
+Draw = Callable[["np.random.Generator", int], tuple[np.ndarray, np.ndarray]]
 
 
-def sample_pairs(sampler: Sampler, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def sample_pairs(draw: Draw, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw n pairs as (n, k) and (n, m) arrays."""
     if n < 1:
         raise InsufficientSamples("need at least one sample")
-    xs, ys = sampler.draw_batch(rng, n)
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    if xs.shape[0] != n:
-        xs = xs.reshape(n, -1)
-    if ys.shape[0] != n:
-        ys = ys.reshape(n, -1)
-    return xs, ys
+    xs, ys = draw(rng, n)
+    return (np.asarray(xs, dtype=float).reshape(n, -1),
+            np.asarray(ys, dtype=float).reshape(n, -1))
 
 
 def draw_atom_indices(joint: FiniteJoint, size: int,
@@ -159,24 +148,23 @@ def draw_atom_indices(joint: FiniteJoint, size: int,
     return rng.choice(flat.size, size=size, p=flat / flat.sum())
 
 
-def sampler_from_joint(joint: FiniteJoint) -> Sampler:
-    """Categorical sampler over the atoms of an exact joint."""
+def sampler_from_joint(joint: FiniteJoint) -> Draw:
+    """Categorical draw function over the atoms of an exact joint."""
     ny = joint.y_support.shape[0]
 
-    def draw_batch(rng: np.random.Generator, size: int):
+    def draw(rng: np.random.Generator, size: int):
         idx = draw_atom_indices(joint, size, rng)
         return joint.x_support[idx // ny], joint.y_support[idx % ny]
 
-    return Sampler(draw_batch=draw_batch,
-                   descriptor="categorical over finite joint atoms")
+    return draw
 
 
 @dataclass(frozen=True)
 class MomentSummary:
     """First/second moments of a pair, population convention.
 
-    Validates symmetry of the covariance blocks, positive semidefiniteness
-    down to -MOMENT_TOL, and the identity
+    Validates that every entry is finite, symmetry of the covariance blocks,
+    positive semidefiniteness down to -MOMENT_TOL, and the identity
     second_moment = trace(cov) + ||mean||^2 on both coordinates.
     """
 
@@ -197,6 +185,11 @@ class MomentSummary:
         k, m = eta_x.shape[0], eta_y.shape[0]
         if c_x.shape != (k, k) or c_y.shape != (m, m) or c_xy.shape != (k, m):
             raise InvalidDistribution("moment block shapes are inconsistent")
+        # an overflowed moment would turn the checks below into nan > tol
+        if not np.isfinite(np.concatenate(
+                [eta_x, eta_y, c_x.ravel(), c_y.ravel(), c_xy.ravel(),
+                 [float(self.second_moment_x), float(self.second_moment_y)]])).all():
+            raise InvalidDistribution("moments contain non-finite values")
         for mat, name in ((c_x, "c_x"), (c_y, "c_y")):
             if np.max(np.abs(mat - mat.T)) > MOMENT_TOL:
                 raise InvalidDistribution(f"{name} is not symmetric")
@@ -285,16 +278,16 @@ def floor_quantize(x, a: float) -> np.ndarray:
     return floor_index(x, a) * a
 
 
-def discretize(sampler: Sampler, grid_step: float, n_samples: int, seed: int) -> FiniteJoint:
+def discretize(draw: Draw, grid_step: float, n_samples: int, seed: int) -> FiniteJoint:
     """Empirical finite joint of the floor-quantized pair.
 
-    Draws ``n_samples`` pairs from ``sampler`` with a stream derived from
+    Draws ``n_samples`` pairs from ``draw`` with a stream derived from
     ``seed``, floor-quantizes both coordinates at ``grid_step``, and counts.
     The pmf is counts / n_samples, exact up to float division.
     """
     if n_samples < 1:
         raise InsufficientSamples("n_samples must be >= 1")
-    xs, ys = sample_pairs(sampler, n_samples, rng_stream(seed, "discretize"))
+    xs, ys = sample_pairs(draw, n_samples, rng_stream(seed, "discretize"))
     return joint_from_keys(floor_quantize(xs, grid_step),
                            floor_quantize(ys, grid_step), np.ones(n_samples))
 

@@ -37,8 +37,10 @@ canonical stress cases:
 Every realization and every limit is a ``FiniteJoint``: continuous laws
 enter as lattice joints whose cell probabilities are interval overlaps
 computed in closed form, so the downstream engine sees finite joints and no
-sampling noise.  Scenarios with continuous laws additionally carry a plain
-Monte Carlo sampler so the regressogram path can cross-check the exact one.
+sampling noise.  Scenarios with continuous laws additionally carry a draw
+function of the un-quantized law (``mc_sampler``), and optionally the
+regressogram bin count to use at each index (``mc_bins``), so the Monte
+Carlo path can cross-check the exact one.
 """
 
 from __future__ import annotations
@@ -53,10 +55,9 @@ import numpy as np
 from .degradedness import Channel, binary_symmetric_channel, compose
 from .errors import InvalidDistribution
 from .exact import mmse_exact
-from .mc import RegressionConfig
 from .probcore import (
+    Draw,
     FiniteJoint,
-    Sampler,
     floor_index,
     joint_from_atoms,
     joint_from_keys,
@@ -112,10 +113,12 @@ class ScenarioSequence:
     exact law of (X, Y); both are FiniteJoints.  ``markov_witness(n)``,
     when present, is a channel D_n with realize(n) = compose(limit, D_n),
     i.e. an explicit degradedness coupling of the sequence to its limit.
-    ``mc_sampler(n)`` draws from the un-quantized continuous law for the
-    Monte Carlo cross-path, with ``mc_config(n, seed)`` overriding the
-    default regressogram settings.  ``x_deviation_prob(n, eps)`` is the exact
-    P(||X_n - X|| > eps) under the scenario's natural coupling.
+    ``mc_sampler(n)`` is a draw function (``probcore.Draw``) of the
+    un-quantized continuous law for the Monte Carlo cross-path, and
+    ``mc_bins(n)``, when present, the regressogram bin count at index n
+    (default ``mc.cube_root_bins`` of the sample count).
+    ``x_deviation_prob(n, eps)`` is the exact P(||X_n - X|| > eps) under
+    the scenario's natural coupling.
     """
 
     name: str
@@ -124,8 +127,8 @@ class ScenarioSequence:
     expected: ExpectedOutcome
     markov_witness: Callable[[int], Channel] | None = None
     audit: str = "mmse"
-    mc_sampler: Callable[[int], Sampler] | None = None
-    mc_config: Callable[[int, int], RegressionConfig] | None = None
+    mc_sampler: Callable[[int], Draw] | None = None
+    mc_bins: Callable[[int], int] | None = None
     x_deviation_prob: Callable[[int, float], float] | None = None
     notes: str = ""
 
@@ -238,14 +241,13 @@ def _example2_limit() -> FiniteJoint:
                          np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
 
 
-def _example2_sampler(n: int) -> Sampler:
-    def draw_batch(rng: np.random.Generator, size: int):
+def _example2_sampler(n: int) -> Draw:
+    def draw(rng: np.random.Generator, size: int):
         x = rng.random(size)
         b = rng.integers(0, 2, size).astype(float)
         return x[:, None], (b + x / n)[:, None]
 
-    return Sampler(draw_batch=draw_batch,
-                   descriptor=f"X uniform[0,1), B fair bit, Y = B + X/{n}")
+    return draw
 
 
 def example2_scenario() -> ScenarioSequence:
@@ -259,21 +261,13 @@ def example2_scenario() -> ScenarioSequence:
                "in the limit the bit B is independent of X, so the value is "
                "the (grid) variance of a uniform prior, 1/12 up to O(2^-20)",
     )
-
-    def mc_config(n: int, seed: int) -> RegressionConfig:
-        return RegressionConfig(
-            n_samples=100_000,
-            seed=seed,
-            binning=lambda _count, n=n: EXAMPLE2_CELLS_PER_INDEX * (n + 1),
-        )
-
     return ScenarioSequence(
         name="example2",
         realize=_example2_realize,
         limit=limit,
         expected=expected,
         mc_sampler=_example2_sampler,
-        mc_config=mc_config,
+        mc_bins=lambda n: EXAMPLE2_CELLS_PER_INDEX * (n + 1),
         x_deviation_prob=lambda n, eps: 0.0,  # X_n = X in the coupling
         notes="grid step 1/(64 n) keeps per-n recovery error below 1e-3; "
               "the Monte Carlo path bins at the matching resolution",
@@ -343,14 +337,13 @@ def _example4_limit() -> FiniteJoint:
     return _lattice_joint(cells, cells, p, EXAMPLE4_STEP)
 
 
-def _example4_sampler(n: int) -> Sampler:
-    def draw_batch(rng: np.random.Generator, size: int):
+def _example4_sampler(n: int) -> Draw:
+    def draw(rng: np.random.Generator, size: int):
         x = rng.uniform(-SQRT3, SQRT3, size)
         w = rng.uniform(-SQRT3, SQRT3, size) / n
         return x[:, None], (x + w)[:, None]
 
-    return Sampler(draw_batch=draw_batch,
-                   descriptor=f"X uniform[-sqrt3, sqrt3], Y = X + N/{n}")
+    return draw
 
 
 def example4_scenario() -> ScenarioSequence:
@@ -405,20 +398,18 @@ def _cor1_realize_factory(gamma_of_n, lambda_of_n):
 
 
 def _cor1_sampler_factory(gamma_of_n, lambda_of_n):
-    def make(n: int) -> Sampler:
+    def make(n: int) -> Draw:
         gamma = gamma_of_n(n)
         lam = lambda_of_n(n)
 
-        def draw_batch(rng: np.random.Generator, size: int):
+        def draw(rng: np.random.Generator, size: int):
             x = rng.choice([-1.0, 1.0], size)
             nr = rng.choice([-1.0, 1.0], size)
             pert = (rng.random(size) - 0.5) * gamma
             meas = (rng.random(size) - 0.5) * lam
             return (x + pert)[:, None], (x + nr + meas)[:, None]
 
-        return Sampler(draw_batch=draw_batch,
-                       descriptor=f"additive uniform perturbations "
-                                  f"gamma={gamma:.6g} lambda={lam:.6g}")
+        return draw
 
     return make
 
@@ -503,6 +494,27 @@ def bsc_prior_joint(flip: float, prior=(0.5, 0.5)) -> FiniteJoint:
     )
 
 
+def _garbled_scenario(name: str, base: FiniteJoint,
+                      witness: Callable[[int], Channel], source: str,
+                      notes: str) -> ScenarioSequence:
+    """Continuous scenario whose n-th law is compose(base, witness(n))."""
+    def realize(n: int) -> FiniteJoint:
+        return compose(base, witness(n))
+
+    value = mmse_exact(base).mmse
+    return ScenarioSequence(
+        name=name,
+        realize=realize,
+        limit=base,
+        expected=ExpectedOutcome(kind=OutcomeKind.CONTINUOUS,
+                                 limit_mmse=value, sequence_limit_mmse=value,
+                                 source=source),
+        markov_witness=witness,
+        x_deviation_prob=lambda n, eps: 0.0,
+        notes=notes,
+    )
+
+
 def make_markov_degraded_scenario(name: str, base: FiniteJoint,
                                   flip_of_n: Callable[[int], float],
                                   notes: str = "") -> ScenarioSequence:
@@ -519,26 +531,11 @@ def make_markov_degraded_scenario(name: str, base: FiniteJoint,
     def witness(n: int) -> Channel:
         return binary_symmetric_channel(flip_of_n(n), support=support.ravel())
 
-    def realize(n: int) -> FiniteJoint:
-        return compose(base, witness(n))
-
-    value = mmse_exact(base).mmse
-    expected = ExpectedOutcome(
-        kind=OutcomeKind.CONTINUOUS,
-        limit_mmse=value,
-        sequence_limit_mmse=value,
+    return _garbled_scenario(
+        name, base, witness,
         source="the garbling flip vanishes, so the degraded value falls "
                "back to the base pair's exact MMSE",
-    )
-    return ScenarioSequence(
-        name=name,
-        realize=realize,
-        limit=base,
-        expected=expected,
-        markov_witness=witness,
-        x_deviation_prob=lambda n, eps: 0.0,  # the prior is untouched
-        notes=notes or "binary symmetric garbling with vanishing flip",
-    )
+        notes=notes or "binary symmetric garbling with vanishing flip")
 
 
 def markov_degraded_scenario() -> ScenarioSequence:
@@ -575,25 +572,10 @@ def make_random_degraded_scenario(seed: int, max_support: int = 6) -> ScenarioSe
         mat = (1.0 - eps) * np.eye(ny) + eps * mixer
         return Channel(input_support=y_vals, output_support=y_vals, matrix=mat)
 
-    def realize(n: int) -> FiniteJoint:
-        return compose(base, witness(n))
-
-    value = mmse_exact(base).mmse
-    expected = ExpectedOutcome(
-        kind=OutcomeKind.CONTINUOUS,
-        limit_mmse=value,
-        sequence_limit_mmse=value,
+    return _garbled_scenario(
+        f"random_degraded_{seed}", base, witness,
         source="geometrically vanishing random garbling of a random base",
-    )
-    return ScenarioSequence(
-        name=f"random_degraded_{seed}",
-        realize=realize,
-        limit=base,
-        expected=expected,
-        markov_witness=witness,
-        x_deviation_prob=lambda n, eps: 0.0,
-        notes="randomized degraded family used by the property suite",
-    )
+        notes="randomized degraded family used by the property suite")
 
 
 # ---------------------------------------------------------------------------

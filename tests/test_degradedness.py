@@ -100,6 +100,55 @@ def test_certificate_serializes():
     assert d["residual"] <= 1e-7
 
 
+def _ref_garbling_lp(m1, m2):
+    """The epigraph LP's constraint matrices, built row by row."""
+    n_in, n_mid = m1.shape
+    n_out = m2.shape[1]
+    n_g = n_mid * n_out
+    a_ub = np.zeros((2 * n_in * n_out, n_g + 1))
+    b_ub = np.zeros(2 * n_in * n_out)
+    row = 0
+    for i in range(n_in):
+        for j in range(n_out):
+            coeffs = np.zeros(n_g)
+            coeffs[j::n_out] = m1[i, :]
+            a_ub[row, :n_g] = coeffs
+            a_ub[row, -1] = -1.0
+            b_ub[row] = m2[i, j]
+            a_ub[row + 1, :n_g] = -coeffs
+            a_ub[row + 1, -1] = -1.0
+            b_ub[row + 1] = -m2[i, j]
+            row += 2
+    a_eq = np.zeros((n_mid, n_g + 1))
+    for l in range(n_mid):
+        a_eq[l, l * n_out:(l + 1) * n_out] = 1.0
+    return a_ub, b_ub, a_eq
+
+
+@pytest.mark.parametrize("n_in, n_mid, n_out",
+                         [(2, 2, 2), (3, 5, 4), (5, 3, 7), (8, 8, 8)])
+def test_garbling_lp_matches_the_loop_reference(monkeypatch, n_in, n_mid, n_out):
+    # the solver must get the same bytes, -0.0 sign bits included
+    import scipy.optimize
+
+    seen = []
+    solve = scipy.optimize.linprog
+
+    def spy(c, A_ub, b_ub, A_eq, b_eq, **kwargs):
+        seen.append((A_ub, b_ub, A_eq))
+        return solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    rng = rng_stream(29, "lp-build", n_in, n_mid, n_out)
+    support = np.arange(n_in, dtype=float)[:, None]
+    w1 = random_channel(rng, support, n_mid)
+    w2 = random_channel(rng, support, n_out)
+    is_degraded(w1, w2)
+    for got, want in zip(seen[0], _ref_garbling_lp(w1.matrix, w2.matrix)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_transitivity_through_explicit_cascades():
     rng = rng_stream(23, "transitive")
     support = np.arange(3, dtype=float)[:, None]
@@ -205,13 +254,24 @@ def test_channel_rejects_non_stochastic_matrix():
                 matrix=np.array([[0.7, 0.7], [0.5, 0.5]]))
 
 
-def test_import_does_not_load_the_lp_solver():
-    # scipy.optimize loads inside is_degraded, not at package import
+def run_after_import(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that has the package on its path."""
     src = str(Path(mmse_lab.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    subprocess.run(
-        [sys.executable, "-c",
-         "import mmse_lab, sys; assert 'scipy.optimize' not in sys.modules"],
-        env=env, check=True)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_import_does_not_load_the_lp_solver():
+    # scipy.optimize loads inside is_degraded, not at package import
+    run_after_import(
+        "import mmse_lab, sys; assert 'scipy.optimize' not in sys.modules")
+
+
+def test_import_does_not_load_numpy_random():
+    # numpy 2 loads numpy.random on first use; importing the package (the
+    # Draw alias, say) must not be that use
+    run_after_import(
+        "import sys, numpy; eager = 'numpy.random' in sys.modules; "
+        "import mmse_lab; assert eager or 'numpy.random' not in sys.modules")

@@ -3,6 +3,9 @@ import pytest
 
 from mmse_lab import (
     ConvergenceVerdict,
+    FiniteJoint,
+    InvalidDistribution,
+    SelfCheckError,
     SingularLimitCovariance,
     lmmse,
     lmmse_sequence_limit,
@@ -29,6 +32,25 @@ def mixture_value(n: int) -> float:
 
 def mixture_moments(n: int) -> MomentSummary:
     return scalar_moments(1.0, 2.0 - 1.0 / n, 1.0 - 1.0 / n)
+
+
+def test_lmmse_overflowing_atoms_fail_loudly():
+    # the moments of +-1e200 atoms overflow: they must be rejected rather
+    # than reach lmmse, whose checks would read nan > tol as agreement
+    j = FiniteJoint(x_support=np.array([[-1e200], [1e200]]),
+                    y_support=np.array([[0.0], [1.0]]),
+                    pmf=0.25 * np.ones((2, 2)))
+    with np.errstate(over="ignore"), \
+            pytest.raises(InvalidDistribution, match="non-finite"):
+        lmmse(moments_exact(j))
+
+
+def test_lmmse_overflowing_gain_fails_loudly():
+    # finite moments whose gain C_XY / C_Y overflows: both forms turn
+    # non-finite and must raise instead of comparing as equal
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(SelfCheckError, match="non-finite"):
+        lmmse(scalar_moments(1.0, 1e-300, 1e10))
 
 
 def test_rademacher_sum_lmmse_equals_mmse():

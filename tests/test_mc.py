@@ -3,25 +3,24 @@ import pytest
 
 from mmse_lab import (
     InsufficientSamples,
+    InvalidDistribution,
     RegressionConfig,
     mc_mmse,
     mc_mmse_vs_exact,
     sampler_from_joint,
 )
-from mmse_lab.probcore import Sampler
 from test_exact import bsc_joint
 from test_probcore import rademacher_sum_joint
 
 
-def uniform_pair_sampler(copy_y: bool = True) -> Sampler:
-    def draw_batch(rng, size):
+def uniform_pair_sampler(copy_y: bool = True):
+    """X uniform[0,1); Y = X, or Y independent of X."""
+    def draw(rng, size):
         x = rng.random(size)[:, None]
         y = x.copy() if copy_y else rng.random(size)[:, None]
         return x, y
 
-    label = "Y = X" if copy_y else "Y independent of X"
-    return Sampler(draw_batch=draw_batch,
-                   descriptor=f"X uniform[0,1), {label}")
+    return draw
 
 
 def test_perfect_measurement_estimate_is_bin_limited():
@@ -42,23 +41,34 @@ def test_independent_pair_recovers_prior_variance():
 
 
 def test_degenerate_measurement_range_flagged():
-    def draw_batch(rng, size):
+    def constant_measurement(rng, size):
         return rng.random((size, 1)), np.full((size, 1), 7.0)
 
-    est = mc_mmse(Sampler(draw_batch=draw_batch, descriptor="constant measurement"),
-                  RegressionConfig(n_samples=2_000, seed=4))
+    est = mc_mmse(constant_measurement, RegressionConfig(n_samples=2_000, seed=4))
     assert est.degenerate_range is True
     # falls back to the prior variance of X ~ U[0,1)
     assert est.value == pytest.approx(1.0 / 12.0, abs=0.01)
 
 
 def test_no_retained_bin_raises():
-    def draw_batch(rng, size):
+    def too_few(rng, size):
         return rng.random((size, 1)), rng.random((size, 1))
 
     with pytest.raises(InsufficientSamples):
-        mc_mmse(Sampler(draw_batch=draw_batch, descriptor="too few"),
-                RegressionConfig(n_samples=4, seed=5, min_bin_count=5))
+        mc_mmse(too_few, RegressionConfig(n_samples=4, seed=5))
+
+
+def test_bin_count_below_one_rejected():
+    with pytest.raises(InvalidDistribution, match="bins"):
+        RegressionConfig(n_samples=100, seed=0, bins=0)
+
+
+def test_vector_measurement_rejected():
+    def planar_measurement(rng, size):
+        return rng.random((size, 1)), rng.random((size, 2))
+
+    with pytest.raises(InvalidDistribution, match="scalar measurement"):
+        mc_mmse(planar_measurement, RegressionConfig(n_samples=100, seed=0))
 
 
 def test_estimate_is_reproducible_bitwise():
@@ -74,22 +84,20 @@ def test_estimate_is_reproducible_bitwise():
 def test_value_never_negative_on_small_samples():
     sampler = uniform_pair_sampler()
     for seed in range(8):
-        est = mc_mmse(sampler, RegressionConfig(n_samples=60, seed=seed,
-                                                min_bin_count=2))
+        est = mc_mmse(sampler, RegressionConfig(n_samples=60, seed=seed))
         assert est.value >= 0.0
 
 
 def test_sparse_bins_are_excluded():
-    # exactly three samples land in a far-away bin: below min_bin_count,
+    # exactly three samples land in a far-away bin: below MIN_BIN_COUNT,
     # so the bin is dropped and the retained count falls short
-    def draw_batch(rng, size):
+    def outliers(rng, size):
         x = rng.random(size)[:, None]
         y = x.copy()
         y[:min(3, size)] = 1e6
         return x, y
 
-    est = mc_mmse(Sampler(draw_batch=draw_batch, descriptor="outliers"),
-                  RegressionConfig(n_samples=20_000, seed=7))
+    est = mc_mmse(outliers, RegressionConfig(n_samples=20_000, seed=7))
     assert est.n_effective < 20_000
 
 

@@ -21,7 +21,7 @@ from mmse_lab import (
     sample_pairs,
     sampler_from_joint,
 )
-from mmse_lab.probcore import MomentSummary, Sampler
+from mmse_lab.probcore import MomentSummary
 
 
 def rademacher_sum_joint() -> FiniteJoint:
@@ -270,10 +270,10 @@ def test_sampler_from_joint_matches_pmf():
 
 
 def test_discretize_point_mass():
-    def draw_batch(rng, size):
+    def point(rng, size):
         return np.full((size, 1), 0.5), np.full((size, 1), 1.5)
 
-    j = discretize(Sampler(draw_batch=draw_batch, descriptor="point"), 0.25, 100, seed=0)
+    j = discretize(point, 0.25, 100, seed=0)
     assert j.pmf.shape == (1, 1)
     assert j.pmf[0, 0] == 1.0
     assert j.x_support[0, 0] == 0.5
@@ -289,12 +289,11 @@ LATTICE_SECOND_MOMENT_64 = (63 * 64 * 127 // 6) / 64**3
 
 
 def test_discretize_uniform_second_moment():
-    def draw_batch(rng, size):
+    def uniform_twice(rng, size):
         u = rng.random(size)
         return u[:, None], u[:, None].copy()
 
-    sampler = Sampler(draw_batch=draw_batch, descriptor="U[0,1) twice")
-    j = discretize(sampler, 1.0 / 64.0, 100_000, seed=11)
+    j = discretize(uniform_twice, 1.0 / 64.0, 100_000, seed=11)
     ms = moments_exact(j)
     # binomial fluctuation of the empirical second moment
     se = math.sqrt(4.0 / 45.0 / 100_000)
@@ -304,13 +303,12 @@ def test_discretize_uniform_second_moment():
 
 
 def test_discretize_deterministic():
-    def draw_batch(rng, size):
+    def pair(rng, size):
         u = rng.random((size, 2))
         return u[:, :1], u[:, 1:]
 
-    s = Sampler(draw_batch=draw_batch, descriptor="pair")
-    j1 = discretize(s, 0.125, 500, seed=21)
-    j2 = discretize(s, 0.125, 500, seed=21)
+    j1 = discretize(pair, 0.125, 500, seed=21)
+    j2 = discretize(pair, 0.125, 500, seed=21)
     np.testing.assert_array_equal(j1.pmf, j2.pmf)
     np.testing.assert_array_equal(j1.x_support, j2.x_support)
     np.testing.assert_array_equal(j1.y_support, j2.y_support)

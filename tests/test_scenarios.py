@@ -205,6 +205,39 @@ def test_limit_must_be_a_finite_joint(catalog):
                             limit=catalog["example4"].mc_sampler(1))
 
 
+# (n, mmse, std_err) of run_scenario(s, [1, 2, 4], seed=7).mc_rows.  A change
+# to a draw function's body or RNG call order, to the derived seeds or to the
+# binning moves these values, and the report comparisons leave mc_rows out.
+PINNED_MC_ROWS = {
+    "example2": [
+        (1, 2.0427849704543003e-05, 5.7584495595289425e-08),
+        (2, 2.0383350603941737e-05, 5.7582039637368174e-08),
+        (4, 2.0252292349833407e-05, 5.736031058393924e-08)],
+    "example4": [
+        (1, 0.5005523570428898, 0.001868983986247914),
+        (2, 0.18870567989962692, 0.0006371139541704553),
+        (4, 0.05544238866992731, 0.00017401136822455744)],
+    "cor1_additive": [
+        (1, 0.5833295013502463, 0.0020511192661536587),
+        (2, 0.5223461850425375, 0.0017111234730229562),
+        (4, 0.5037972828923435, 0.0016157297066450413)],
+    "cor1_additive_fast_x": [
+        (1, 0.5884763560455825, 0.002063737326876696),
+        (2, 0.5066272735977393, 0.001615354325073953),
+        (4, 0.4991764640563493, 0.0015838579885980473)],
+    "cor1_additive_fast_y": [
+        (1, 0.5834340508722824, 0.002053371420565347),
+        (2, 0.5196484754841864, 0.00170967174703897),
+        (4, 0.5036364007841353, 0.0016150746987267939)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MC_ROWS))
+def test_mc_rows_are_pinned(catalog, name):
+    rows = run_scenario(catalog[name], [1, 2, 4], seed=7).mc_rows
+    assert [(r.n, r.mmse, r.std_err) for r in rows] == PINNED_MC_ROWS[name]
+
+
 def test_markov_witness_reconstructs_each_index(catalog):
     sc = catalog["markov_degraded_family"]
     for n in (1, 4, 64):
@@ -263,7 +296,7 @@ ESTIMATOR_GAP_BSC01_64 = 0.0039937500000000005
 def test_estimator_convergence_identity_base():
     sc = make_markov_degraded_scenario("ident-base", IDENTITY_BASE,
                                        lambda n: 0.1 / n)
-    value = estimator_convergence_check(sc, GRID, seed=0)
+    value = estimator_convergence_check(sc, GRID[-1])
     q = 0.1 / 64
     assert value == pytest.approx(4 * q * (1 - q), abs=1e-15)
     assert value == pytest.approx(ESTIMATOR_GAP_IDENTITY_64, abs=1e-15)
@@ -272,26 +305,26 @@ def test_estimator_convergence_identity_base():
 
 def test_estimator_convergence_bsc_base(catalog):
     value = estimator_convergence_check(
-        catalog["markov_degraded_family"], GRID, seed=0)
+        catalog["markov_degraded_family"], GRID[-1])
     assert value == pytest.approx(ESTIMATOR_GAP_BSC01_64, abs=1e-15)
 
 
 def test_estimator_convergence_identity_witness_is_exact_zero():
     sc = make_markov_degraded_scenario("frozen", bsc_prior_joint(0.1),
                                        lambda n: 0.0)
-    assert estimator_convergence_check(sc, GRID, seed=0) == 0.0
+    assert estimator_convergence_check(sc, GRID[-1]) == 0.0
 
 
 def test_estimator_convergence_detects_non_converging_witness():
     sc = make_markov_degraded_scenario("collapse", bsc_prior_joint(0.1),
                                        lambda n: 0.5)
-    value = estimator_convergence_check(sc, GRID, seed=0)
+    value = estimator_convergence_check(sc, GRID[-1])
     assert value >= 0.1
 
 
 def test_estimator_convergence_requires_witness(catalog):
     with pytest.raises(MissingWitness):
-        estimator_convergence_check(catalog["example1"], GRID, seed=0)
+        estimator_convergence_check(catalog["example1"], GRID[-1])
 
 
 # --------------------------------------------------------------------------
