@@ -11,16 +11,15 @@ environment data are written.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .convergence import ConvergenceReport, run_scenario
 from .errors import MmseLabError
-from .scenarios import ScenarioSequence, builtin_scenarios
+from .scenarios import builtin_scenarios
 from .selftest import run_selftest
 
 SEED_ENV_VAR = "MMSE_LAB_SEED"
@@ -44,7 +43,6 @@ class RunConfig:
     tol_abs: float = 0.02
     output_dir: str = "reports"
     format: str = "csv"
-    jobs: int = field(default_factory=lambda: os.cpu_count() or 1)
 
     def n_grid(self) -> list[int]:
         if self.n_start < 1 or self.n_stop < self.n_start:
@@ -131,11 +129,6 @@ def cmd_list(name_filter: str | None = None, stream=None) -> int:
     return EXIT_OK
 
 
-def _run_one(scenario: ScenarioSequence, config: RunConfig) -> ConvergenceReport:
-    return run_scenario(scenario, config.n_grid(), tol_abs=config.tol_abs,
-                        seed=config.seed)
-
-
 def cmd_run(config: RunConfig, stream=None, err_stream=None) -> int:
     """Run scenarios, write one report per scenario, 0 iff all match."""
     out = stream if stream is not None else sys.stdout
@@ -155,16 +148,10 @@ def cmd_run(config: RunConfig, stream=None, err_stream=None) -> int:
         return EXIT_USAGE
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports: dict[str, ConvergenceReport] = {}
     try:
-        with concurrent.futures.ThreadPoolExecutor(
-                max_workers=max(1, config.jobs)) as pool:
-            futures = {
-                name: pool.submit(_run_one, catalog[name], config)
-                for name in config.scenario_names
-            }
-            for name, fut in futures.items():
-                reports[name] = fut.result()
+        reports = {name: run_scenario(catalog[name], grid,
+                                      tol_abs=config.tol_abs, seed=config.seed)
+                   for name in config.scenario_names}
     except MmseLabError as exc:
         print(f"engine error: {exc}", file=err)
         return EXIT_ENGINE
@@ -224,8 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="absolute tolerance for the tail audit")
     p_run.add_argument("--out", default="reports", help="report directory")
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_run.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="worker pool size (default: logical cores)")
 
     p_self = sub.add_parser("selftest", help="run randomized property suites")
     p_self.add_argument("--seed", type=int, default=None)
@@ -266,7 +251,6 @@ def main(argv=None) -> int:
                 tol_abs=args.tol,
                 output_dir=args.out,
                 format=args.format,
-                jobs=args.jobs,
             )
             return cmd_run(config)
         if args.command == "selftest":

@@ -10,16 +10,18 @@ and the minimum mean square error admits two algebraically equal forms,
     difference = E||X||^2 - E||g(Y)||^2.
 
 Both are computed on every call and must agree to CHECK_TOL; the direct
-form is returned.  The direct form sums over the positive-mass atoms only
-(the nonzero entries of the pmf), so its cost follows the number of atoms
-rather than the dense (nx, ny) table.  The difference form is the
-orthogonality principle in disguise, so the agreement doubles as a
-structural self-check.  A self-check whose compared values are not finite
-(overflowing atoms, say) raises SelfCheckError instead of passing.
+form is returned.  The conditional means and the direct form are sums over
+the joint's positive-mass atoms (``x_idx, y_idx, prob``), so their cost
+follows the number of atoms rather than the dense (nx, ny) table.  The
+difference form is the orthogonality principle in disguise, so the
+agreement doubles as a structural self-check.  A self-check whose
+compared values are not finite (overflowing atoms, say) raises
+SelfCheckError instead of passing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -54,15 +56,27 @@ class ConditionalExpectation:
         return self.estimates[hits[0]]
 
 
+def _table_rows(joint: FiniteJoint) -> np.ndarray:
+    """Row of the conditional mean table for each atom of the joint.
+
+    The table lists the positive-mass measurement columns in order, and
+    every atom sits in one of them.
+    """
+    return (np.cumsum(joint.y_marginal() > 0.0) - 1)[joint.y_idx]
+
+
 def conditional_expectation(joint: FiniteJoint) -> ConditionalExpectation:
     """Exact conditional mean table for a finite joint."""
     py = joint.y_marginal()
     keep = py > 0.0
     if not np.any(keep):
         raise EmptySupport("every measurement atom has zero probability")
-    cols = joint.pmf if keep.all() else joint.pmf[:, keep]
+    rows = _table_rows(joint)
     mass = py[keep]
-    est = (joint.x_support.T @ cols / mass).T  # (ny', k)
+    xa = joint.x_support[joint.x_idx]  # (nnz, k)
+    est = np.stack([np.bincount(rows, weights=joint.prob * xa[:, c],
+                                minlength=mass.size)
+                    for c in range(joint.k)], axis=1) / mass[:, None]
     ce = ConditionalExpectation(
         y_support=joint.y_support[keep],
         estimates=est,
@@ -92,7 +106,8 @@ class MmseResult:
 def _require_finite(check: str, *values) -> None:
     """Raise SelfCheckError unless every compared value is finite: a NaN
     or infinite operand would make ``gap > tol`` False and pass silently."""
-    if not all(np.all(np.isfinite(v)) for v in values):
+    if not all(math.isfinite(v) if isinstance(v, float) else np.isfinite(v).all()
+               for v in values):
         raise SelfCheckError(f"{check}: non-finite values {values!r}")
 
 
@@ -106,12 +121,8 @@ def mmse_exact(joint: FiniteJoint) -> MmseResult:
     ce = conditional_expectation(joint)
     xs = joint.x_support
     px = joint.x_marginal()
-    # every positive-mass atom sits in a positive-mass column; col maps a
-    # pmf column to its row of ce.estimates
-    i, j = np.nonzero(joint.pmf)
-    col = np.cumsum(joint.y_marginal() > 0.0) - 1
-    resid = xs[i] - ce.estimates[col[j]]
-    direct = float((joint.pmf[i, j] * (resid * resid).sum(axis=1)).sum())
+    resid = xs[joint.x_idx] - ce.estimates[_table_rows(joint)]
+    direct = float((joint.prob * (resid * resid).sum(axis=1)).sum())
     sm_x = float(px @ (xs * xs).sum(axis=1))
     est_sm = float(ce.posterior_mass @ (ce.estimates * ce.estimates).sum(axis=1))
     difference = sm_x - est_sm
@@ -144,15 +155,12 @@ def orthogonality_check(
     length m) to a vector of length k.
     """
     ce = estimator if estimator is not None else conditional_expectation(joint)
-    py = joint.y_marginal()
-    keep = py > 0.0
-    pmf = joint.pmf[:, keep]
-    xs = joint.x_support
+    rows = _table_rows(joint)
+    weighted = joint.prob[:, None] * (joint.x_support[joint.x_idx]
+                                      - ce.estimates[rows])  # (nnz, k)
     worst = 0.0
     for h in test_functions:
         hv = np.stack([np.atleast_1d(np.asarray(h(y), dtype=float))
                        for y in ce.y_support])  # (ny', k)
-        resid = xs[:, None, :] - ce.estimates[None, :, :]
-        corr = float((pmf[:, :, None] * resid * hv[None, :, :]).sum())
-        worst = max(worst, abs(corr))
+        worst = max(worst, abs(float((weighted * hv[rows]).sum())))
     return worst

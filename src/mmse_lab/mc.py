@@ -127,12 +127,10 @@ def mc_mmse_vs_exact(joint: FiniteJoint, config: RegressionConfig
     values reports z = 0.
     """
     exact = mmse_exact(joint).mmse
-    ny = joint.y_support.shape[0]
     atom = draw_atom_indices(joint, config.n_samples,
                              rng_stream(config.seed, "mc_vs_exact"))
-    xs = joint.x_support[atom // ny]
-    y_idx = atom % ny
-    est = _binned_value(xs, y_idx, ny)
+    est = _binned_value(joint.x_support[joint.x_idx[atom]],
+                        joint.y_idx[atom], joint.y_support.shape[0])
     if est.std_error > 0.0:
         z = (est.value - exact) / est.std_error
     else:

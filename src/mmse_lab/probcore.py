@@ -3,8 +3,12 @@
 The whole lab runs on three value types:
 
 * ``FiniteJoint`` — an exact joint law of a pair (X, Y) on finite supports,
-  held as a dense probability matrix.  Everything "exact" downstream
-  (conditional means, MMSE, LMMSE, garbling) is linear algebra on it.
+  stored as its positive-mass atoms ``(x_idx, y_idx, prob)``.  Everything
+  "exact" downstream (marginals, conditional means, MMSE, moments) is a
+  reduction over those atoms, so its cost and memory follow the number of
+  atoms, not the size of the dense (nx, ny) table.  The dense matrix
+  ``pmf`` is built on first read for the code that needs a matrix
+  (channel composition and the garbling LP).
 * ``Draw`` — a seeded batch-draw function ``draw(rng, size) -> (xs, ys)``
   for laws that are not finite (uniform priors, additive noise families);
   it returns ``size`` independent draws of X and of Y.  Only the Monte
@@ -75,37 +79,91 @@ def _as_support(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FiniteJoint:
-    """Exact joint law of (X, Y) on finite supports.
+    """Exact joint law of (X, Y) on finite supports, stored as its atoms.
 
-    ``pmf[i, j]`` is P(X = x_support[i], Y = y_support[j]).  Entries are
-    nonnegative and sum to 1 within ``PMF_TOL``.  Support atoms are rows and
-    must be pairwise distinct; zero-probability atoms are allowed.
+    Atom ``a`` says P(X = x_support[x_idx[a]], Y = y_support[y_idx[a]]) =
+    prob[a].  Atom masses are finite, strictly positive and sum to 1 within
+    ``PMF_TOL``; atoms are stored in row-major order, so the flat index
+    ``x_idx * ny + y_idx`` is strictly increasing.  Support atoms are rows
+    and must be pairwise distinct; a support atom may carry no mass.  Every
+    array is read-only.
+
+    ``FiniteJoint(x_support, y_support, pmf)`` takes a dense (nx, ny)
+    matrix and keeps its nonzero entries.  ``FiniteJoint(x_support,
+    y_support, x_idx=..., y_idx=..., prob=...)`` takes the atoms themselves
+    and marks all five arrays read-only in place instead of copying them,
+    so it is for arrays the caller has just built and hands over.
+    ``pmf`` is the dense matrix, built on first read and cached.
     """
 
     x_support: np.ndarray  # (nx, k)
     y_support: np.ndarray  # (ny, m)
-    pmf: np.ndarray        # (nx, ny)
+    x_idx: np.ndarray      # (nnz,) support row of each atom
+    y_idx: np.ndarray      # (nnz,) support row of each atom's measurement
+    prob: np.ndarray       # (nnz,) atom masses
 
-    def __post_init__(self):
+    def __init__(self, x_support, y_support, pmf=None, *, x_idx=None,
+                 y_idx=None, prob=None):
+        for name, value in (("x_support", x_support), ("y_support", y_support),
+                            ("x_idx", x_idx), ("y_idx", y_idx), ("prob", prob)):
+            object.__setattr__(self, name, value)
+        # __post_init__, as in the other value types, is the one place that
+        # validates, whichever form the joint was given in
+        self.__post_init__(pmf)
+
+    def __post_init__(self, pmf=None):
         xs = _as_support(self.x_support, "x_support")
         ys = _as_support(self.y_support, "y_support")
-        pmf = np.asarray(self.pmf, dtype=float)
-        if pmf.shape != (xs.shape[0], ys.shape[0]):
+        nx, ny = xs.shape[0], ys.shape[0]
+        atoms = (self.x_idx, self.y_idx, self.prob)
+        if (pmf is None) == all(a is None for a in atoms):
             raise InvalidDistribution(
-                f"pmf shape {pmf.shape} does not match supports "
-                f"({xs.shape[0]}, {ys.shape[0]})"
-            )
-        if not np.all(np.isfinite(pmf)):
-            raise InvalidDistribution("pmf contains non-finite entries")
-        if np.any(pmf < 0.0):
-            raise InvalidDistribution("pmf entries must be nonnegative")
-        total = float(pmf.sum())
+                "give either a dense pmf or the atoms x_idx, y_idx, prob")
+        if pmf is not None:
+            pmf = np.asarray(pmf, dtype=float)
+            if pmf.shape != (nx, ny):
+                raise InvalidDistribution(
+                    f"pmf shape {pmf.shape} does not match supports "
+                    f"({nx}, {ny})")
+            if not np.isfinite(pmf).all():
+                raise InvalidDistribution("pmf contains non-finite entries")
+            if (pmf < 0.0).any():
+                raise InvalidDistribution("pmf entries must be nonnegative")
+            # the nonzero entries of a finite nonnegative matrix are
+            # positive atoms in row-major order by construction
+            x_idx, y_idx = np.nonzero(pmf)
+            prob = pmf[x_idx, y_idx]
+            xs, ys = xs.copy(), ys.copy()
+        else:
+            x_idx, y_idx = np.asarray(self.x_idx), np.asarray(self.y_idx)
+            prob = np.asarray(self.prob, dtype=float)
+            if not (prob.ndim == 1 and x_idx.shape == y_idx.shape == prob.shape
+                    and x_idx.dtype.kind in "iu" and y_idx.dtype.kind in "iu"):
+                raise InvalidDistribution(
+                    "x_idx, y_idx and prob must be 1-D arrays of one length, "
+                    "with integer indices")
+            if prob.size == 0:
+                raise InvalidDistribution("a joint needs at least one atom")
+            # a NaN fails every comparison, so test finiteness first
+            if not np.isfinite(prob).all():
+                raise InvalidDistribution("atom probabilities are not finite")
+            if not (prob > 0.0).all():
+                raise InvalidDistribution("atom probabilities must be positive")
+            if (x_idx.min() < 0 or x_idx.max() >= nx
+                    or y_idx.min() < 0 or y_idx.max() >= ny):
+                raise InvalidDistribution(
+                    f"atom indices out of range for supports ({nx}, {ny})")
+            flat = x_idx * ny + y_idx
+            if not (flat[1:] > flat[:-1]).all():
+                raise InvalidDistribution(
+                    "atoms must be distinct and in row-major order")
+        total = float(prob.sum())
         if abs(total - 1.0) > PMF_TOL:
             raise InvalidDistribution(f"pmf sums to {total!r}, not 1")
-        for arr, fname in ((xs, "x_support"), (ys, "y_support"), (pmf, "pmf")):
-            arr = arr.copy()
+        for arr, fname in ((xs, "x_support"), (ys, "y_support"),
+                           (x_idx, "x_idx"), (y_idx, "y_idx"), (prob, "prob")):
             arr.setflags(write=False)
             object.__setattr__(self, fname, arr)
 
@@ -117,11 +175,32 @@ class FiniteJoint:
     def m(self) -> int:
         return self.y_support.shape[1]
 
+    def _cached(self, name: str, build) -> np.ndarray:
+        """``build()`` on first use, kept read-only on the instance."""
+        value = self.__dict__.get(name)
+        if value is None:
+            value = build()
+            value.setflags(write=False)
+            self.__dict__[name] = value
+        return value
+
+    @property
+    def pmf(self) -> np.ndarray:
+        """Dense (nx, ny) probability matrix, built on first read."""
+        def dense():
+            out = np.zeros((self.x_support.shape[0], self.y_support.shape[0]))
+            out[self.x_idx, self.y_idx] = self.prob
+            return out
+
+        return self._cached("_pmf", dense)
+
     def x_marginal(self) -> np.ndarray:
-        return self.pmf.sum(axis=1)
+        return self._cached("_x_marginal", lambda: np.bincount(
+            self.x_idx, weights=self.prob, minlength=self.x_support.shape[0]))
 
     def y_marginal(self) -> np.ndarray:
-        return self.pmf.sum(axis=0)
+        return self._cached("_y_marginal", lambda: np.bincount(
+            self.y_idx, weights=self.prob, minlength=self.y_support.shape[0]))
 
 
 # a string, because evaluating np.random here would import numpy.random,
@@ -140,21 +219,21 @@ def sample_pairs(draw: Draw, n: int, rng: np.random.Generator) -> tuple[np.ndarr
 
 def draw_atom_indices(joint: FiniteJoint, size: int,
                       rng: np.random.Generator) -> np.ndarray:
-    """``size`` flat indices into ``joint.pmf`` drawn with its probabilities.
+    """``size`` atom indices of ``joint`` drawn with the atom probabilities.
 
-    Index ``i * ny + j`` stands for the atom (x_support[i], y_support[j]).
+    Index ``a`` stands for the pair (x_support[x_idx[a]],
+    y_support[y_idx[a]]).
     """
-    flat = joint.pmf.ravel()
-    return rng.choice(flat.size, size=size, p=flat / flat.sum())
+    return rng.choice(joint.prob.size, size=size,
+                      p=joint.prob / joint.prob.sum())
 
 
 def sampler_from_joint(joint: FiniteJoint) -> Draw:
     """Categorical draw function over the atoms of an exact joint."""
-    ny = joint.y_support.shape[0]
-
     def draw(rng: np.random.Generator, size: int):
         idx = draw_atom_indices(joint, size, rng)
-        return joint.x_support[idx // ny], joint.y_support[idx % ny]
+        return (joint.x_support[joint.x_idx[idx]],
+                joint.y_support[joint.y_idx[idx]])
 
     return draw
 
@@ -234,10 +313,8 @@ def _summary_from_arrays(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray) ->
 
 def moments_exact(joint: FiniteJoint) -> MomentSummary:
     """Exact moments of a finite joint (weighted sums over atoms)."""
-    nx, ny = joint.pmf.shape
-    xs = np.repeat(joint.x_support, ny, axis=0)
-    ys = np.tile(joint.y_support, (nx, 1))
-    return _summary_from_arrays(xs, ys, joint.pmf.ravel())
+    return _summary_from_arrays(joint.x_support[joint.x_idx],
+                                joint.y_support[joint.y_idx], joint.prob)
 
 
 def moments_empirical(samples: tuple[np.ndarray, np.ndarray]) -> MomentSummary:
@@ -307,24 +384,37 @@ def joint_from_keys(x_keys, y_keys, weights, x_value=None,
 
     The keys are 1-D integer arrays (lattice cell indices) or 2-D float
     arrays of atom rows, one entry per weight.  Equal keys merge and their
-    weights add in input order (``np.bincount``), so the pmf does not depend
-    on how the caller batched its triples.  Supports come out sorted;
-    ``x_value``/``y_value`` map the sorted unique keys to support atoms
-    (default: the keys themselves).  The pmf is divided by its total.
+    weights add in input order (``np.bincount``), so the joint does not
+    depend on how the caller batched its triples.  Supports come out
+    sorted; ``x_value``/``y_value`` map the sorted unique keys to support
+    atoms (default: the keys themselves).  The masses are divided by their
+    total.
     """
     x_keys, y_keys = np.asarray(x_keys), np.asarray(y_keys)
     ux, xi = np.unique(x_keys, axis=0 if x_keys.ndim == 2 else None,
                        return_inverse=True)
     uy, yi = np.unique(y_keys, axis=0 if y_keys.ndim == 2 else None,
                        return_inverse=True)
-    nx, ny = ux.shape[0], uy.shape[0]
-    pmf = np.bincount(xi.ravel() * ny + yi.ravel(),
-                      weights=np.asarray(weights, dtype=float),
-                      minlength=nx * ny).reshape(nx, ny)
-    pmf /= pmf.sum()
-    return FiniteJoint(x_support=ux if x_value is None else x_value(ux),
-                       y_support=uy if y_value is None else y_value(uy),
-                       pmf=pmf)
+    return _accumulate(ux if x_value is None else x_value(ux),
+                       uy if y_value is None else y_value(uy),
+                       xi.ravel(), yi.ravel(), weights)
+
+
+def _accumulate(x_support, y_support, xi, yi, weights) -> FiniteJoint:
+    """Joint of (support row, support row, weight) triples.
+
+    Weights of equal index pairs add in input order; pairs whose weights
+    sum to zero carry no atom.  Nothing of size nx * ny is allocated.
+    """
+    ny = y_support.shape[0]
+    flat, inverse = np.unique(xi * ny + yi, return_inverse=True)
+    prob = np.bincount(inverse, weights=np.asarray(weights, dtype=float))
+    nonzero = prob != 0.0
+    if not nonzero.all():
+        flat, prob = flat[nonzero], prob[nonzero]
+    prob /= prob.sum()
+    return FiniteJoint(x_support, y_support, x_idx=flat // ny,
+                       y_idx=flat % ny, prob=prob)
 
 
 def joint_from_atoms(atoms: Sequence[tuple[tuple, tuple, float]]) -> FiniteJoint:
@@ -345,13 +435,12 @@ def quantize_joint(joint: FiniteJoint, x_step: float, y_step: float) -> FiniteJo
     """Push a finite joint through floor quantization of both coordinates.
 
     Atoms that land in the same cell merge; probabilities add exactly.
-    The supports are merged first, so the cell keys are integer indices.
+    The supports are merged first, and the quantized supports keep the
+    image of every support atom, zero-mass ones included.
     """
-    nx, ny = joint.pmf.shape
     ux, xi = np.unique(floor_quantize(joint.x_support, x_step), axis=0,
                        return_inverse=True)
     uy, yi = np.unique(floor_quantize(joint.y_support, y_step), axis=0,
                        return_inverse=True)
-    return joint_from_keys(np.repeat(xi.ravel(), ny), np.tile(yi.ravel(), nx),
-                           joint.pmf.ravel(), x_value=lambda k: ux[k],
-                           y_value=lambda k: uy[k])
+    return _accumulate(ux, uy, xi.ravel()[joint.x_idx],
+                       yi.ravel()[joint.y_idx], joint.prob)

@@ -380,7 +380,7 @@ def _cor1_realize_factory(gamma_of_n, lambda_of_n):
         lam = lambda_of_n(n)
         h = min(gamma, lam) / 8.0
         x_keys, y_keys, weights = [], [], []
-        for i_atom, j_atom in zip(*np.nonzero(base.pmf)):
+        for i_atom, j_atom, p in zip(base.x_idx, base.y_idx, base.prob):
             x0 = float(base.x_support[i_atom, 0])
             y0 = float(base.y_support[j_atom, 0])
             x_cells, px = uniform_lattice_cells(x0 - gamma / 2.0,
@@ -389,8 +389,7 @@ def _cor1_realize_factory(gamma_of_n, lambda_of_n):
                                                 y0 + lam / 2.0, h)
             x_keys.append(np.repeat(x_cells, y_cells.size))
             y_keys.append(np.tile(y_cells, x_cells.size))
-            weights.append((base.pmf[i_atom, j_atom] * px[:, None]
-                            * py[None, :]).ravel())
+            weights.append((p * px[:, None] * py[None, :]).ravel())
         return _lattice_joint(np.concatenate(x_keys), np.concatenate(y_keys),
                               np.concatenate(weights), h)
 

@@ -23,7 +23,7 @@ from mmse_lab.scenarios import builtin_scenarios
 
 def make_config(tmp_path, names, **kw):
     defaults = dict(scenario_names=tuple(names), seed=3,
-                    output_dir=str(tmp_path), jobs=2)
+                    output_dir=str(tmp_path))
     defaults.update(kw)
     return RunConfig(**defaults)
 

@@ -21,7 +21,7 @@ from mmse_lab import (
     sample_pairs,
     sampler_from_joint,
 )
-from mmse_lab.probcore import MomentSummary
+from mmse_lab.probcore import MomentSummary, joint_from_keys
 
 
 def rademacher_sum_joint() -> FiniteJoint:
@@ -118,6 +118,106 @@ def test_joint_arrays_are_read_only():
     j = diagonal_pm1_joint()
     with pytest.raises(ValueError):
         j.pmf[0, 0] = 0.9
+
+
+# --------------------------------------------------------------------------
+# the atom representation
+# --------------------------------------------------------------------------
+
+def random_weight_table(rng):
+    """Random (x_support, y_support, weights) with zero entries, zero-mass
+    rows and columns, and two-column supports about a third of the time."""
+    nx, ny = (int(v) for v in rng.integers(1, 9, size=2))
+    k, m = (int(v) for v in rng.integers(1, 3, size=2) + (rng.random(2) < 0.3))
+    xs = rng.permutation(np.arange(nx * k, dtype=float)).reshape(nx, k)
+    ys = rng.permutation(np.arange(ny * m, dtype=float)).reshape(ny, m)
+    w = rng.exponential(1.0, (nx, ny))
+    w[rng.random((nx, ny)) < 0.4] = 0.0
+    w[rng.random(nx) < 0.2, :] = 0.0
+    w[:, rng.random(ny) < 0.2] = 0.0
+    if not w.any():
+        w[rng.integers(nx), rng.integers(ny)] = 1.0
+    return xs, ys, w
+
+
+def test_dense_and_key_constructors_store_the_same_atoms():
+    rng = np.random.default_rng(20261018)
+    for _ in range(200):
+        xs, ys, w = random_weight_table(rng)
+        nx, ny = w.shape
+        # both normalize by the sum of the nonzero weights in row-major order
+        dense = FiniteJoint(xs, ys, w / w[w != 0.0].sum())
+        keyed = joint_from_keys(np.repeat(np.arange(nx), ny),
+                                np.tile(np.arange(ny), nx), w.ravel(),
+                                x_value=lambda i: xs[i],
+                                y_value=lambda j: ys[j])
+        for name in ("x_support", "y_support", "x_idx", "y_idx", "prob"):
+            a, b = getattr(dense, name), getattr(keyed, name)
+            assert a.tobytes() == b.tobytes() and a.shape == b.shape, name
+            assert not a.flags.writeable and not b.flags.writeable, name
+        i, j = np.nonzero(w)
+        assert dense.x_idx.tolist() == i.tolist()
+        assert dense.y_idx.tolist() == j.tolist()
+        for joint in (dense, keyed):
+            pmf = joint.pmf
+            assert pmf is joint.pmf and not pmf.flags.writeable
+            assert pmf.shape == (nx, ny)
+            assert np.max(np.abs(joint.x_marginal() - pmf.sum(axis=1))) <= 1e-15
+            assert np.max(np.abs(joint.y_marginal() - pmf.sum(axis=0))) <= 1e-15
+            assert joint.x_marginal() is joint.x_marginal()
+            assert not joint.x_marginal().flags.writeable
+
+
+def test_dense_constructor_keeps_no_reference_to_its_input():
+    pmf = np.array([[0.5, 0.0], [0.25, 0.25]])
+    xs = np.array([[0.0], [1.0]])
+    j = FiniteJoint(xs, np.array([[0.0], [1.0]]), pmf)
+    pmf[0, 0], xs[0, 0] = 0.0, 7.0
+    assert j.prob.tolist() == [0.5, 0.25, 0.25]
+    assert j.x_support[0, 0] == 0.0
+
+
+def atom_joint(x_idx, y_idx, prob):
+    return FiniteJoint(np.array([[0.0], [1.0]]), np.array([[0.0], [1.0], [2.0]]),
+                       x_idx=np.array(x_idx), y_idx=np.array(y_idx),
+                       prob=np.array(prob, dtype=float))
+
+
+def test_atom_constructor_accepts_row_major_positive_atoms():
+    j = atom_joint([0, 0, 1], [0, 2, 1], [0.25, 0.25, 0.5])
+    np.testing.assert_array_equal(j.pmf, [[0.25, 0.0, 0.25], [0.0, 0.5, 0.0]])
+    np.testing.assert_array_equal(j.y_marginal(), [0.25, 0.5, 0.25])
+
+
+@pytest.mark.parametrize("x_idx, y_idx, prob", [
+    ([0, 2], [0, 1], [0.5, 0.5]),               # x index out of range
+    ([0, 1], [0, 3], [0.5, 0.5]),               # y index out of range
+    ([-1, 1], [0, 1], [0.5, 0.5]),              # negative index
+    ([0, 0], [1, 1], [0.5, 0.5]),               # duplicate flat index
+    ([1, 0], [0, 1], [0.5, 0.5]),               # flat indices not increasing
+    ([0, 0], [2, 1], [0.5, 0.5]),               # same row, columns unsorted
+    ([0, 1], [0, 1], [1.0, 0.0]),               # zero probability
+    ([0, 0, 1], [0, 1, 1], [0.75, -0.25, 0.5]),  # negative probability
+    ([0, 1], [0, 1], [np.nan, 1.0]),            # NaN probability
+    ([0, 1], [0, 1], [np.inf, 1.0]),            # infinite probability
+    ([0, 1], [0, 1], [0.5, 0.4]),               # sum off 1
+    ([0, 1], [0, 1], [0.5, 0.5 + 5e-12]),       # sum just outside PMF_TOL
+    ([], [], []),                               # no atom
+    ([0.0, 1.0], [0, 1], [0.5, 0.5]),           # float indices
+    ([0, 1], [0], [0.5, 0.5]),                  # lengths differ
+])
+def test_atom_constructor_rejects_invalid_atoms(x_idx, y_idx, prob):
+    with pytest.raises(InvalidDistribution):
+        atom_joint(x_idx, y_idx, prob)
+
+
+def test_joint_needs_exactly_one_representation():
+    xs, ys = np.array([[0.0]]), np.array([[0.0]])
+    with pytest.raises(InvalidDistribution):
+        FiniteJoint(xs, ys)
+    with pytest.raises(InvalidDistribution):
+        FiniteJoint(xs, ys, np.array([[1.0]]), x_idx=np.array([0]),
+                    y_idx=np.array([0]), prob=np.array([1.0]))
 
 
 # --------------------------------------------------------------------------

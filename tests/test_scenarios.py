@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,7 +349,10 @@ def test_mixture_scenario_audits_the_linear_functional(catalog):
 # The references below are the loop form of the lattice realizations and of
 # the probcore constructors: (x_key, y_key, prob) triples accumulated one at
 # a time in a dict, in the same triple order as the array code.  The array
-# code must reproduce their supports and pmf bit for bit.
+# code must reproduce their supports and pmf bit for bit.  A joint keeps only
+# its positive atoms and normalizes by their sum, so the references divide
+# by the sum of the nonzero entries in row-major order, not of the dense
+# table (the two sums group the additions differently).
 
 def _ref_lattice_floor(value, step):
     r = value / step
@@ -382,7 +386,7 @@ def _ref_joint_from_cell_triples(triples, x_value, y_value):
     pmf = np.zeros((len(x_keys), len(y_keys)))
     for (xk, yk), p in mass.items():
         pmf[xi[xk], yi[yk]] += p
-    pmf /= pmf.sum()
+    pmf /= pmf[pmf != 0.0].sum()
     return FiniteJoint(
         x_support=np.array([[x_value(k)] for k in x_keys]),
         y_support=np.array([[y_value(k)] for k in y_keys]),
@@ -450,7 +454,7 @@ def _ref_joint_from_atoms(atoms):
         for yt, p in mass[xt].items():
             pmf[i, y_index[yt]] += p
     return FiniteJoint(x_support=np.array(x_atoms), y_support=np.array(y_atoms),
-                       pmf=pmf / pmf.sum())
+                       pmf=pmf / pmf[pmf != 0.0].sum())
 
 
 def _ref_quantize_joint(joint, x_step, y_step):
@@ -483,6 +487,18 @@ def test_lattice_realizations_match_the_loop_reference(catalog, n):
     assert_bit_identical(catalog["example4"].realize(n), _ref_example4(n))
     for name, (gamma, lam) in COR1_PATHS.items():
         assert_bit_identical(catalog[name].realize(n), _ref_cor1(gamma(n), lam(n)))
+
+
+def test_example2_allocation_follows_the_atoms(catalog):
+    # at n=1024 the dense table is 65536 x 128 (64 MiB) with 131072 atoms
+    # (2 MiB of masses); any nx * ny temporary would exceed the budget
+    tracemalloc.start()
+    try:
+        mmse_exact(catalog["example2"].realize(1024))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_example4_limit_matches_the_loop_reference(catalog):
