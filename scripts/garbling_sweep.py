@@ -2,9 +2,12 @@
 """Sweep symmetric-channel pairs through the degradedness decision.
 
 For each flip pair (p, q) the linear program either recovers an explicit
-garbling kernel taking the p-channel to the q-channel or reports the best
-achievable residual.  The full p <= q upper triangle should come out
-feasible and everything below it infeasible:
+garbling kernel taking the p-channel to the q-channel, or it reports two
+bounds on the best achievable max-entry residual: the residual of its own
+best kernel (an upper bound) and the Blackwell test matrix's lower bound,
+which proves that no kernel does better.  The two agree to solver
+precision.  The full p <= q upper triangle should come out feasible and
+everything below it infeasible:
 
     python scripts/garbling_sweep.py --flips 0.05 0.1 0.2 0.3 0.4
 """
@@ -22,7 +25,7 @@ def main(argv=None) -> int:
 
     flips = sorted(args.flips)
     corner = "p \\ q"
-    print(f"{corner:>8}  " + "  ".join(f"{q:>12.3f}" for q in flips))
+    print(f"{corner:>8}  " + "  ".join(f"{q:>21.3f}" for q in flips))
     for p in flips:
         cells = []
         for q in flips:
@@ -30,11 +33,12 @@ def main(argv=None) -> int:
                                binary_symmetric_channel(q))
             if cert.feasible:
                 # recovered garbling flip g solves p + g - 2 p g = q
-                cells.append(f"g={cert.garbling_matrix[0, 1]:>10.6f}")
+                cells.append(f"g={cert.garbling_matrix[0, 1]:.6f}")
             else:
-                cells.append(f"r={cert.residual:>10.2e}")
-        print(f"{p:>8.3f}  " + "  ".join(cells))
-    print("\ng: recovered garbling flip (feasible)   r: residual (infeasible)")
+                cells.append(f"r={cert.residual:.2e} lb={cert.lower_bound:.2e}")
+        print(f"{p:>8.3f}  " + "  ".join(f"{c:>21}" for c in cells))
+    print("\ng: recovered garbling flip (feasible)   "
+          "r, lb: residual and Blackwell lower bound (infeasible)")
     return 0
 
 

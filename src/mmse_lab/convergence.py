@@ -101,8 +101,10 @@ def ui_functional(joint: FiniteJoint, threshold: float) -> float:
 
 
 def _second_moments(joint: FiniteJoint) -> tuple[float, float]:
-    smx = float(joint.x_marginal() @ (joint.x_support ** 2).sum(axis=1))
-    smy = float(joint.y_marginal() @ (joint.y_support ** 2).sum(axis=1))
+    # math.fsum, not a BLAS dot: a threaded dot splits long sums across
+    # threads, so its last bits would depend on the BLAS thread count
+    smx = math.fsum(joint.x_marginal() * (joint.x_support ** 2).sum(axis=1))
+    smy = math.fsum(joint.y_marginal() * (joint.y_support ** 2).sum(axis=1))
     return smx, smy
 
 

@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mmse_lab
 from mmse_lab import ScenarioRunError, run_scenario
 from mmse_lab.cli import (
     CSV_HEADER,
@@ -91,6 +95,26 @@ def test_run_is_deterministic_byte_for_byte(tmp_path):
                        err_stream=io.StringIO()) == EXIT_OK
     for name in ("example2.json", "example4.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_run_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # at n=1024 the measurement support of cor1_additive_fast_x is long
+    # enough for a threaded BLAS dot to split a sum across threads
+    src = str(Path(mmse_lab.__file__).resolve().parent.parent)
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = tmp_path / threads
+        subprocess.run(
+            [sys.executable, "-c", "from mmse_lab.cli import entry; entry()",
+             "run", "--scenarios", "cor1_additive_fast_x", "--n-stop", "1024",
+             "--n-spacing", "geometric", "--format", "json", "--seed", "7",
+             "--out", str(out)],
+            env=env, check=True, capture_output=True)
+        reports.append((out / "cor1_additive_fast_x.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_run_json_shape(tmp_path):
