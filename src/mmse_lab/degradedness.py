@@ -4,6 +4,14 @@ A channel W2 is a garbling (degraded version) of W1 over the same input
 alphabet when W2 = W1 G for some row-stochastic G.  Deciding this is a
 linear program over the entries of G, solved with HiGHS in two phases.
 
+A least-squares candidate G = W1^+ W2 is tried first.  It settles the
+pair when, clipped to [0, 1], it passes the same checks as a phase-1
+answer: residual below the tolerance and rows summing to one within
+CERT_ROW_TOL.  When W1 has full column rank, W1 G = W2 has at most one
+solution, so the candidate is the only possible one; if it is refused,
+phase 1 has nothing left to find and is skipped.  Skipping cannot change
+a verdict, because the epigraph form alone decides every pair.
+
 1. *Equality form*, when G has more than ``EQUALITY_FORM_MIN_VARS``
    entries: the zero-cost feasibility program
 
@@ -21,9 +29,10 @@ linear program over the entries of G, solved with HiGHS in two phases.
 Either way the certificate reports the recomputed max-entry residual of
 the returned G (never the solver's own objective value).  Feasibility
 means the residual is strictly below the tolerance, so a tie at the
-boundary reads as "not shown feasible".  Phase 1 only ever answers "yes",
-and only with such a residual.  The epigraph optimum is at most that
-residual, so the epigraph form would have answered "yes" as well.
+boundary reads as "not shown feasible".  The candidate and phase 1 only
+ever answer "yes", and only with such a residual.  The epigraph optimum is
+at most that residual, so the epigraph form would have answered "yes" as
+well.
 
 A "no" carries Blackwell's dual witness (Blackwell 1953, *Equivalent
 comparisons of experiments*): a test matrix Lambda with ||Lambda||_1 = 1,
@@ -101,13 +110,13 @@ def binary_symmetric_channel(flip: float, support=(-1.0, 1.0)) -> Channel:
 class GarblingCertificate:
     """Outcome of the garbling feasibility program.
 
-    ``garbling_matrix`` is the LP argmin (cleaned of sub-ulp negatives);
-    when ``feasible`` it is row-stochastic within CERT_ROW_TOL and achieves
-    ``residual`` = max-entry |W1 G - W2| below the tolerance used.  When
-    not ``feasible``, ``test_matrix`` is Blackwell's witness Lambda
-    (n_in, n_out) with ||Lambda||_1 = 1, and ``lower_bound`` its
-    recomputed bound on max |W1 G - W2| over every row-stochastic G; a
-    "yes" has no witness (None) and bound 0.0.
+    ``garbling_matrix`` is the least-squares candidate or the LP argmin,
+    clipped to [0, 1]; when ``feasible`` it is row-stochastic within
+    CERT_ROW_TOL and achieves ``residual`` = max-entry |W1 G - W2| below
+    the tolerance used.  When not ``feasible``, ``test_matrix`` is
+    Blackwell's witness Lambda (n_in, n_out) with ||Lambda||_1 = 1, and
+    ``lower_bound`` its recomputed bound on max |W1 G - W2| over every
+    row-stochastic G; a "yes" has no witness (None) and bound 0.0.
     """
 
     feasible: bool
@@ -152,14 +161,18 @@ def _equality_form(m1: np.ndarray, n_out: int):
 
 
 def _garbling(x: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, float]:
-    """G from the leading entries of an LP solution, and its residual."""
+    """G from the leading entries of a solution vector, and its residual."""
     n_mid, n_out = m1.shape[1], m2.shape[1]
     g = np.clip(x[:n_mid * n_out].reshape(n_mid, n_out), 0.0, 1.0)
     return g, float(np.max(np.abs(m1 @ g - m2)))
 
 
+def _row_sum_error(g: np.ndarray) -> float:
+    return float(np.max(np.abs(g.sum(axis=1) - 1.0)))
+
+
 def _shown_feasible(g: np.ndarray, residual: float) -> GarblingCertificate:
-    if np.max(np.abs(g.sum(axis=1) - 1.0)) > CERT_ROW_TOL:
+    if _row_sum_error(g) > CERT_ROW_TOL:
         raise SelfCheckError("feasible garbling matrix is not row-stochastic")
     return GarblingCertificate(feasible=True, garbling_matrix=g,
                                residual=residual, test_matrix=None,
@@ -185,7 +198,13 @@ def is_degraded(w1: Channel, w2: Channel,
     n_in, n_mid = m1.shape
     n_out = m2.shape[1]
     n_g = n_mid * n_out
-    if n_g > EQUALITY_FORM_MIN_VARS:
+    # W1 G = W2 has at most one solution when W1 has full column rank, and
+    # then least squares finds it or shows that phase 1 has nothing to find
+    g0, _, rank, _ = np.linalg.lstsq(m1, m2, rcond=None)
+    g, residual = _garbling(g0.ravel(), m1, m2)
+    if residual < feasibility_tolerance and _row_sum_error(g) <= CERT_ROW_TOL:
+        return _shown_feasible(g, residual)
+    if n_g > EQUALITY_FORM_MIN_VARS and rank < n_mid:
         result = linprog(np.zeros(n_g), A_eq=_equality_form(m1, n_out),
                          b_eq=np.concatenate([m2.ravel(), np.ones(n_mid)]),
                          bounds=(0.0, None), method="highs",

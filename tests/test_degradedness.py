@@ -1,11 +1,13 @@
 import os
+import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mmse_lab
@@ -230,19 +232,50 @@ def test_equality_form_matches_the_loop_reference(monkeypatch, n_in, n_mid, n_ou
     assert b_eq.tobytes() == want_b.tobytes()
 
 
+def garbling_pair(rng, n_in: int, n_mid: int, n_out: int) -> tuple[Channel, Channel]:
+    """(W1, W2 = W1 G) for random channels W1 (n_in x n_mid) and G."""
+    support = np.arange(n_in, dtype=float)[:, None]
+    w1 = random_channel(rng, support, n_mid)
+    g = random_channel(rng, w1.output_support, n_out)
+    w2 = Channel(input_support=support, output_support=g.output_support,
+                 matrix=w1.matrix @ g.matrix)
+    return w1, w2
+
+
 def square_garbling_pair(k: int, seed: int) -> tuple[Channel, Channel]:
     """(W1, W2 = W1 G) with W1 and G full-rank k-letter channels.
 
     W2 is a garbling of W1, and W1 is not one of W2 unless G is a
     permutation.
     """
-    rng = rng_stream(seed, "garbling-pair", k)
-    support = np.arange(k, dtype=float)[:, None]
-    w1 = random_channel(rng, support, k)
-    g = random_channel(rng, w1.output_support, k)
-    w2 = Channel(input_support=support, output_support=g.output_support,
-                 matrix=w1.matrix @ g.matrix)
-    return w1, w2
+    return garbling_pair(rng_stream(seed, "garbling-pair", k), k, k, k)
+
+
+def wide_garbling_pair(seed: int) -> tuple[Channel, Channel]:
+    """A feasible pair above the size gate whose W1 (3 x 12) has rank 3."""
+    return garbling_pair(rng_stream(seed, "wide-garbling-pair"), 3, 12, 11)
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """The LP forms is_degraded solves, in call order."""
+    import scipy.optimize
+
+    calls = []
+    solve = scipy.optimize.linprog
+
+    def spy(*args, **kwargs):
+        calls.append("equality" if kwargs.get("A_ub") is None else "epigraph")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    return calls
+
+
+def refused_candidate(a, b, rcond=None):
+    """np.linalg.lstsq stand-in whose candidate can never be accepted."""
+    return (np.full((a.shape[1], b.shape[1]), np.nan), np.empty(0), 0,
+            np.empty(0))
 
 
 @pytest.mark.parametrize("k", [12, 48])
@@ -255,6 +288,43 @@ def test_large_pairs_are_decided_both_ways(k):
     backward = is_degraded(w2, w1)
     assert_certified_no(backward, w2, w1)
     assert backward.lower_bound >= 1e-7
+
+
+def test_full_rank_yes_needs_no_lp(lp_calls):
+    w1, w2 = square_garbling_pair(32, 41)
+    cert = is_degraded(w1, w2)
+    assert lp_calls == []
+    assert cert.feasible
+    assert cert.residual < 1e-7
+    g = cert.garbling_matrix
+    assert g.min() >= 0.0
+    assert np.max(np.abs(g.sum(axis=1) - 1.0)) <= 1e-9
+
+
+def test_full_rank_no_goes_straight_to_the_epigraph(lp_calls):
+    w1, w2 = square_garbling_pair(32, 41)
+    cert = is_degraded(w2, w1)
+    assert lp_calls == ["epigraph"]
+    assert_certified_no(cert, w2, w1)
+    assert cert.lower_bound >= 1e-7
+
+
+def test_rank_deficient_yes_still_reaches_the_equality_form(lp_calls):
+    w1, w2 = wide_garbling_pair(47)
+    cert = is_degraded(w1, w2)
+    assert lp_calls == ["equality"]
+    assert cert.feasible
+    assert cert.residual < 1e-7
+
+
+def test_refused_candidate_leaves_the_two_phases(monkeypatch, lp_calls):
+    # rank 0 from a refused candidate does not skip phase 1
+    monkeypatch.setattr(np.linalg, "lstsq", refused_candidate)
+    w1, w2 = square_garbling_pair(12, 43)
+    cert = is_degraded(w1, w2)
+    assert lp_calls == ["equality"]
+    assert cert.feasible
+    assert cert.residual < 1e-7
 
 
 @pytest.mark.parametrize("spoil", ["status", "solution"])
@@ -275,7 +345,7 @@ def test_unsettled_equality_form_falls_back_to_the_epigraph(monkeypatch, spoil):
         return result
 
     monkeypatch.setattr(scipy.optimize, "linprog", spy)
-    w1, w2 = square_garbling_pair(12, 43)
+    w1, w2 = wide_garbling_pair(43)
     cert = is_degraded(w1, w2)
     assert calls == [True, False]
     assert cert.feasible
@@ -300,6 +370,48 @@ def test_unusable_duals_raise(monkeypatch, corrupt):
         is_degraded(binary_symmetric_channel(0.2), binary_symmetric_channel(0.1))
 
 
+def _channel(matrix: np.ndarray) -> Channel:
+    n_in, n_out = matrix.shape
+    return Channel(input_support=np.arange(n_in, dtype=float)[:, None],
+                   output_support=np.arange(n_out, dtype=float)[:, None],
+                   matrix=matrix)
+
+
+def _stochastic(rng, n_rows: int, n_cols: int) -> np.ndarray:
+    mat = rng.exponential(1.0, (n_rows, n_cols))
+    return mat / mat.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       n_in=st.integers(min_value=1, max_value=6),
+       n_mid=st.integers(min_value=1, max_value=6),
+       n_out=st.integers(min_value=1, max_value=6),
+       column=st.sampled_from(["distinct", "repeated", "zero"]))
+@example(seed=5, n_in=6, n_mid=2, n_out=3, column="distinct")   # tall W1
+@example(seed=6, n_in=2, n_mid=5, n_out=4, column="distinct")   # wide W1
+@example(seed=7, n_in=4, n_mid=4, n_out=4, column="repeated")
+@example(seed=8, n_in=5, n_mid=3, n_out=2, column="zero")
+def test_least_squares_candidate_never_changes_a_verdict(seed, n_in, n_mid,
+                                                         n_out, column):
+    rng = rng_stream(seed, "candidate-verdicts", n_in, n_mid, n_out, column)
+    m1 = _stochastic(rng, n_in, n_mid)
+    if n_mid >= 2 and column == "repeated":
+        m1[:, -1] = m1[:, 0] = 0.5 * (m1[:, 0] + m1[:, -1])
+    elif n_mid >= 2 and column == "zero":
+        m1[:, 0] += m1[:, -1]
+        m1[:, -1] = 0.0
+    w1 = _channel(m1)
+    w2 = _channel(m1 @ _stochastic(rng, n_mid, n_out))
+    unrelated = _channel(_stochastic(rng, n_in, n_out))
+    for a, b in [(w1, w2), (w2, w1), (w1, unrelated), (unrelated, w1)]:
+        verdict = is_degraded(a, b).feasible
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "lstsq", refused_candidate)
+            assert is_degraded(a, b).feasible == verdict
+    assert is_degraded(w1, w2).feasible
+
+
 def test_transitivity_through_explicit_cascades():
     rng = rng_stream(23, "transitive")
     support = np.arange(3, dtype=float)[:, None]
@@ -319,6 +431,26 @@ def compose_channels(w: Channel, g: Channel) -> Channel:
     return Channel(input_support=w.input_support,
                    output_support=g.output_support,
                    matrix=w.matrix @ g.matrix)
+
+
+def test_garbling_sweep_prints_the_promised_triangle(capsys):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "garbling_sweep.py"
+    assert runpy.run_path(str(script))["main"]([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    flips = [float(q) for q in lines[0].split()[3:]]
+    assert flips == [0.05, 0.1, 0.2, 0.3, 0.4]
+    rows = lines[1:1 + len(flips)]
+    for p, line in zip(flips, rows):
+        assert float(line[:8]) == p
+        cells = re.findall(r"g=(\S+)|r=(\S+) lb=(\S+)", line[8:])
+        assert len(cells) == len(flips)
+        for q, (g, r, lb) in zip(flips, cells):
+            if p <= q:
+                # the garbling flip solves p + g - 2 p g = q
+                assert float(g) == pytest.approx((q - p) / (1 - 2 * p), abs=1e-6)
+            else:
+                assert not g
+                assert float(r) >= float(lb) > 0.0
 
 
 # --------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from mmse_lab import (
     builtin_scenarios,
     compose,
     estimator_convergence_check,
+    lmmse,
     mmse_exact,
     run_scenario,
     usc_check,
@@ -161,6 +162,30 @@ def test_additive_noise_paths_share_the_limit(catalog):
         rep = run_scenario(catalog[name], GRID, seed=0)
         assert abs(rep.rows[-1].mmse - 0.5) <= 0.02, name
         assert rep.verdict_matches, name
+
+
+# --------------------------------------------------------------------------
+# closed forms on the deep grid
+# --------------------------------------------------------------------------
+
+DEEP_GRID = [2**k for k in range(11)]
+
+
+@pytest.mark.parametrize("n", DEEP_GRID)
+def test_closed_form_values_on_the_deep_grid(catalog, n):
+    mixture = moments_exact(catalog["lmmse_mixture"].realize(n))
+    want = 1.0 - (1.0 - 1.0 / n) ** 2 / (2.0 - 1.0 / n)
+    assert abs(lmmse(mixture).value - want) <= 1e-12
+    assert abs(mmse_exact(catalog["example1"].realize(n)).mmse - 1.0) <= 1e-12
+    assert mmse_exact(catalog["example3"].realize(n)).mmse == 0.0
+
+
+def test_closed_form_values_at_single_indices(catalog):
+    # the additive paths all start from unit noise scales at n = 1
+    for name in ("cor1_additive", "cor1_additive_fast_x", "cor1_additive_fast_y"):
+        assert mmse_exact(catalog[name].realize(1)).mmse == 149 / 256, name
+    # h^2 (n^2 - 1) / 12 with h = 1/128 and n = 2
+    assert mmse_exact(catalog["example2"].realize(2)).mmse == 1 / 65536
 
 
 # --------------------------------------------------------------------------
