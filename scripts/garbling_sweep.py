@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Sweep symmetric-channel pairs through the degradedness decision.
 
-For each flip pair (p, q) the linear program either recovers an explicit
+For each flip pair (p, q) the decision either recovers an explicit
 garbling kernel taking the p-channel to the q-channel, or it reports two
 bounds on the best achievable max-entry residual: the residual of its own
 best kernel (an upper bound) and the Blackwell test matrix's lower bound,
-which proves that no kernel does better.  The two agree to solver
-precision.  The full p <= q upper triangle should come out feasible and
-everything below it infeasible:
+which proves that no kernel does better.  For these symmetric binary
+pairs the two agree to rounding; on larger channels a "no" settled in
+closed form may leave a gap between them.  The full p <= q upper triangle
+should come out feasible and everything below it infeasible:
 
     python scripts/garbling_sweep.py --flips 0.05 0.1 0.2 0.3 0.4
 """

@@ -35,13 +35,24 @@ at most that residual, so the epigraph form would have answered "yes" as
 well.
 
 A "no" carries Blackwell's dual witness (Blackwell 1953, *Equivalent
-comparisons of experiments*): a test matrix Lambda with ||Lambda||_1 = 1,
-read off the epigraph LP's duals, for which
+comparisons of experiments*): a test matrix Lambda with ||Lambda||_1 = 1
+for which
 
     <Lambda, W2> - sum_l max_j (W1^T Lambda)_lj  <=  max_ij |(W1 G - W2)_ij|
 
 for every row-stochastic G.  The left side is recomputed in closed form,
 so the lower bound stands on its own as the residual does.
+
+A refused candidate first yields Lambda in closed form, before any LP:
+from its residual W2 - W1 G, or, when W1 has full column rank, from a row
+of W1^+ that exposes a negative entry of G.  When that bound reaches the
+tolerance, no row-stochastic G comes within it, so the epigraph form
+would have answered "no" too.  Such a "no" reports the certified interval
+[lower_bound, residual], where the residual belongs to the candidate with
+each row projected onto the simplex; the two meet at the min-max optimum
+only when the witness comes from the epigraph LP's duals.  Every other
+pair goes to the two phases, and a "no" there reads Lambda off the
+epigraph duals.
 
 Garbling a measurement can only destroy information, so the exact MMSE
 after composing a channel onto Y never drops below the MMSE before —
@@ -117,6 +128,11 @@ class GarblingCertificate:
     Blackwell's witness Lambda (n_in, n_out) with ||Lambda||_1 = 1, and
     ``lower_bound`` its recomputed bound on max |W1 G - W2| over every
     row-stochastic G; a "yes" has no witness (None) and bound 0.0.
+
+    A "no" reports the interval [lower_bound, residual] around the best
+    achievable residual.  It is tight only when the epigraph LP decided
+    the pair; a closed-form "no" pairs its witness with the least-squares
+    candidate projected onto the simplex, whose residual may be far above.
     """
 
     feasible: bool
@@ -179,6 +195,68 @@ def _shown_feasible(g: np.ndarray, residual: float) -> GarblingCertificate:
                                lower_bound=0.0)
 
 
+def _simplex_rows(g: np.ndarray) -> np.ndarray:
+    """Each row of g projected onto the probability simplex (Euclidean)."""
+    desc = -np.sort(-g, axis=1)
+    excess = np.cumsum(desc, axis=1) - 1.0
+    # the entries kept positive are the leading run of the sorted row
+    kept = np.count_nonzero(desc * np.arange(1, g.shape[1] + 1) > excess, axis=1)
+    shift = excess[np.arange(g.shape[0]), kept - 1] / kept
+    return np.maximum(g - shift[:, None], 0.0)
+
+
+def _blackwell_bound(lam: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> float:
+    """<Lambda, W2> - sum_l max_j (W1^T Lambda)_lj for ||Lambda||_1 = 1."""
+    return float(np.sum(lam * m2) - np.max(m1.T @ lam, axis=1).sum())
+
+
+def _closed_form_witness(m1: np.ndarray, m2: np.ndarray, g0: np.ndarray,
+                         rank: int) -> tuple[np.ndarray, float] | None:
+    """Blackwell's test matrix from a refused least-squares candidate G0.
+
+    Two candidates, each with ||Lambda||_1 = 1, and the larger recomputed
+    bound wins:
+
+    (a) Lambda ~ W2 - W1 G0, orthogonal to the columns of W1, so its bound
+        is ||R||_2^2 / ||R||_1 > 0 whenever W2 leaves W1's column span;
+    (b) when W1 has full column rank, Lambda ~ -W1^{+T} e_k e_j^T, so that
+        W1^T Lambda picks -G0_kj alone and the bound is
+        -G0_kj / ||W1^{+T} e_k||_1, largest at some negative entry of G0.
+
+    None when neither candidate is a usable matrix.
+    """
+    candidates = [m2 - m1 @ g0]
+    if rank == m1.shape[1] and g0.min() < 0.0:
+        pinv_t = np.linalg.pinv(m1).T
+        k, j = np.unravel_index(
+            np.argmax(-g0 / np.abs(pinv_t).sum(axis=0)[:, None]), g0.shape)
+        lam = np.zeros_like(m2)
+        lam[:, j] = -pinv_t[:, k]
+        candidates.append(lam)
+    best = None
+    for lam in candidates:
+        mass = float(np.abs(lam).sum())
+        if mass > 0.0:
+            lam = lam / mass
+            bound = _blackwell_bound(lam, m1, m2)
+            if best is None or bound > best[1]:
+                best = (lam, bound)
+    return best
+
+
+def _shown_infeasible(m1: np.ndarray, m2: np.ndarray, g: np.ndarray,
+                      lam: np.ndarray) -> GarblingCertificate:
+    residual = float(np.max(np.abs(m1 @ g - m2)))
+    lower_bound = _blackwell_bound(lam, m1, m2)
+    if not math.isfinite(lower_bound) or lower_bound > residual + BOUND_SLACK:
+        raise SelfCheckError(
+            f"Blackwell lower bound {lower_bound!r} is not a bound on the "
+            f"residual {residual!r}")
+    return GarblingCertificate(feasible=False, garbling_matrix=g,
+                               residual=residual, test_matrix=lam,
+                               lower_bound=lower_bound)
+
+
 def is_degraded(w1: Channel, w2: Channel,
                 feasibility_tolerance: float = FEASIBILITY_TOL) -> GarblingCertificate:
     """Decide whether w2 = w1 G for some row-stochastic G.
@@ -188,9 +266,6 @@ def is_degraded(w1: Channel, w2: Channel,
     whose lower bound is recomputed too, so the certificate stands on its
     own regardless of solver internals.
     """
-    # scipy.optimize is slow to import and only this function needs it
-    from scipy.optimize import linprog
-
     if not np.array_equal(w1.input_support, w2.input_support):
         raise AlphabetMismatch("channels do not share an input alphabet")
     m1 = w1.matrix
@@ -204,6 +279,12 @@ def is_degraded(w1: Channel, w2: Channel,
     g, residual = _garbling(g0.ravel(), m1, m2)
     if residual < feasibility_tolerance and _row_sum_error(g) <= CERT_ROW_TOL:
         return _shown_feasible(g, residual)
+    witness = _closed_form_witness(m1, m2, g0, rank)
+    if witness is not None and witness[1] >= feasibility_tolerance:
+        return _shown_infeasible(m1, m2, _simplex_rows(g0), witness[0])
+    # scipy.optimize is slow to import, and only the LP branches need it
+    from scipy.optimize import linprog
+
     if n_g > EQUALITY_FORM_MIN_VARS and rank < n_mid:
         result = linprog(np.zeros(n_g), A_eq=_equality_form(m1, n_out),
                          b_eq=np.concatenate([m2.ravel(), np.ones(n_mid)]),
@@ -247,15 +328,7 @@ def is_degraded(w1: Channel, w2: Channel,
     mass = float(np.abs(lam).sum())
     if not mass > 0.0:
         raise SelfCheckError("garbling LP returned no dual test matrix")
-    lam /= mass
-    lower_bound = float(np.sum(lam * m2) - np.max(m1.T @ lam, axis=1).sum())
-    if not math.isfinite(lower_bound) or lower_bound > residual + BOUND_SLACK:
-        raise SelfCheckError(
-            f"Blackwell lower bound {lower_bound!r} is not a bound on the "
-            f"residual {residual!r}")
-    return GarblingCertificate(feasible=False, garbling_matrix=g,
-                               residual=residual, test_matrix=lam,
-                               lower_bound=lower_bound)
+    return _shown_infeasible(m1, m2, g, lam / mass)
 
 
 def compose(joint: FiniteJoint, channel: Channel) -> FiniteJoint:

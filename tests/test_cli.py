@@ -117,6 +117,19 @@ def test_run_does_not_depend_on_the_blas_thread_count(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_module_form_runs_the_cli():
+    # `python -m mmse_lab.cli` is the same program as the console script
+    src = str(Path(mmse_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "mmse_lab.cli", "list"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == EXIT_OK
+    names = [line.split()[0] for line in done.stdout.splitlines()[2:-1:2]]
+    assert names == list(builtin_scenarios())
+
+
 def test_run_json_shape(tmp_path):
     cfg = make_config(tmp_path, ["example3"], format="json")
     cmd_run(cfg, stream=io.StringIO(), err_stream=io.StringIO())

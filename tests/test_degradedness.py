@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mmse_lab
+from mmse_lab import degradedness
 from mmse_lab import (
     AlphabetMismatch,
     Channel,
@@ -22,6 +23,7 @@ from mmse_lab import (
     mmse_exact,
     rng_stream,
 )
+from mmse_lab.scenarios import builtin_scenarios
 from mmse_lab.selftest import random_channel, random_joint
 from test_exact import bsc_joint
 from test_probcore import rademacher_sum_joint
@@ -165,6 +167,21 @@ def _ref_garbling_lp(m1, m2):
     return a_ub, b_ub, a_eq
 
 
+def spanned_pair(rng, n_in: int, n_mid: int, n_out: int) -> tuple[Channel, Channel]:
+    """(W1, W2) with W2 in the column span of W1, which has rank < n_mid.
+
+    Input letter i reads row i mod k of both, k = min(n_in, n_mid - 1),
+    so least squares leaves no residual to build a witness from and W1
+    has no full column rank: no closed form settles the pair.
+    """
+    k = min(n_in, n_mid - 1)
+    support = np.arange(n_in, dtype=float)[:, None]
+    rows = np.arange(n_in) % k
+    w1, w2 = (random_channel(rng, support[:k], n) for n in (n_mid, n_out))
+    return (Channel(support, w1.output_support, w1.matrix[rows]),
+            Channel(support, w2.output_support, w2.matrix[rows]))
+
+
 @pytest.mark.parametrize("n_in, n_mid, n_out",
                          [(2, 2, 2), (3, 5, 4), (5, 3, 7), (8, 8, 8)])
 def test_garbling_lp_matches_the_loop_reference(monkeypatch, n_in, n_mid, n_out):
@@ -179,10 +196,8 @@ def test_garbling_lp_matches_the_loop_reference(monkeypatch, n_in, n_mid, n_out)
         return solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, **kwargs)
 
     monkeypatch.setattr(scipy.optimize, "linprog", spy)
-    rng = rng_stream(29, "lp-build", n_in, n_mid, n_out)
-    support = np.arange(n_in, dtype=float)[:, None]
-    w1 = random_channel(rng, support, n_mid)
-    w2 = random_channel(rng, support, n_out)
+    w1, w2 = spanned_pair(rng_stream(29, "lp-build", n_in, n_mid, n_out),
+                          n_in, n_mid, n_out)
     is_degraded(w1, w2)
     for got, want in zip(seen[0], _ref_garbling_lp(w1.matrix, w2.matrix)):
         assert got.shape == want.shape
@@ -301,11 +316,24 @@ def test_full_rank_yes_needs_no_lp(lp_calls):
     assert np.max(np.abs(g.sum(axis=1) - 1.0)) <= 1e-9
 
 
-def test_full_rank_no_goes_straight_to_the_epigraph(lp_calls):
+def test_full_rank_no_needs_no_lp(lp_calls):
     w1, w2 = square_garbling_pair(32, 41)
     cert = is_degraded(w2, w1)
-    assert lp_calls == ["epigraph"]
+    assert lp_calls == []
     assert_certified_no(cert, w2, w1)
+    assert cert.lower_bound >= 1e-7
+
+
+def test_full_rank_no_goes_straight_to_the_epigraph(lp_calls):
+    # a step of 5e-6 from W2 towards W1 leaves the garblings of W2 by
+    # about 3e-7, while the closed-form witness only proves about 4e-8
+    w1, w2 = square_garbling_pair(32, 41)
+    t = 5e-6
+    near = Channel(w1.input_support, w1.output_support,
+                   (1.0 - t) * w2.matrix + t * w1.matrix)
+    cert = is_degraded(w2, near)
+    assert lp_calls == ["epigraph"]
+    assert_certified_no(cert, w2, near)
     assert cert.lower_bound >= 1e-7
 
 
@@ -366,8 +394,10 @@ def test_unusable_duals_raise(monkeypatch, corrupt):
         return result
 
     monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    # W1 spans every target, so only the epigraph's duals can say "no"
+    w1 = _channel(np.array([[0.7, 0.2, 0.1], [0.2, 0.7, 0.1]]))
     with pytest.raises(SelfCheckError):
-        is_degraded(binary_symmetric_channel(0.2), binary_symmetric_channel(0.1))
+        is_degraded(w1, _channel(binary_symmetric_channel(0.1).matrix))
 
 
 def _channel(matrix: np.ndarray) -> Channel:
@@ -382,18 +412,13 @@ def _stochastic(rng, n_rows: int, n_cols: int) -> np.ndarray:
     return mat / mat.sum(axis=1, keepdims=True)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
-       n_in=st.integers(min_value=1, max_value=6),
-       n_mid=st.integers(min_value=1, max_value=6),
-       n_out=st.integers(min_value=1, max_value=6),
-       column=st.sampled_from(["distinct", "repeated", "zero"]))
-@example(seed=5, n_in=6, n_mid=2, n_out=3, column="distinct")   # tall W1
-@example(seed=6, n_in=2, n_mid=5, n_out=4, column="distinct")   # wide W1
-@example(seed=7, n_in=4, n_mid=4, n_out=4, column="repeated")
-@example(seed=8, n_in=5, n_mid=3, n_out=2, column="zero")
-def test_least_squares_candidate_never_changes_a_verdict(seed, n_in, n_mid,
-                                                         n_out, column):
+def verdict_pairs(seed: int, n_in: int, n_mid: int, n_out: int,
+                  column: str) -> list[tuple[Channel, Channel]]:
+    """Forward, reversed and unrelated pairs around one random W1.
+
+    ``column`` makes W1 repeat a column or leave one empty, so that W1
+    has no full column rank; the first pair is always a garbling.
+    """
     rng = rng_stream(seed, "candidate-verdicts", n_in, n_mid, n_out, column)
     m1 = _stochastic(rng, n_in, n_mid)
     if n_mid >= 2 and column == "repeated":
@@ -404,12 +429,87 @@ def test_least_squares_candidate_never_changes_a_verdict(seed, n_in, n_mid,
     w1 = _channel(m1)
     w2 = _channel(m1 @ _stochastic(rng, n_mid, n_out))
     unrelated = _channel(_stochastic(rng, n_in, n_out))
-    for a, b in [(w1, w2), (w2, w1), (w1, unrelated), (unrelated, w1)]:
+    return [(w1, w2), (w2, w1), (w1, unrelated), (unrelated, w1)]
+
+
+def over_pair_shapes(test):
+    """Hypothesis over alphabets of 1 to 6 letters and W1 column patterns."""
+    for shape in [dict(seed=5, n_in=6, n_mid=2, n_out=3, column="distinct"),  # tall W1
+                  dict(seed=6, n_in=2, n_mid=5, n_out=4, column="distinct"),  # wide W1
+                  dict(seed=7, n_in=4, n_mid=4, n_out=4, column="repeated"),
+                  dict(seed=8, n_in=5, n_mid=3, n_out=2, column="zero")]:
+        test = example(**shape)(test)
+    letters = st.integers(min_value=1, max_value=6)
+    return settings(max_examples=60, deadline=None)(given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n_in=letters, n_mid=letters, n_out=letters,
+        column=st.sampled_from(["distinct", "repeated", "zero"]))(test))
+
+
+@over_pair_shapes
+def test_least_squares_candidate_never_changes_a_verdict(seed, n_in, n_mid,
+                                                         n_out, column):
+    pairs = verdict_pairs(seed, n_in, n_mid, n_out, column)
+    for a, b in pairs:
         verdict = is_degraded(a, b).feasible
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np.linalg, "lstsq", refused_candidate)
             assert is_degraded(a, b).feasible == verdict
-    assert is_degraded(w1, w2).feasible
+    assert is_degraded(*pairs[0]).feasible
+
+
+@over_pair_shapes
+def test_closed_form_no_never_changes_a_verdict(seed, n_in, n_mid, n_out,
+                                                column):
+    import scipy.optimize
+
+    solve = scipy.optimize.linprog
+    for a, b in verdict_pairs(seed, n_in, n_mid, n_out, column):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scipy.optimize, "linprog",
+                       lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
+            cert = is_degraded(a, b)
+        if not cert.feasible and not calls:
+            # settled in closed form: the witness alone proves the "no"
+            assert_certified_no(cert, a, b)
+            assert cert.lower_bound >= 1e-7
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(degradedness, "_closed_form_witness",
+                       lambda *args: None)
+            assert is_degraded(a, b).feasible == cert.feasible
+
+
+def markov_pair(name: str, n: int) -> tuple[Channel, Channel]:
+    """P(Y | X) of a built-in scenario's limit and of its joint at n.
+
+    Y_n is a garbling of Y exactly when the second channel is one of the
+    first, provided both joints share the X law.
+    """
+    scenario = builtin_scenarios()[name]
+    limit, joint = scenario.limit, scenario.realize(n)
+    assert np.array_equal(limit.x_support, joint.x_support)
+    np.testing.assert_allclose(joint.x_marginal(), limit.x_marginal(),
+                               rtol=0.0, atol=1e-15)
+    return tuple(Channel(j.x_support, j.y_support,
+                         j.pmf / j.x_marginal()[:, None])
+                 for j in (limit, joint))
+
+
+def test_example2_is_not_markovian(lp_calls):
+    # 1024 x 2 against 1024 x 128: the limit bit carries nothing about X,
+    # so no garbling of it recovers the coarse cell Y_16 reveals
+    w, w_n = markov_pair("example2", 16)
+    cert = is_degraded(w, w_n)
+    assert lp_calls == []
+    assert_certified_no(cert, w, w_n)
+    assert cert.lower_bound >= 1e-7
+
+
+def test_example4_is_markovian():
+    cert = is_degraded(*markov_pair("example4", 4))
+    assert cert.feasible
+    assert cert.residual < 1e-7
 
 
 def test_transitivity_through_explicit_cascades():
@@ -550,6 +650,16 @@ def test_import_does_not_load_the_lp_solver():
     # scipy.optimize loads inside is_degraded, not at package import
     run_after_import(
         "import mmse_lab, sys; assert 'scipy.optimize' not in sys.modules")
+
+
+def test_closed_form_decisions_do_not_load_the_lp_solver():
+    # least squares settles the "yes" and the closed form the "no"
+    run_after_import(
+        "import sys\n"
+        "from mmse_lab import binary_symmetric_channel as bsc, is_degraded\n"
+        "assert is_degraded(bsc(0.1), bsc(0.2)).feasible\n"
+        "assert not is_degraded(bsc(0.2), bsc(0.1)).feasible\n"
+        "assert 'scipy.optimize' not in sys.modules")
 
 
 def test_import_does_not_load_numpy_random():
