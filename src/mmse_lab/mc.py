@@ -74,10 +74,11 @@ def _binned_value(xs: np.ndarray, bin_idx: np.ndarray,
             f"no bin reached MIN_BIN_COUNT={MIN_BIN_COUNT}")
     means = np.zeros_like(sums)
     means[retained_bins] = sums[retained_bins] / counts[retained_bins, None]
-    keep = retained_bins[bin_idx]
-    resid = xs[keep] - means[bin_idx[keep]]
+    resid = xs - means[bin_idx]
     sq = (resid * resid).sum(axis=1)
-    n_eff = int(keep.sum())
+    n_eff = int(counts[retained_bins].sum())
+    if n_eff < sq.size:
+        sq = sq[retained_bins[bin_idx]]
     value = float(sq.mean())
     std_error = float(sq.std(ddof=0) / math.sqrt(n_eff))
     return McMmseEstimate(value=value, std_error=std_error, n_effective=n_eff)

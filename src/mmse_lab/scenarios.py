@@ -60,7 +60,6 @@ from .probcore import (
     FiniteJoint,
     floor_index,
     joint_from_atoms,
-    joint_from_keys,
     product_joint,
     quantize_joint,
     rng_stream,
@@ -142,9 +141,13 @@ class ScenarioSequence:
 
 
 # ---------------------------------------------------------------------------
-# lattice-cell machinery for exact quantized realizations: a realization is
-# a batch of (x cell, y cell, probability) triples held as integer key arrays
-# and one weight array, accumulated by probcore.joint_from_keys
+# lattice-cell machinery for exact quantized realizations.  A builder knows
+# the order of its cells, so it emits the joint's atoms (x_idx, y_idx, prob)
+# itself, in row-major order, on supports that are sorted runs of cells
+# (cell index * h), and hands them to the atom form of FiniteJoint; nothing
+# is sorted or merged.  The constructor still checks distinct supports, a
+# strictly increasing flat index and positive masses summing to 1, so a
+# layout mistake raises InvalidDistribution instead of giving a wrong joint.
 # ---------------------------------------------------------------------------
 
 def uniform_lattice_cells(lo: float, hi: float,
@@ -153,7 +156,8 @@ def uniform_lattice_cells(lo: float, hi: float,
 
     Returns increasing cell indices and their probabilities: the exact
     overlap of [index*step, (index+1)*step) with [lo, hi), normalized by
-    hi - lo.  Zero-overlap cells are skipped.
+    hi - lo.  Zero-overlap cells are skipped; only an end cell can have
+    none, so the indices are consecutive.
     """
     if not hi > lo:
         raise InvalidDistribution("uniform interval must have positive length")
@@ -166,10 +170,12 @@ def uniform_lattice_cells(lo: float, hi: float,
     return j[keep], (right - left)[keep] / (hi - lo)
 
 
-def _lattice_joint(x_keys, y_keys, weights, h: float) -> FiniteJoint:
-    """Joint of cell triples whose support atoms are key * h on both sides."""
-    return joint_from_keys(x_keys, y_keys, weights,
-                           x_value=lambda k: k * h, y_value=lambda k: k * h)
+def _lattice_joint(x_support, y_support, x_idx, y_idx,
+                   weights) -> FiniteJoint:
+    """Joint of row-major atoms; the weights are divided by their total."""
+    weights /= weights.sum()
+    return FiniteJoint(x_support, y_support, x_idx=x_idx, y_idx=y_idx,
+                       prob=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +226,19 @@ def _example2_realize(n: int) -> FiniteJoint:
     # X uniform on [0, 1) quantized at step h = 1/(64 n); the measurement
     # B + X/n quantized at the same step reveals exactly which of the 64
     # coarse cells X occupies, i.e. the x-cell index j up to j mod n.
-    # Triples run over (j, b) with b fastest; the y key b * 64 + q sorts
-    # like the pair (b, q).
+    # Atoms run over (j, b) with b fastest; the y key b * 64 + j // n sorts
+    # like the pair (b, j // n), and all 128 y keys occur, so each y key is
+    # its own support index.
     cells = EXAMPLE2_CELLS_PER_INDEX * n
     h = 1.0 / cells
-    j = np.repeat(np.arange(cells), 2)
-    b = np.tile(np.arange(2), cells)
-    return joint_from_keys(
-        j, b * EXAMPLE2_CELLS_PER_INDEX + j // n, np.full(2 * cells, 0.5 / cells),
-        x_value=lambda k: k * h,
-        y_value=lambda key: (key // EXAMPLE2_CELLS_PER_INDEX
-                             + key % EXAMPLE2_CELLS_PER_INDEX * h),
-    )
+    j = np.arange(cells)
+    q = j // n
+    y_keys = np.arange(2 * EXAMPLE2_CELLS_PER_INDEX)
+    return _lattice_joint(
+        j * h,
+        y_keys // EXAMPLE2_CELLS_PER_INDEX + y_keys % EXAMPLE2_CELLS_PER_INDEX * h,
+        np.repeat(j, 2), np.stack([q, q + EXAMPLE2_CELLS_PER_INDEX], axis=1).ravel(),
+        np.full(2 * cells, 0.5 / cells))
 
 
 def _example2_limit() -> FiniteJoint:
@@ -327,14 +334,21 @@ EXAMPLE4_STEP = 2.0 * SQRT3 / 256.0
 def _example4_realize(n: int) -> FiniteJoint:
     x_cells, px = uniform_lattice_cells(-SQRT3, SQRT3, EXAMPLE4_STEP)
     w_cells, pw = uniform_lattice_cells(-SQRT3 / n, SQRT3 / n, EXAMPLE4_STEP)
-    return _lattice_joint(np.repeat(x_cells, w_cells.size),
-                          (x_cells[:, None] + w_cells[None, :]).ravel(),
-                          (px[:, None] * pw[None, :]).ravel(), EXAMPLE4_STEP)
+    # the sums x + w of two runs of consecutive cells are again such a run,
+    # so the support index of the y key x + w is its offset from the first
+    lo = x_cells[0] + w_cells[0]
+    y_cells = np.arange(lo, x_cells[-1] + w_cells[-1] + 1)
+    return _lattice_joint(
+        x_cells * EXAMPLE4_STEP, y_cells * EXAMPLE4_STEP,
+        np.repeat(np.arange(x_cells.size), w_cells.size),
+        (x_cells[:, None] + w_cells[None, :]).ravel() - lo,
+        (px[:, None] * pw[None, :]).ravel())
 
 
 def _example4_limit() -> FiniteJoint:
     cells, p = uniform_lattice_cells(-SQRT3, SQRT3, EXAMPLE4_STEP)
-    return _lattice_joint(cells, cells, p, EXAMPLE4_STEP)
+    return _lattice_joint(cells * EXAMPLE4_STEP, cells * EXAMPLE4_STEP,
+                          np.arange(cells.size), np.arange(cells.size), p)
 
 
 def _example4_sampler(n: int) -> Draw:
@@ -379,19 +393,43 @@ def _cor1_realize_factory(gamma_of_n, lambda_of_n):
         gamma = gamma_of_n(n)
         lam = lambda_of_n(n)
         h = min(gamma, lam) / 8.0
-        x_keys, y_keys, weights = [], [], []
-        for i_atom, j_atom, p in zip(base.x_idx, base.y_idx, base.prob):
-            x0 = float(base.x_support[i_atom, 0])
-            y0 = float(base.y_support[j_atom, 0])
-            x_cells, px = uniform_lattice_cells(x0 - gamma / 2.0,
-                                                x0 + gamma / 2.0, h)
-            y_cells, py = uniform_lattice_cells(y0 - lam / 2.0,
-                                                y0 + lam / 2.0, h)
-            x_keys.append(np.repeat(x_cells, y_cells.size))
-            y_keys.append(np.tile(y_cells, x_cells.size))
-            weights.append((p * px[:, None] * py[None, :]).ravel())
-        return _lattice_joint(np.concatenate(x_keys), np.concatenate(y_keys),
-                              np.concatenate(weights), h)
+        # Base atom (x0, y0) spreads over a run of x cells times a run of y
+        # cells.  The base support atoms are 2 apart and gamma, lam < 2, so
+        # the runs of distinct support atoms are disjoint and ordered, and
+        # each support is their concatenation.  Every x row of base row i
+        # repeats one run of y ranks: the y runs of its base atoms, in order.
+        x_runs = [uniform_lattice_cells(x0 - gamma / 2.0, x0 + gamma / 2.0, h)
+                  for x0 in base.x_support[:, 0]]
+        y_runs = [uniform_lattice_cells(y0 - lam / 2.0, y0 + lam / 2.0, h)
+                  for y0 in base.y_support[:, 0]]
+        x_first = np.cumsum([0] + [cells.size for cells, _ in x_runs])
+        y_first = np.cumsum([0] + [cells.size for cells, _ in y_runs])
+        nnz = sum(x_runs[i][0].size * y_runs[j][0].size
+                  for i, j in zip(base.x_idx, base.y_idx))
+        x_idx = np.empty(nnz, dtype=np.intp)
+        y_idx = np.empty(nnz, dtype=np.intp)
+        weights = np.empty(nnz)
+        end = 0
+        for i, (cells, px) in enumerate(x_runs):
+            atoms = np.flatnonzero(base.x_idx == i)
+            ranks = np.concatenate([np.arange(y_first[j], y_first[j + 1])
+                                    for j in base.y_idx[atoms]])
+            start, end = end, end + cells.size * ranks.size
+            shape = (cells.size, ranks.size)
+            x_idx[start:end].reshape(shape)[:] = \
+                np.arange(x_first[i], x_first[i + 1])[:, None]
+            y_idx[start:end].reshape(shape)[:] = ranks
+            rows = weights[start:end].reshape(shape)
+            col = 0
+            for a in atoms:
+                py = y_runs[base.y_idx[a]][1]
+                np.multiply(base.prob[a] * px[:, None], py,
+                            out=rows[:, col:col + py.size])
+                col += py.size
+        return _lattice_joint(
+            np.concatenate([cells for cells, _ in x_runs]) * h,
+            np.concatenate([cells for cells, _ in y_runs]) * h,
+            x_idx, y_idx, weights)
 
     return realize
 

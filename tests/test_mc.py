@@ -90,15 +90,22 @@ def test_value_never_negative_on_small_samples():
 
 def test_sparse_bins_are_excluded():
     # exactly three samples land in a far-away bin: below MIN_BIN_COUNT,
-    # so the bin is dropped and the retained count falls short
+    # so the bin is dropped and the retained count falls short; every other
+    # sample shares the first bin, so the estimate is their variance
+    drawn = []
+
     def outliers(rng, size):
         x = rng.random(size)[:, None]
         y = x.copy()
         y[:min(3, size)] = 1e6
+        drawn.append(x)
         return x, y
 
     est = mc_mmse(outliers, RegressionConfig(n_samples=20_000, seed=7))
-    assert est.n_effective < 20_000
+    assert est.n_effective == 20_000 - 3
+    kept = drawn[0][3:, 0]
+    assert est.value == pytest.approx(np.mean((kept - kept.mean()) ** 2),
+                                      rel=1e-12)
 
 
 # --------------------------------------------------------------------------

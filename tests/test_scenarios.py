@@ -526,6 +526,22 @@ def test_example2_allocation_follows_the_atoms(catalog):
     assert peak < 32 * 2 ** 20
 
 
+@pytest.mark.parametrize("name", ["example2", "cor1_additive_fast_x",
+                                  "cor1_additive_fast_y"])
+def test_lattice_realize_allocates_near_its_atoms(catalog, name):
+    # a lattice builder emits its atoms in row-major order, so realize holds
+    # little beyond the joint's own atom arrays; sorting and merging the
+    # (x, y, weight) triples instead peaks near 5x of them
+    tracemalloc.start()
+    try:
+        joint = catalog[name].realize(1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    atoms = joint.x_idx.nbytes + joint.y_idx.nbytes + joint.prob.nbytes
+    assert peak < 3.5 * atoms
+
+
 def test_example4_limit_matches_the_loop_reference(catalog):
     assert_bit_identical(catalog["example4"].limit, _ref_example4_limit())
 
