@@ -59,7 +59,6 @@ from .mc import (
 from .probcore import (
     FiniteJoint,
     MomentSummary,
-    discretize,
     floor_quantize,
     joint_from_atoms,
     moments_empirical,

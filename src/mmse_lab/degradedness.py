@@ -1,38 +1,29 @@
 """Stochastic degradedness: channels, garbling feasibility, composition.
 
 A channel W2 is a garbling (degraded version) of W1 over the same input
-alphabet when W2 = W1 G for some row-stochastic G.  Deciding this is a
-linear program over the entries of G, solved with HiGHS in two phases.
+alphabet when W2 = W1 G for some row-stochastic G.  ``is_degraded``
+decides this in up to three steps, each tried only when the ones before
+it leave the pair open:
 
-A least-squares candidate G = W1^+ W2 is tried first.  It settles the
-pair when, clipped to [0, 1], it passes the same checks as a phase-1
-answer: residual below the tolerance and rows summing to one within
-CERT_ROW_TOL.  When W1 has full column rank, W1 G = W2 has at most one
-solution, so the candidate is the only possible one; if it is refused,
-phase 1 has nothing left to find and is skipped.  Skipping cannot change
-a verdict, because the epigraph form alone decides every pair.
-
-1. *Equality form*, when G has more than ``EQUALITY_FORM_MIN_VARS``
-   entries: the zero-cost feasibility program
-
-       kron(W1, I) vec(G) = vec(W2),   G 1 = 1,   G >= 0
-
-   on a sparse matrix.  HiGHS settles a feasible pair this way several
-   times faster than through the epigraph form below, whose optimum t = 0
-   is highly degenerate.  Below the gate the extra solver call costs more
-   than it saves (``linprog`` has a fixed cost of about 2.5 ms per call on
-   a 2-vCPU x86 VM), so small pairs go straight to phase 2.
-2. *Epigraph form*, for everything phase 1 does not settle:
+1. *The least-squares candidate* G = W1^+ W2, clipped to [0, 1], answers
+   "yes" when its residual is below the tolerance and its rows sum to one
+   within CERT_ROW_TOL.  When W1 has full column rank, W1 G = W2 has at
+   most one solution, and the candidate is that solution.
+2. *A closed-form "no"*: a refused candidate yields Blackwell's test
+   matrix (below) from its residual W2 - W1 G or, when W1 has full column
+   rank, from a row of W1^+ that exposes a negative entry of G.  When
+   that bound reaches the tolerance, no row-stochastic G comes within it.
+3. *The epigraph LP*, solved with HiGHS, which alone decides every pair:
 
        minimize t   s.t.   |(W1 G - W2)_ij| <= t,   G >= 0,   G 1 = 1.
 
-Either way the certificate reports the recomputed max-entry residual of
-the returned G (never the solver's own objective value).  Feasibility
-means the residual is strictly below the tolerance, so a tie at the
-boundary reads as "not shown feasible".  The candidate and phase 1 only
-ever answer "yes", and only with such a residual.  The epigraph optimum is
-at most that residual, so the epigraph form would have answered "yes" as
-well.
+Every certificate reports the recomputed max-entry residual of the
+returned G (never the solver's own objective value).  Feasibility means
+the residual is strictly below the tolerance, so a tie at the boundary
+reads as "not shown feasible".  The candidate only ever answers "yes" with
+such a residual, and the epigraph optimum is at most that residual, so
+the epigraph form would have answered "yes" as well.  Likewise a
+closed-form "no" is one the epigraph form would have given.
 
 A "no" carries Blackwell's dual witness (Blackwell 1953, *Equivalent
 comparisons of experiments*): a test matrix Lambda with ||Lambda||_1 = 1
@@ -41,18 +32,12 @@ for which
     <Lambda, W2> - sum_l max_j (W1^T Lambda)_lj  <=  max_ij |(W1 G - W2)_ij|
 
 for every row-stochastic G.  The left side is recomputed in closed form,
-so the lower bound stands on its own as the residual does.
-
-A refused candidate first yields Lambda in closed form, before any LP:
-from its residual W2 - W1 G, or, when W1 has full column rank, from a row
-of W1^+ that exposes a negative entry of G.  When that bound reaches the
-tolerance, no row-stochastic G comes within it, so the epigraph form
-would have answered "no" too.  Such a "no" reports the certified interval
-[lower_bound, residual], where the residual belongs to the candidate with
-each row projected onto the simplex; the two meet at the min-max optimum
-only when the witness comes from the epigraph LP's duals.  Every other
-pair goes to the two phases, and a "no" there reads Lambda off the
-epigraph duals.
+so the lower bound stands on its own as the residual does.  A closed-form
+"no" reports the certified interval [lower_bound, residual], where the
+residual belongs to the candidate with each row projected onto the
+simplex; the two meet at the min-max optimum only when the witness comes
+from the epigraph LP's duals, which is where every other "no" reads
+Lambda.
 
 Garbling a measurement can only destroy information, so the exact MMSE
 after composing a channel onto Y never drops below the MMSE before —
@@ -74,7 +59,6 @@ ROW_SUM_TOL = 1e-12
 FEASIBILITY_TOL = 1e-7
 CERT_ROW_TOL = 1e-9
 BOUND_SLACK = 1e-12           # a dual lower bound may exceed the residual by this
-EQUALITY_FORM_MIN_VARS = 128  # phase 1 runs when G has more entries than this
 HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
                  "dual_feasibility_tolerance": 1e-10}
 
@@ -154,26 +138,6 @@ class GarblingCertificate:
 
 def _nested(matrix: np.ndarray) -> list[list[float]]:
     return [[float(v) for v in row] for row in matrix]
-
-
-def _equality_form(m1: np.ndarray, n_out: int):
-    """The phase-1 constraint matrix [kron(W1, I); kron(I, 1^T)] as CSC.
-
-    Column l * n_out + j stands for G_lj.  Row i * n_out + j holds W1_il
-    for every nonzero W1_il, and row n_in * n_out + l sums row l of G.
-    """
-    from scipy.sparse import csc_matrix
-
-    n_in, n_mid = m1.shape
-    n_g = n_mid * n_out
-    i_nz, l_nz = np.nonzero(m1)
-    lanes = np.arange(n_out)
-    rows = np.concatenate([(i_nz[:, None] * n_out + lanes).ravel(),
-                           np.repeat(n_in * n_out + np.arange(n_mid), n_out)])
-    cols = np.concatenate([(l_nz[:, None] * n_out + lanes).ravel(),
-                           np.arange(n_g)])
-    vals = np.concatenate([np.repeat(m1[i_nz, l_nz], n_out), np.ones(n_g)])
-    return csc_matrix((vals, (rows, cols)), shape=(n_in * n_out + n_mid, n_g))
 
 
 def _garbling(x: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, float]:
@@ -273,8 +237,6 @@ def is_degraded(w1: Channel, w2: Channel,
     n_in, n_mid = m1.shape
     n_out = m2.shape[1]
     n_g = n_mid * n_out
-    # W1 G = W2 has at most one solution when W1 has full column rank, and
-    # then least squares finds it or shows that phase 1 has nothing to find
     g0, _, rank, _ = np.linalg.lstsq(m1, m2, rcond=None)
     g, residual = _garbling(g0.ravel(), m1, m2)
     if residual < feasibility_tolerance and _row_sum_error(g) <= CERT_ROW_TOL:
@@ -282,18 +244,9 @@ def is_degraded(w1: Channel, w2: Channel,
     witness = _closed_form_witness(m1, m2, g0, rank)
     if witness is not None and witness[1] >= feasibility_tolerance:
         return _shown_infeasible(m1, m2, _simplex_rows(g0), witness[0])
-    # scipy.optimize is slow to import, and only the LP branches need it
+    # scipy.optimize is slow to import, and only the epigraph LP needs it
     from scipy.optimize import linprog
 
-    if n_g > EQUALITY_FORM_MIN_VARS and rank < n_mid:
-        result = linprog(np.zeros(n_g), A_eq=_equality_form(m1, n_out),
-                         b_eq=np.concatenate([m2.ravel(), np.ones(n_mid)]),
-                         bounds=(0.0, None), method="highs",
-                         options=HIGHS_OPTIONS)
-        if result.status == 0 and result.x is not None:
-            g, residual = _garbling(result.x, m1, m2)
-            if residual < feasibility_tolerance:
-                return _shown_feasible(g, residual)
     cost = np.zeros(n_g + 1)
     cost[-1] = 1.0
     # |(W1 G - W2)_ij| <= t as the row pair (+dev, -dev) for each entry

@@ -47,14 +47,6 @@ class ConditionalExpectation:
     posterior_mass: np.ndarray  # (ny',)
     dropped_zero_mass: bool
 
-    def estimate(self, y) -> np.ndarray:
-        """Estimate for one measurement atom (must be in the support)."""
-        target = np.atleast_1d(np.asarray(y, dtype=float))
-        hits = np.where((self.y_support == target).all(axis=1))[0]
-        if hits.size == 0:
-            raise EmptySupport(f"measurement {y!r} not in the conditioned support")
-        return self.estimates[hits[0]]
-
 
 def _table_rows(joint: FiniteJoint) -> np.ndarray:
     """Row of the conditional mean table for each atom of the joint.

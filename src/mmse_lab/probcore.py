@@ -7,13 +7,14 @@ The whole lab runs on three value types:
   "exact" downstream (marginals, conditional means, MMSE, moments) is a
   reduction over those atoms, so its cost and memory follow the number of
   atoms, not the size of the dense (nx, ny) table.  The dense matrix
-  ``pmf`` is built on first read for the code that needs a matrix
-  (channel composition and the garbling LP).
+  ``pmf`` is built on first read; in the lab only channel composition
+  (``degradedness.compose``) and the witness comparison
+  (``convergence._witness_holds``) read it.
 * ``Draw`` — a seeded batch-draw function ``draw(rng, size) -> (xs, ys)``
   for laws that are not finite (uniform priors, additive noise families);
   it returns ``size`` independent draws of X and of Y.  Only the Monte
-  Carlo cross-path and the quantization bridge ``discretize`` consume
-  these; every exact result is computed on a ``FiniteJoint``.
+  Carlo cross-path consumes these; every exact result is computed on a
+  ``FiniteJoint``.
 * ``MomentSummary`` — first and second moments of a pair, with the
   second-moment identity  E||Z||^2 = trace(Cov Z) + ||E Z||^2  enforced at
   construction.
@@ -355,20 +356,6 @@ def floor_quantize(x, a: float) -> np.ndarray:
     return floor_index(x, a) * a
 
 
-def discretize(draw: Draw, grid_step: float, n_samples: int, seed: int) -> FiniteJoint:
-    """Empirical finite joint of the floor-quantized pair.
-
-    Draws ``n_samples`` pairs from ``draw`` with a stream derived from
-    ``seed``, floor-quantizes both coordinates at ``grid_step``, and counts.
-    The pmf is counts / n_samples, exact up to float division.
-    """
-    if n_samples < 1:
-        raise InsufficientSamples("n_samples must be >= 1")
-    xs, ys = sample_pairs(draw, n_samples, rng_stream(seed, "discretize"))
-    return joint_from_keys(floor_quantize(xs, grid_step),
-                           floor_quantize(ys, grid_step), np.ones(n_samples))
-
-
 def product_joint(x_values, x_probs, y_values, y_probs) -> FiniteJoint:
     """Independent product of two finite marginals."""
     px = np.asarray(x_probs, dtype=float)
@@ -376,28 +363,6 @@ def product_joint(x_values, x_probs, y_values, y_probs) -> FiniteJoint:
     return FiniteJoint(x_support=_as_support(x_values, "x_support"),
                        y_support=_as_support(y_values, "y_support"),
                        pmf=np.outer(px / px.sum(), py / py.sum()))
-
-
-def joint_from_keys(x_keys, y_keys, weights, x_value=None,
-                    y_value=None) -> FiniteJoint:
-    """Accumulate (x_key, y_key, weight) triples into a FiniteJoint.
-
-    The keys are 1-D integer arrays (lattice cell indices) or 2-D float
-    arrays of atom rows, one entry per weight.  Equal keys merge and their
-    weights add in input order (``np.bincount``), so the joint does not
-    depend on how the caller batched its triples.  Supports come out
-    sorted; ``x_value``/``y_value`` map the sorted unique keys to support
-    atoms (default: the keys themselves).  The masses are divided by their
-    total.
-    """
-    x_keys, y_keys = np.asarray(x_keys), np.asarray(y_keys)
-    ux, xi = np.unique(x_keys, axis=0 if x_keys.ndim == 2 else None,
-                       return_inverse=True)
-    uy, yi = np.unique(y_keys, axis=0 if y_keys.ndim == 2 else None,
-                       return_inverse=True)
-    return _accumulate(ux if x_value is None else x_value(ux),
-                       uy if y_value is None else y_value(uy),
-                       xi.ravel(), yi.ravel(), weights)
 
 
 def _accumulate(x_support, y_support, xi, yi, weights) -> FiniteJoint:
@@ -420,15 +385,20 @@ def _accumulate(x_support, y_support, xi, yi, weights) -> FiniteJoint:
 def joint_from_atoms(atoms: Sequence[tuple[tuple, tuple, float]]) -> FiniteJoint:
     """Build a FiniteJoint from (x_atom, y_atom, prob) triples.
 
-    Atoms are tuples of floats; repeated (x, y) pairs accumulate.  Supports
-    come out in sorted order so construction is order-independent.
+    Atoms are tuples of floats.  Repeated (x, y) pairs merge and their
+    masses add in input order (``np.bincount``), so the joint does not
+    depend on how the caller batched its triples.  Supports come out in
+    sorted order, so construction is order-independent.  The masses are
+    divided by their total.
     """
     if not atoms:
         raise InvalidDistribution("joint_from_atoms needs at least one atom")
     xs, ys, probs = zip(*atoms)
-    return joint_from_keys(np.array([np.atleast_1d(x) for x in xs], dtype=float),
-                           np.array([np.atleast_1d(y) for y in ys], dtype=float),
-                           probs)
+    ux, xi = np.unique(np.array([np.atleast_1d(x) for x in xs], dtype=float),
+                       axis=0, return_inverse=True)
+    uy, yi = np.unique(np.array([np.atleast_1d(y) for y in ys], dtype=float),
+                       axis=0, return_inverse=True)
+    return _accumulate(ux, uy, xi.ravel(), yi.ravel(), probs)
 
 
 def quantize_joint(joint: FiniteJoint, x_step: float, y_step: float) -> FiniteJoint:

@@ -33,23 +33,27 @@ def bsc_joint(flip: float) -> FiniteJoint:
 
 def test_estimator_halves_the_sum_measurement():
     ce = conditional_expectation(rademacher_sum_joint())
-    for y, want in ((-2.0, -1.0), (0.0, 0.0), (2.0, 1.0)):
-        got = ce.estimate(np.array([y]))
+    assert ce.y_support.tolist() == [[-2.0], [0.0], [2.0]]
+    assert ce.estimates.shape == (3, 1)
+    for got, want in zip(ce.estimates, (-1.0, 0.0, 1.0)):
         assert got[0] == pytest.approx(want, abs=1e-14)
 
 
 def test_estimator_is_identity_on_diagonal_joint():
     ce = conditional_expectation(diagonal_pm1_joint())
-    assert ce.estimate(np.array([1.0]))[0] == pytest.approx(1.0, abs=1e-15)
-    assert ce.estimate(np.array([-1.0]))[0] == pytest.approx(-1.0, abs=1e-15)
+    assert ce.y_support.tolist() == [[-1.0], [1.0]]
+    assert ce.estimates[0, 0] == pytest.approx(-1.0, abs=1e-15)
+    assert ce.estimates[1, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_estimator_collapses_to_prior_mean_under_independence():
     j = product_joint(np.array([[-1.0], [3.0]]), np.array([0.75, 0.25]),
                       np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
     ce = conditional_expectation(j)
-    for y in (0.0, 1.0):
-        assert ce.estimate(np.array([y]))[0] == pytest.approx(0.0, abs=1e-14)
+    assert ce.y_support.tolist() == [[0.0], [1.0]]
+    assert ce.estimates.shape == (2, 1)
+    for got in ce.estimates:
+        assert got[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_posterior_mass_satisfies_total_expectation():

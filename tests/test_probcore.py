@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmse_lab import (
@@ -10,7 +10,6 @@ from mmse_lab import (
     InsufficientSamples,
     InvalidDistribution,
     NonPositiveStep,
-    discretize,
     floor_quantize,
     joint_from_atoms,
     moments_empirical,
@@ -21,7 +20,7 @@ from mmse_lab import (
     sample_pairs,
     sampler_from_joint,
 )
-from mmse_lab.probcore import MomentSummary, joint_from_keys
+from mmse_lab.probcore import MomentSummary
 
 
 def rademacher_sum_joint() -> FiniteJoint:
@@ -145,12 +144,14 @@ def test_dense_and_key_constructors_store_the_same_atoms():
     for _ in range(200):
         xs, ys, w = random_weight_table(rng)
         nx, ny = w.shape
+        # joint_from_atoms sorts its supports, so the dense joint must too
+        xs, x_order = np.unique(xs, axis=0, return_index=True)
+        ys, y_order = np.unique(ys, axis=0, return_index=True)
+        w = w[x_order][:, y_order]
         # both normalize by the sum of the nonzero weights in row-major order
         dense = FiniteJoint(xs, ys, w / w[w != 0.0].sum())
-        keyed = joint_from_keys(np.repeat(np.arange(nx), ny),
-                                np.tile(np.arange(ny), nx), w.ravel(),
-                                x_value=lambda i: xs[i],
-                                y_value=lambda j: ys[j])
+        keyed = joint_from_atoms([(xs[i], ys[j], w[i, j])
+                                  for i in range(nx) for j in range(ny)])
         for name in ("x_support", "y_support", "x_idx", "y_idx", "prob"):
             a, b = getattr(dense, name), getattr(keyed, name)
             assert a.tobytes() == b.tobytes() and a.shape == b.shape, name
@@ -339,19 +340,23 @@ def test_floor_quantize_rejects_bad_step():
                 allow_nan=False, allow_infinity=False),
     a=st.sampled_from([0.07, 0.25, 1.0 / 3.0, 0.5, 1.0, 2.5, 64.0]),
 )
+# x within the snap radius below a lattice point snaps up onto it
+@example(x=-2.1548387431351975e-15, a=2.5)
+@example(x=-2.8898570457831466e-130, a=64.0)
 def test_floor_quantize_idempotent_and_in_cell(x, a):
     arr = np.array([x])
     q = floor_quantize(arr, a)
     q2 = floor_quantize(q, a)
     assert q2[0] == q[0]
-    # output - input in (-a, 0] up to the ulp-snap allowance
-    snap = 4.0 * np.finfo(float).eps * max(1.0, abs(x))
+    # output - input in (-a, 0] up to the ulp snap, whose radius is
+    # 4 eps max(1, |x / a|) in units of the step a
+    snap = 4.0 * np.finfo(float).eps * max(a, abs(x))
     assert q[0] - x <= snap
     assert q[0] - x > -a - snap
 
 
 # --------------------------------------------------------------------------
-# rng_stream / samplers / discretize
+# rng_stream / samplers
 # --------------------------------------------------------------------------
 
 def test_rng_stream_reproducible_and_tag_separated():
@@ -367,51 +372,6 @@ def test_sampler_from_joint_matches_pmf():
     xs, ys = sample_pairs(sampler_from_joint(j), 40_000, rng_stream(3, "freq"))
     freq = np.mean((xs[:, 0] == 1.0) & (ys[:, 0] == 2.0))
     assert freq == pytest.approx(0.25, abs=4.0 / math.sqrt(40_000))
-
-
-def test_discretize_point_mass():
-    def point(rng, size):
-        return np.full((size, 1), 0.5), np.full((size, 1), 1.5)
-
-    j = discretize(point, 0.25, 100, seed=0)
-    assert j.pmf.shape == (1, 1)
-    assert j.pmf[0, 0] == 1.0
-    assert j.x_support[0, 0] == 0.5
-    assert j.y_support[0, 0] == 1.5
-
-
-# E[(floor(U / h) * h)^2] for U ~ uniform[0,1), h = 1/64: the lattice values
-# are j/64 with equal weight, so the exact mean is (1/64^3) * sum j^2
-# = (63*64*127/6) / 64^3.  The continuous value 1/3 differs from this by
-# ~7.8e-3, which is *not* inside three standard errors at 1e5 samples —
-# the discretization bias is the point of quantifying it here.
-LATTICE_SECOND_MOMENT_64 = (63 * 64 * 127 // 6) / 64**3
-
-
-def test_discretize_uniform_second_moment():
-    def uniform_twice(rng, size):
-        u = rng.random(size)
-        return u[:, None], u[:, None].copy()
-
-    j = discretize(uniform_twice, 1.0 / 64.0, 100_000, seed=11)
-    ms = moments_exact(j)
-    # binomial fluctuation of the empirical second moment
-    se = math.sqrt(4.0 / 45.0 / 100_000)
-    assert abs(ms.second_moment_x - LATTICE_SECOND_MOMENT_64) <= 3.0 * se
-    # against the continuous moment the quantization bias (~ step) dominates
-    assert abs(ms.second_moment_x - 1.0 / 3.0) <= 1.0 / 64.0 + 3.0 * se
-
-
-def test_discretize_deterministic():
-    def pair(rng, size):
-        u = rng.random((size, 2))
-        return u[:, :1], u[:, 1:]
-
-    j1 = discretize(pair, 0.125, 500, seed=21)
-    j2 = discretize(pair, 0.125, 500, seed=21)
-    np.testing.assert_array_equal(j1.pmf, j2.pmf)
-    np.testing.assert_array_equal(j1.x_support, j2.x_support)
-    np.testing.assert_array_equal(j1.y_support, j2.y_support)
 
 
 def test_quantize_joint_merges_cells():
