@@ -59,6 +59,7 @@ from .mc import (
 from .probcore import (
     FiniteJoint,
     MomentSummary,
+    SufficientJoint,
     floor_quantize,
     joint_from_atoms,
     moments_empirical,

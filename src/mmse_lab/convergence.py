@@ -38,7 +38,7 @@ from .errors import MissingWitness, MmseLabError, ScenarioRunError
 from .exact import conditional_expectation, mmse_exact
 from .linear import lmmse, tail_window
 from .mc import RegressionConfig, mc_mmse
-from .probcore import FiniteJoint, moments_exact, rng_stream
+from .probcore import FiniteJoint, SufficientJoint, moments_exact, rng_stream
 from .scenarios import ExpectedOutcome, ScenarioSequence
 
 UI_GRID = (1.0, 2.0, 4.0, 8.0, 16.0)
@@ -93,14 +93,16 @@ class ConvergenceReport:
     mc_rows: tuple[McRow, ...] = ()
 
 
-def ui_functional(joint: FiniteJoint, threshold: float) -> float:
+def ui_functional(joint: FiniteJoint | SufficientJoint,
+                  threshold: float) -> float:
     """E[ 1{||X||^2 > a} ||X||^2 ] for the prior marginal of a joint."""
     sq = (joint.x_support * joint.x_support).sum(axis=1)
     px = joint.x_marginal()
     return float((px * sq * (sq > threshold)).sum())
 
 
-def _second_moments(joint: FiniteJoint) -> tuple[float, float]:
+def _second_moments(joint: FiniteJoint | SufficientJoint
+                    ) -> tuple[float, float]:
     # math.fsum, not a BLAS dot: a threaded dot splits long sums across
     # threads, so its last bits would depend on the BLAS thread count
     smx = math.fsum(joint.x_marginal() * (joint.x_support ** 2).sum(axis=1))
@@ -108,7 +110,8 @@ def _second_moments(joint: FiniteJoint) -> tuple[float, float]:
     return smx, smy
 
 
-def _audit_value(scenario: ScenarioSequence, joint: FiniteJoint) -> float:
+def _audit_value(scenario: ScenarioSequence,
+                 joint: FiniteJoint | SufficientJoint) -> float:
     """Exact value of the audited functional on one pair law."""
     if scenario.audit == "lmmse":
         return lmmse(moments_exact(joint)).value
@@ -137,10 +140,7 @@ def run_scenario(scenario: ScenarioSequence, n_grid, tol_abs: float = 0.02,
     try:
         for n in grid:
             joint = scenario.realize(n)
-            if not isinstance(joint, FiniteJoint):
-                raise ScenarioRunError(
-                    f"scenario {scenario.name!r}: realize({n}) returned "
-                    f"{type(joint).__name__}, not a FiniteJoint")
+            _check_realized(scenario, n, joint)
             if markov_verified is not None:
                 holds = _witness_holds(scenario, n, joint)
                 markov_verified = markov_verified and holds
@@ -194,6 +194,26 @@ def run_scenario(scenario: ScenarioSequence, n_grid, tol_abs: float = 0.02,
         tol_abs=tol_abs,
         mc_rows=tuple(mc_rows),
     )
+
+
+def _check_realized(scenario: ScenarioSequence, n: int, joint) -> None:
+    """Raise ScenarioRunError unless ``joint`` is a law the audit can read.
+
+    The witness comparison and the LMMSE audit read every (X_n, Y_n) atom,
+    which a SufficientJoint does not hold.
+    """
+    where = f"scenario {scenario.name!r}: realize({n}) returned"
+    if isinstance(joint, SufficientJoint):
+        needs = ("witness check" if scenario.markov_witness is not None
+                 else "LMMSE audit" if scenario.audit == "lmmse" else None)
+        if needs is not None:
+            raise ScenarioRunError(
+                f"{where} a SufficientJoint; its {needs} needs the (X, Y) "
+                "atoms of a FiniteJoint")
+    elif not isinstance(joint, FiniteJoint):
+        raise ScenarioRunError(
+            f"{where} {type(joint).__name__}, not a FiniteJoint or "
+            "SufficientJoint")
 
 
 def _derived_seed(seed: int, tag: str, n: int) -> int:

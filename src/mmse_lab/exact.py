@@ -12,7 +12,8 @@ and the minimum mean square error admits two algebraically equal forms,
 Both are computed on every call and must agree to CHECK_TOL; the direct
 form is returned.  The conditional means and the direct form are sums over
 the joint's positive-mass atoms (``x_idx, y_idx, prob``), so their cost
-follows the number of atoms rather than the dense (nx, ny) table.  The
+follows the number of atoms rather than the dense (nx, ny) table; a
+``SufficientJoint`` is reduced to its (X, T) core first.  The
 difference form is the orthogonality principle in disguise, so the
 agreement doubles as a structural self-check.  A self-check whose
 compared values are not finite (overflowing atoms, say) raises
@@ -28,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EmptySupport, SelfCheckError
-from .probcore import FiniteJoint
+from .probcore import FiniteJoint, SufficientJoint
 
 CHECK_TOL = 1e-10
 
@@ -59,6 +60,13 @@ def _table_rows(joint: FiniteJoint) -> np.ndarray:
 
 def conditional_expectation(joint: FiniteJoint) -> ConditionalExpectation:
     """Exact conditional mean table for a finite joint."""
+    return _conditional_expectation(joint)[0]
+
+
+def _conditional_expectation(joint: FiniteJoint) -> tuple[
+        ConditionalExpectation, np.ndarray, np.ndarray]:
+    """The table, with the per-atom table rows and x values (nnz, k) that
+    built it, so that a caller does not repeat those whole-atom passes."""
     py = joint.y_marginal()
     keep = py > 0.0
     if not np.any(keep):
@@ -82,7 +90,7 @@ def conditional_expectation(joint: FiniteJoint) -> ConditionalExpectation:
     if np.max(np.abs(ex - eg)) > CHECK_TOL * max(1.0, float(np.max(np.abs(ex)))):
         raise SelfCheckError(
             f"law of total expectation violated: E[X]={ex!r} vs E[g(Y)]={eg!r}")
-    return ce
+    return ce, rows, xa
 
 
 @dataclass(frozen=True)
@@ -103,18 +111,24 @@ def _require_finite(check: str, *values) -> None:
         raise SelfCheckError(f"{check}: non-finite values {values!r}")
 
 
-def mmse_exact(joint: FiniteJoint) -> MmseResult:
+def mmse_exact(joint: FiniteJoint | SufficientJoint) -> MmseResult:
     """Exact MMSE of estimating X from Y under a finite joint.
 
     Cross-checks the residual form against the second-moment difference
     form to CHECK_TOL and returns the residual (direct) form, which is
-    nonnegative by construction.  Vector X contributes the trace.
+    nonnegative by construction.  Vector X contributes the trace.  A
+    SufficientJoint is evaluated on its (X, T) core, since E[X | Y] =
+    E[X | T(Y)]; its estimator is then tabulated over the letters of T.
     """
-    ce = conditional_expectation(joint)
+    if isinstance(joint, SufficientJoint):
+        joint = joint.core
+    ce, rows, resid = _conditional_expectation(joint)
     xs = joint.x_support
     px = joint.x_marginal()
-    resid = xs[joint.x_idx] - ce.estimates[_table_rows(joint)]
-    direct = float((joint.prob * (resid * resid).sum(axis=1)).sum())
+    # the x value of each atom is no longer needed: make it the residual
+    resid -= ce.estimates[rows]
+    resid *= resid
+    direct = float((joint.prob * resid.sum(axis=1)).sum())
     sm_x = float(px @ (xs * xs).sum(axis=1))
     est_sm = float(ce.posterior_mass @ (ce.estimates * ce.estimates).sum(axis=1))
     difference = sm_x - est_sm

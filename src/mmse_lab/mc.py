@@ -74,8 +74,11 @@ def _binned_value(xs: np.ndarray, bin_idx: np.ndarray,
             f"no bin reached MIN_BIN_COUNT={MIN_BIN_COUNT}")
     means = np.zeros_like(sums)
     means[retained_bins] = sums[retained_bins] / counts[retained_bins, None]
-    resid = xs - means[bin_idx]
-    sq = (resid * resid).sum(axis=1)
+    # the gathered means become the residual and then its square
+    resid = means[bin_idx]
+    np.subtract(xs, resid, out=resid)
+    resid *= resid
+    sq = resid.sum(axis=1)
     n_eff = int(counts[retained_bins].sum())
     if n_eff < sq.size:
         sq = sq[retained_bins[bin_idx]]
@@ -114,8 +117,13 @@ def mc_mmse(draw: Draw, config: RegressionConfig) -> McMmseEstimate:
     bins = (cube_root_bins(config.n_samples) if config.bins is None
             else config.bins)
     width = (hi - lo) / bins
-    idx = np.floor((y - lo) / width).astype(np.int64)
-    return _binned_value(xs, np.clip(idx, 0, bins - 1), bins)
+    # the bin index in one float buffer: (y - lo) / width, floored
+    t = y - lo
+    t /= width
+    np.floor(t, out=t)
+    idx = t.astype(np.int64)
+    del t
+    return _binned_value(xs, np.clip(idx, 0, bins - 1, out=idx), bins)
 
 
 def mc_mmse_vs_exact(joint: FiniteJoint, config: RegressionConfig

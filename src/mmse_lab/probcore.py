@@ -1,6 +1,6 @@
 """Exact finite probability objects, draw functions, and moment primitives.
 
-The whole lab runs on three value types:
+The whole lab runs on four value types:
 
 * ``FiniteJoint`` — an exact joint law of a pair (X, Y) on finite supports,
   stored as its positive-mass atoms ``(x_idx, y_idx, prob)``.  Everything
@@ -10,6 +10,12 @@ The whole lab runs on three value types:
   ``pmf`` is built on first read; in the lab only channel composition
   (``degradedness.compose``) and the witness comparison
   (``convergence._witness_holds``) read it.
+* ``SufficientJoint`` — the same law given through a statistic T = T(Y)
+  with X — T(Y) — Y: a ``FiniteJoint`` of (X, T) plus, per measurement
+  atom, its letter of T and P(Y = y | T).  Since E[X | Y] = E[X | T(Y)],
+  the MMSE is computed on the (X, T) joint; the marginals of X and Y are
+  exposed, the (X, Y) atoms are never built.  The lattice scenarios whose
+  measurement refines a small statistic (``cor1_*``, ``example2``) use it.
 * ``Draw`` — a seeded batch-draw function ``draw(rng, size) -> (xs, ys)``
   for laws that are not finite (uniform priors, additive noise families);
   it returns ``size`` independent draws of X and of Y.  Only the Monte
@@ -176,15 +182,6 @@ class FiniteJoint:
     def m(self) -> int:
         return self.y_support.shape[1]
 
-    def _cached(self, name: str, build) -> np.ndarray:
-        """``build()`` on first use, kept read-only on the instance."""
-        value = self.__dict__.get(name)
-        if value is None:
-            value = build()
-            value.setflags(write=False)
-            self.__dict__[name] = value
-        return value
-
     @property
     def pmf(self) -> np.ndarray:
         """Dense (nx, ny) probability matrix, built on first read."""
@@ -193,15 +190,92 @@ class FiniteJoint:
             out[self.x_idx, self.y_idx] = self.prob
             return out
 
-        return self._cached("_pmf", dense)
+        return _cached(self, "_pmf", dense)
 
     def x_marginal(self) -> np.ndarray:
-        return self._cached("_x_marginal", lambda: np.bincount(
+        return _cached(self, "_x_marginal", lambda: np.bincount(
             self.x_idx, weights=self.prob, minlength=self.x_support.shape[0]))
 
     def y_marginal(self) -> np.ndarray:
-        return self._cached("_y_marginal", lambda: np.bincount(
+        return _cached(self, "_y_marginal", lambda: np.bincount(
             self.y_idx, weights=self.prob, minlength=self.y_support.shape[0]))
+
+
+def _cached(owner, name: str, build) -> np.ndarray:
+    """``build()`` on first use, kept read-only on the frozen ``owner``."""
+    value = owner.__dict__.get(name)
+    if value is None:
+        value = build()
+        value.setflags(write=False)
+        owner.__dict__[name] = value
+    return value
+
+
+@dataclass(frozen=True, eq=False)  # == on array fields would be ambiguous
+class SufficientJoint:
+    """Exact law of (X, Y) given through a sufficient statistic T = T(Y).
+
+    ``core`` is the FiniteJoint of (X, T).  Measurement atom ``y_support[j]``
+    has the statistic ``core.y_support[y_stat[j]]`` and the conditional
+    mass ``y_given_stat[j]`` = P(Y = y_j | T = T(y_j)), so that
+
+        P(X = x, Y = y_j) = P(X = x, T = T(y_j)) * y_given_stat[j].
+
+    The factorization says X — T(Y) — Y; since T is a function of Y, each
+    measurement is a garbling of the other, E[X | Y] = E[X | T(Y)] and the
+    two have the same MMSE.  So the exact engine works on ``core`` alone,
+    and the (X, Y) atoms are never built: there is no ``pmf`` and no atom
+    arrays.  ``y_stat`` is a 1-D integer array and ``y_given_stat`` a 1-D
+    array of finite nonnegative masses, one entry per measurement atom;
+    the masses of the atoms of each statistic letter sum to 1 within
+    ``PMF_TOL``.  Like the atom form of FiniteJoint, the constructor marks
+    the arrays it is handed read-only in place.
+    """
+
+    core: FiniteJoint
+    y_support: np.ndarray     # (ny, m)
+    y_stat: np.ndarray        # (ny,) statistic letter of each measurement atom
+    y_given_stat: np.ndarray  # (ny,) P(Y = y | T = T(y))
+
+    def __post_init__(self):
+        if not isinstance(self.core, FiniteJoint):
+            raise InvalidDistribution(
+                f"core must be a FiniteJoint, got {type(self.core).__name__}")
+        ys = _as_support(self.y_support, "y_support")
+        stat = np.asarray(self.y_stat)
+        mass = np.asarray(self.y_given_stat, dtype=float)
+        ny, letters = ys.shape[0], self.core.y_support.shape[0]
+        if not (stat.shape == mass.shape == (ny,) and stat.dtype.kind in "iu"):
+            raise InvalidDistribution(
+                "y_stat and y_given_stat need one entry per measurement atom, "
+                "with integer letters")
+        if stat.min() < 0 or stat.max() >= letters:
+            raise InvalidDistribution(
+                f"y_stat out of range for {letters} statistic letters")
+        # a NaN fails every comparison, so test finiteness first
+        if not np.isfinite(mass).all() or (mass < 0.0).any():
+            raise InvalidDistribution(
+                "y_given_stat must be finite and nonnegative")
+        totals = np.bincount(stat, weights=mass, minlength=letters)
+        if np.max(np.abs(totals - 1.0)) > PMF_TOL:
+            raise InvalidDistribution(
+                "y_given_stat must sum to 1 over the atoms of each statistic "
+                f"letter, got sums {totals!r}")
+        for arr, fname in ((ys, "y_support"), (stat, "y_stat"),
+                           (mass, "y_given_stat")):
+            arr.setflags(write=False)
+            object.__setattr__(self, fname, arr)
+
+    @property
+    def x_support(self) -> np.ndarray:
+        return self.core.x_support
+
+    def x_marginal(self) -> np.ndarray:
+        return self.core.x_marginal()
+
+    def y_marginal(self) -> np.ndarray:
+        return _cached(self, "_y_marginal", lambda: (
+            self.core.y_marginal()[self.y_stat] * self.y_given_stat))
 
 
 # a string, because evaluating np.random here would import numpy.random,

@@ -12,7 +12,8 @@ canonical stress cases:
 * ``example2`` — a uniform prior recoverable from the fractional part of
   the measurement at every n, but independent of it in the limit: MMSE_n = 0
   vs limit variance 1/12.  Realized exactly on a floor-quantization grid of
-  step 1/(64 n), fine enough to keep per-n recovery below 1e-3.
+  step 1/(64 n), fine enough to keep per-n recovery below 1e-3, through the
+  statistic T(Y_n) = fractional part of Y_n (the coarse cell of X).
 * ``example3`` — Rademacher prior and noise, X_n = n/(n+1) X observed
   through Y_n = X_n + N: the measurement reveals X_n exactly at every n
   (MMSE_n = 0) yet the limit pair has MMSE 1/2.
@@ -20,7 +21,8 @@ canonical stress cases:
   genuinely continuous, MMSE_n -> 0 = limit MMSE.
 * ``cor1_additive`` (+ two off-diagonal paths) — vanishing additive
   perturbations on both coordinates of the example3 limit pair; continuous
-  with MMSE -> 1/2.
+  with MMSE -> 1/2.  Realized through the statistic T(Y_n) = the base
+  measurement atom that Y_n perturbs.
 * ``cor2_quantization`` — vanishing floor quantization of both coordinates
   of the same pair; continuous with MMSE -> 1/2 (the supports sit on every
   1/n lattice, so each quantized value is exactly 1/2).
@@ -34,13 +36,18 @@ canonical stress cases:
   1/2 while the limit LMMSE is 0.  (The MMSE itself is continuous here —
   the gap is a purely linear-estimation effect.)
 
-Every realization and every limit is a ``FiniteJoint``: continuous laws
+Every realization and every limit is an exact finite law: continuous laws
 enter as lattice joints whose cell probabilities are interval overlaps
 computed in closed form, so the downstream engine sees finite joints and no
-sampling noise.  Scenarios with continuous laws additionally carry a draw
-function of the un-quantized law (``mc_sampler``), and optionally the
-regressogram bin count to use at each index (``mc_bins``), so the Monte
-Carlo path can cross-check the exact one.
+sampling noise.  Limits and most realizations are ``FiniteJoint``s.  Where
+the measurement Y_n refines a small statistic T(Y_n) with X_n — T(Y_n) —
+Y_n (``example2``, ``cor1_*``), ``realize`` returns a ``SufficientJoint``
+instead: the (X_n, T) joint plus P(Y_n | T), whose MMSE is that of
+(X_n, Y_n) because E[X_n | Y_n] = E[X_n | T(Y_n)].  Its cost follows the
+supports, not the product of the X and Y cells.  Scenarios with continuous
+laws additionally carry a draw function of the un-quantized law
+(``mc_sampler``), and optionally the regressogram bin count to use at each
+index (``mc_bins``), so the Monte Carlo path can cross-check the exact one.
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ from .exact import mmse_exact
 from .probcore import (
     Draw,
     FiniteJoint,
+    SufficientJoint,
     floor_index,
     joint_from_atoms,
     product_joint,
@@ -109,7 +117,11 @@ class ScenarioSequence:
     """A named sequence of pair laws with a limit pair and expectations.
 
     ``realize(n)`` produces the exact law of (X_n, Y_n) and ``limit`` is the
-    exact law of (X, Y); both are FiniteJoints.  ``markov_witness(n)``,
+    exact law of (X, Y), a FiniteJoint.  ``realize(n)`` returns a
+    FiniteJoint, or a SufficientJoint when a statistic T of Y_n with
+    X_n — T(Y_n) — Y_n carries all that Y_n says about X_n; the witness
+    check and the LMMSE audit read every (X_n, Y_n) atom, so a scenario
+    with either must return a FiniteJoint.  ``markov_witness(n)``,
     when present, is a channel D_n with realize(n) = compose(limit, D_n),
     i.e. an explicit degradedness coupling of the sequence to its limit.
     ``mc_sampler(n)`` is a draw function (``probcore.Draw``) of the
@@ -121,7 +133,7 @@ class ScenarioSequence:
     """
 
     name: str
-    realize: Callable[[int], FiniteJoint]
+    realize: Callable[[int], FiniteJoint | SufficientJoint]
     limit: FiniteJoint
     expected: ExpectedOutcome
     markov_witness: Callable[[int], Channel] | None = None
@@ -222,23 +234,23 @@ EXAMPLE2_CELLS_PER_INDEX = 64
 EXAMPLE2_LIMIT_STEP = 1.0 / 1024.0
 
 
-def _example2_realize(n: int) -> FiniteJoint:
+def _example2_realize(n: int) -> SufficientJoint:
     # X uniform on [0, 1) quantized at step h = 1/(64 n); the measurement
-    # B + X/n quantized at the same step reveals exactly which of the 64
-    # coarse cells X occupies, i.e. the x-cell index j up to j mod n.
-    # Atoms run over (j, b) with b fastest; the y key b * 64 + j // n sorts
-    # like the pair (b, j // n), and all 128 y keys occur, so each y key is
-    # its own support index.
+    # Y_n = B + X/n quantized at the same step is B + q h, where q = j // n
+    # is the coarse cell of the x cell j (one of 64).  The fractional part
+    # T(Y_n) = q h is a statistic with X — T — Y_n: given T, the bit B is a
+    # fair coin independent of X.  So the core holds one atom (j, q) per x
+    # cell.  The y key b * 64 + q sorts like the pair (b, q), and all 128
+    # y keys occur, so each y key is its own support index.
     cells = EXAMPLE2_CELLS_PER_INDEX * n
     h = 1.0 / cells
     j = np.arange(cells)
-    q = j // n
+    coarse = np.arange(EXAMPLE2_CELLS_PER_INDEX)
     y_keys = np.arange(2 * EXAMPLE2_CELLS_PER_INDEX)
-    return _lattice_joint(
-        j * h,
+    return SufficientJoint(
+        _lattice_joint(j * h, coarse * h, j, j // n, np.full(cells, 1.0 / cells)),
         y_keys // EXAMPLE2_CELLS_PER_INDEX + y_keys % EXAMPLE2_CELLS_PER_INDEX * h,
-        np.repeat(j, 2), np.stack([q, q + EXAMPLE2_CELLS_PER_INDEX], axis=1).ravel(),
-        np.full(2 * cells, 0.5 / cells))
+        y_keys % EXAMPLE2_CELLS_PER_INDEX, np.full(y_keys.size, 0.5))
 
 
 def _example2_limit() -> FiniteJoint:
@@ -277,7 +289,11 @@ def example2_scenario() -> ScenarioSequence:
         mc_bins=lambda n: EXAMPLE2_CELLS_PER_INDEX * (n + 1),
         x_deviation_prob=lambda n, eps: 0.0,  # X_n = X in the coupling
         notes="grid step 1/(64 n) keeps per-n recovery error below 1e-3; "
-              "the Monte Carlo path bins at the matching resolution",
+              "the Monte Carlo path bins at the matching resolution; exact "
+              "values use T(Y_n) = frac(Y_n), the coarse cell of X (64 "
+              "letters): T is a function of Y_n and, given T, the bit B is "
+              "independent of X, so X - T(Y_n) - Y_n and E[X | Y_n] = "
+              "E[X | T]",
     )
 
 
@@ -389,47 +405,47 @@ def example4_scenario() -> ScenarioSequence:
 def _cor1_realize_factory(gamma_of_n, lambda_of_n):
     base = example3_limit_joint()
 
-    def realize(n: int) -> FiniteJoint:
+    def realize(n: int) -> SufficientJoint:
         gamma = gamma_of_n(n)
         lam = lambda_of_n(n)
         h = min(gamma, lam) / 8.0
         # Base atom (x0, y0) spreads over a run of x cells times a run of y
         # cells.  The base support atoms are 2 apart and gamma, lam < 2, so
         # the runs of distinct support atoms are disjoint and ordered, and
-        # each support is their concatenation.  Every x row of base row i
-        # repeats one run of y ranks: the y runs of its base atoms, in order.
+        # each support is their concatenation.  The statistic T(Y_n) is the
+        # base y atom whose run holds Y_n; given T the measurement noise is
+        # independent of X, so X — T — Y_n.  The core joint of (X_n, T)
+        # lists each x row of base row i times the letters of its base
+        # atoms, in row-major order.
         x_runs = [uniform_lattice_cells(x0 - gamma / 2.0, x0 + gamma / 2.0, h)
                   for x0 in base.x_support[:, 0]]
         y_runs = [uniform_lattice_cells(y0 - lam / 2.0, y0 + lam / 2.0, h)
                   for y0 in base.y_support[:, 0]]
         x_first = np.cumsum([0] + [cells.size for cells, _ in x_runs])
-        y_first = np.cumsum([0] + [cells.size for cells, _ in y_runs])
-        nnz = sum(x_runs[i][0].size * y_runs[j][0].size
-                  for i, j in zip(base.x_idx, base.y_idx))
+        nnz = int(np.diff(x_first)
+                  @ np.bincount(base.x_idx, minlength=len(x_runs)))
         x_idx = np.empty(nnz, dtype=np.intp)
-        y_idx = np.empty(nnz, dtype=np.intp)
+        t_idx = np.empty(nnz, dtype=np.intp)
         weights = np.empty(nnz)
         end = 0
         for i, (cells, px) in enumerate(x_runs):
             atoms = np.flatnonzero(base.x_idx == i)
-            ranks = np.concatenate([np.arange(y_first[j], y_first[j + 1])
-                                    for j in base.y_idx[atoms]])
-            start, end = end, end + cells.size * ranks.size
-            shape = (cells.size, ranks.size)
+            start, end = end, end + cells.size * atoms.size
+            shape = (cells.size, atoms.size)
             x_idx[start:end].reshape(shape)[:] = \
                 np.arange(x_first[i], x_first[i + 1])[:, None]
-            y_idx[start:end].reshape(shape)[:] = ranks
-            rows = weights[start:end].reshape(shape)
-            col = 0
-            for a in atoms:
-                py = y_runs[base.y_idx[a]][1]
-                np.multiply(base.prob[a] * px[:, None], py,
-                            out=rows[:, col:col + py.size])
-                col += py.size
-        return _lattice_joint(
+            t_idx[start:end].reshape(shape)[:] = base.y_idx[atoms]
+            np.multiply(base.prob[atoms], px[:, None],
+                        out=weights[start:end].reshape(shape))
+        core = _lattice_joint(
             np.concatenate([cells for cells, _ in x_runs]) * h,
-            np.concatenate([cells for cells, _ in y_runs]) * h,
-            x_idx, y_idx, weights)
+            base.y_support, x_idx, t_idx, weights)
+        return SufficientJoint(
+            core, np.concatenate([cells for cells, _ in y_runs]) * h,
+            np.repeat(np.arange(len(y_runs)),
+                      [cells.size for cells, _ in y_runs]),
+            # a run's cell masses sum to 1 only up to rounding in hi - lo
+            np.concatenate([py / py.sum() for _, py in y_runs]))
 
     return realize
 
@@ -473,7 +489,11 @@ def _cor1_scenario(name: str, gamma_of_n, lambda_of_n, path_note: str) -> Scenar
         mc_sampler=_cor1_sampler_factory(gamma_of_n, lambda_of_n),
         x_deviation_prob=x_dev,
         notes="both noises are centered uniform of width gamma (on X) and "
-              "lambda (on Y), independent of everything; " + path_note,
+              "lambda (on Y), independent of everything; " + path_note
+              + "; exact values use T(Y_n) = the base y atom whose noise run "
+              "holds Y_n (3 letters): T is a function of Y_n and, given T, "
+              "the noise on Y is independent of X, so X_n - T(Y_n) - Y_n "
+              "and E[X_n | Y_n] = E[X_n | T]",
     )
 
 

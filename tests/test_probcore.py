@@ -10,8 +10,10 @@ from mmse_lab import (
     InsufficientSamples,
     InvalidDistribution,
     NonPositiveStep,
+    SufficientJoint,
     floor_quantize,
     joint_from_atoms,
+    mmse_exact,
     moments_empirical,
     moments_exact,
     product_joint,
@@ -219,6 +221,59 @@ def test_joint_needs_exactly_one_representation():
     with pytest.raises(InvalidDistribution):
         FiniteJoint(xs, ys, np.array([[1.0]]), x_idx=np.array([0]),
                     y_idx=np.array([0]), prob=np.array([1.0]))
+
+
+# --------------------------------------------------------------------------
+# SufficientJoint: a law of (X, Y) given through a statistic T(Y)
+# --------------------------------------------------------------------------
+
+# the Rademacher sum T = X + N observed as Y, where a fair coin splits T = 0
+# into Y = -0.5 and Y = 0.5; Y = -2 and Y = 2 are T itself
+SPLIT_SUM = {"y_support": [-2.0, -0.5, 0.5, 2.0], "y_stat": [0, 1, 1, 2],
+             "y_given_stat": [1.0, 0.5, 0.5, 1.0]}
+
+
+def split_sum_joint(**changes) -> SufficientJoint:
+    fields = {**SPLIT_SUM, **changes}
+    return SufficientJoint(
+        changes.get("core", rademacher_sum_joint()),
+        np.array(fields["y_support"]), np.array(fields["y_stat"]),
+        np.array(fields["y_given_stat"]))
+
+
+def test_sufficient_joint_exposes_the_marginals_and_keeps_the_mmse():
+    j = split_sum_joint()
+    atoms = FiniteJoint(
+        x_support=j.x_support, y_support=j.y_support,
+        pmf=np.array([[0.25, 0.125, 0.125, 0.0], [0.0, 0.125, 0.125, 0.25]]))
+    np.testing.assert_array_equal(j.x_marginal(), atoms.x_marginal())
+    np.testing.assert_array_equal(j.y_marginal(), atoms.y_marginal())
+    assert mmse_exact(j).mmse == mmse_exact(atoms).mmse == 0.5
+    assert not hasattr(j, "pmf")
+    for arr in (j.y_support, j.y_stat, j.y_given_stat, j.y_marginal()):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+@pytest.mark.parametrize("changes", [
+    {"y_stat": [0, 1, 1, 3]},                        # letter out of range
+    {"y_stat": [-1, 1, 1, 2]},                       # negative letter
+    {"y_stat": [0.0, 1.0, 1.0, 2.0]},                # float letters
+    {"y_stat": [0, 1, 2]},                           # one letter short
+    {"y_given_stat": [1.0, 0.5, 0.5]},               # one mass short
+    {"y_given_stat": [1.0, 1.5, -0.5, 1.0]},         # negative mass
+    {"y_given_stat": [1.0, np.nan, 0.5, 1.0]},       # NaN mass
+    {"y_given_stat": [1.0, np.inf, 0.5, 1.0]},       # infinite mass
+    {"y_given_stat": [1.0, 0.5, 0.4, 1.0]},          # letter sums off 1
+    {"y_stat": [0, 0, 2, 2],
+     "y_given_stat": [0.5, 0.5, 0.5, 0.5]},          # letter with no atom
+    {"y_support": [-2.0, 0.5, 0.5, 2.0]},            # repeated y atom
+    {"y_support": [-2.0, np.nan, 0.5, 2.0]},         # non-finite y atom
+    {"core": np.array([[0.5, 0.5]])},                # core is not a joint
+])
+def test_sufficient_joint_rejects_invalid_fields(changes):
+    with pytest.raises(InvalidDistribution):
+        split_sum_joint(**changes)
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,18 +21,26 @@ from mmse_lab import (
 )
 from mmse_lab.probcore import (
     FiniteJoint,
+    SufficientJoint,
     floor_quantize,
     joint_from_atoms,
     moments_exact,
     quantize_joint,
 )
 from mmse_lab.scenarios import (
+    EXAMPLE2_CELLS_PER_INDEX,
     EXAMPLE4_STEP,
     bsc_prior_joint,
     example3_limit_joint,
     make_markov_degraded_scenario,
     make_random_degraded_scenario,
     uniform_lattice_cells,
+)
+from atom_realizations import (
+    COR1_PATHS,
+    atom_realization,
+    cor1_atoms,
+    example2_atoms,
 )
 
 GRID = [1, 2, 4, 8, 16, 32, 64]
@@ -180,6 +189,51 @@ def test_closed_form_values_on_the_deep_grid(catalog, n):
     assert mmse_exact(catalog["example3"].realize(n)).mmse == 0.0
 
 
+POWERS_OF_TWO = [2**k for k in range(15)]  # 1 .. 16384
+CLOSED_FORM_ULPS = 4
+
+
+def _cor1_closed_form(gamma: Fraction, lam: Fraction) -> Fraction:
+    # the base pair's 1/2 plus the variance of the perturbation of X, a
+    # uniform law of width gamma on the lattice of step h: (gamma^2 - h^2)/12
+    h = min(gamma, lam) / 8
+    return Fraction(1, 2) + (gamma**2 - h**2) / 12
+
+
+def _example2_closed_form(n: int) -> Fraction:
+    # the coarse cell leaves X uniform on n lattice points of step h
+    cells = EXAMPLE2_CELLS_PER_INDEX * n
+    return Fraction(n * n - 1, 12 * cells * cells)
+
+
+def _assert_within_ulps(got: float, want: Fraction, what: str):
+    want = float(want)
+    assert abs(got - want) <= CLOSED_FORM_ULPS * math.ulp(want), (what, got, want)
+
+
+@pytest.mark.parametrize("n", POWERS_OF_TWO)
+def test_lattice_scenarios_meet_their_rational_closed_forms(catalog, n):
+    for name, (gamma, lam) in COR1_PATHS.items():
+        _assert_within_ulps(mmse_exact(catalog[name].realize(n)).mmse,
+                            _cor1_closed_form(gamma(Fraction(n)),
+                                              lam(Fraction(n))), name)
+    _assert_within_ulps(mmse_exact(catalog["example2"].realize(n)).mmse,
+                        _example2_closed_form(n), "example2")
+    _assert_within_ulps(mmse_exact(catalog["cor2_quantization"].realize(n)).mmse,
+                        Fraction(1, 2), "cor2_quantization")
+
+
+def test_reduced_additive_paths_meet_the_closed_form_at_every_index(catalog):
+    # the x runs sit on the lattice at every integer n, so the closed form
+    # holds off the powers of two too; reduced to T(Y_n), the engine meets
+    # it there as well (the atom form is up to 8.4e-13 off on this grid)
+    for n in range(1, 129):
+        for name, (gamma, lam) in COR1_PATHS.items():
+            _assert_within_ulps(mmse_exact(catalog[name].realize(n)).mmse,
+                                _cor1_closed_form(gamma(Fraction(n)),
+                                                  lam(Fraction(n))), (name, n))
+
+
 def test_closed_form_values_at_single_indices(catalog):
     # the additive paths all start from unit noise scales at n = 1
     for name in ("cor1_additive", "cor1_additive_fast_x", "cor1_additive_fast_y"):
@@ -221,6 +275,21 @@ def test_realize_must_return_a_finite_joint(catalog):
                                   realize=catalog["example4"].mc_sampler)
     with pytest.raises(ScenarioRunError, match=r"sampled-clone.*realize\(1\)"):
         run_scenario(sampled, [1, 2], seed=0)
+
+
+@pytest.mark.parametrize("change, needs", [
+    ({"markov_witness": lambda n: None}, "witness check"),  # never called
+    ({"audit": "lmmse"}, "LMMSE audit"),
+])
+def test_reduced_realization_is_refused_where_every_atom_is_read(
+        catalog, change, needs):
+    import dataclasses
+
+    clone = dataclasses.replace(catalog["cor1_additive"],
+                                name="reduced-clone", **change)
+    with pytest.raises(ScenarioRunError,
+                       match=rf"reduced-clone.*realize\(1\).*{needs}"):
+        run_scenario(clone, [1, 2], seed=0)
 
 
 def test_limit_must_be_a_finite_joint(catalog):
@@ -499,19 +568,32 @@ def assert_bit_identical(got: FiniteJoint, want: FiniteJoint):
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
-COR1_PATHS = {
-    "cor1_additive": (lambda n: 1.0 / n, lambda n: 1.0 / n),
-    "cor1_additive_fast_x": (lambda n: 1.0 / (n * n), lambda n: 1.0 / n),
-    "cor1_additive_fast_y": (lambda n: 1.0 / n, lambda n: 1.0 / (n * n)),
-}
-
-
 @pytest.mark.parametrize("n", [1, 3, 7, 16, 64])
 def test_lattice_realizations_match_the_loop_reference(catalog, n):
-    assert_bit_identical(catalog["example2"].realize(n), _ref_example2(n))
+    assert_bit_identical(example2_atoms(n), _ref_example2(n))
     assert_bit_identical(catalog["example4"].realize(n), _ref_example4(n))
-    for name, (gamma, lam) in COR1_PATHS.items():
-        assert_bit_identical(catalog[name].realize(n), _ref_cor1(gamma(n), lam(n)))
+    for gamma, lam in COR1_PATHS.values():
+        assert_bit_identical(cor1_atoms(gamma(n), lam(n)),
+                             _ref_cor1(gamma(n), lam(n)))
+
+
+REDUCED = ["example2", *COR1_PATHS]
+SUPPORT_BYTES_BOUND = 16
+
+
+@pytest.mark.parametrize("name", REDUCED)
+def test_reduced_realizations_match_the_atom_reference(catalog, name):
+    # X_n - T(Y_n) - Y_n: the reduced realization keeps the supports and
+    # both marginals of the atom form bit for bit, and its MMSE, computed
+    # on the (X_n, T) core, matches the one over every (X_n, Y_n) atom
+    for n in POWERS_OF_TWO:
+        got, want = catalog[name].realize(n), atom_realization(name, n)
+        assert isinstance(got, SufficientJoint)
+        for field in ("x_support", "y_support", "x_marginal", "y_marginal"):
+            a, b = getattr(got, field), getattr(want, field)
+            a, b = (a(), b()) if callable(a) else (a, b)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (n, field)
+        assert abs(mmse_exact(got).mmse - mmse_exact(want).mmse) <= 1e-12, n
 
 
 def test_example2_allocation_follows_the_atoms(catalog):
@@ -528,18 +610,19 @@ def test_example2_allocation_follows_the_atoms(catalog):
 
 @pytest.mark.parametrize("name", ["example2", "cor1_additive_fast_x",
                                   "cor1_additive_fast_y"])
-def test_lattice_realize_allocates_near_its_atoms(catalog, name):
-    # a lattice builder emits its atoms in row-major order, so realize holds
-    # little beyond the joint's own atom arrays; sorting and merging the
-    # (x, y, weight) triples instead peaks near 5x of them
+def test_lattice_realize_allocates_near_its_supports(catalog, name):
+    # the (X_n, T) core of these scenarios holds at most 2 atoms per x cell,
+    # so realize allocates in proportion to the supports: at n = 1024 it
+    # peaks at 6x, 7x and 11x of their bytes, the atom form at 11x, 48x and
+    # 69x (example2, fast_x, fast_y)
     tracemalloc.start()
     try:
         joint = catalog[name].realize(1024)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    atoms = joint.x_idx.nbytes + joint.y_idx.nbytes + joint.prob.nbytes
-    assert peak < 3.5 * atoms
+    assert peak < SUPPORT_BYTES_BOUND * (joint.x_support.nbytes
+                                         + joint.y_support.nbytes)
 
 
 def test_example4_limit_matches_the_loop_reference(catalog):
