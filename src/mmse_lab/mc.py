@@ -11,6 +11,13 @@ and no modeling assumption with it.
 Determinism: the sample stream is derived from ``config.seed`` only, and
 all reductions run in sample-index order, so identical inputs give
 bit-identical estimates on the same platform.
+
+Memory: one ``mc_mmse`` call holds the draw's two sample arrays, the bin
+index, one residual buffer and three bin-sized arrays (the counts, the
+retained-bin mask and the means, divided in the buffer of the sums).  The
+measurement is released once the bin index exists, and the residual, its
+square and the standard error are computed in place, in buffers the
+estimator allocated: it never writes into an array a draw returned.
 """
 
 from __future__ import annotations
@@ -64,27 +71,43 @@ class McMmseEstimate:
 
 def _binned_value(xs: np.ndarray, bin_idx: np.ndarray,
                   n_bins: int) -> McMmseEstimate:
-    """Shared reduction: within-bin means, residuals in sample order."""
+    """Shared reduction: within-bin means, residuals in sample order.
+
+    Reads ``xs`` and ``bin_idx`` and writes only into arrays it allocates.
+    """
     counts = np.bincount(bin_idx, minlength=n_bins)
-    sums = np.stack([np.bincount(bin_idx, weights=xs[:, c], minlength=n_bins)
-                     for c in range(xs.shape[1])], axis=1)
     retained_bins = counts >= MIN_BIN_COUNT
     if not np.any(retained_bins):
         raise InsufficientSamples(
             f"no bin reached MIN_BIN_COUNT={MIN_BIN_COUNT}")
-    means = np.zeros_like(sums)
-    means[retained_bins] = sums[retained_bins] / counts[retained_bins, None]
+    k = xs.shape[1]
+    if k == 1:
+        means = np.bincount(bin_idx, weights=xs[:, 0],
+                            minlength=n_bins)[:, None]
+    else:
+        means = np.stack([np.bincount(bin_idx, weights=xs[:, c],
+                                      minlength=n_bins) for c in range(k)],
+                         axis=1)
+    # the sums become the means of the retained bins; a dropped bin keeps
+    # its sum, and every sample in it is filtered out below
+    np.divide(means, counts[:, None], out=means, where=retained_bins[:, None])
     # the gathered means become the residual and then its square
     resid = means[bin_idx]
     np.subtract(xs, resid, out=resid)
     resid *= resid
-    sq = resid.sum(axis=1)
-    n_eff = int(counts[retained_bins].sum())
+    sq = resid[:, 0] if k == 1 else resid.sum(axis=1)
+    n_eff = int(counts.sum(where=retained_bins))
     if n_eff < sq.size:
         sq = sq[retained_bins[bin_idx]]
-    value = float(sq.mean())
-    std_error = float(sq.std(ddof=0) / math.sqrt(n_eff))
-    return McMmseEstimate(value=value, std_error=std_error, n_effective=n_eff)
+    value = sq.mean()
+    # sq.std(ddof=0) step by step in sq's own buffer: mean, subtract, square,
+    # sum, divide by the count, square root
+    sq -= value
+    sq *= sq
+    std = math.sqrt(sq.sum() / sq.size)
+    return McMmseEstimate(value=float(value),
+                          std_error=float(std / math.sqrt(n_eff)),
+                          n_effective=n_eff)
 
 
 def mc_mmse(draw: Draw, config: RegressionConfig) -> McMmseEstimate:
@@ -119,6 +142,7 @@ def mc_mmse(draw: Draw, config: RegressionConfig) -> McMmseEstimate:
     width = (hi - lo) / bins
     # the bin index in one float buffer: (y - lo) / width, floored
     t = y - lo
+    del ys, y  # the measurement is not needed past its bin index
     t /= width
     np.floor(t, out=t)
     idx = t.astype(np.int64)

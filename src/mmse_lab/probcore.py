@@ -279,7 +279,9 @@ class SufficientJoint:
 
 
 # a string, because evaluating np.random here would import numpy.random,
-# which numpy otherwise loads only when a generator is first made
+# which numpy otherwise loads only when a generator is first made.  A draw may
+# return arrays it keeps (a fixed table, a view of a read-only joint), so the
+# estimators only read what a draw returns and never write into it.
 Draw = Callable[["np.random.Generator", int], tuple[np.ndarray, np.ndarray]]
 
 

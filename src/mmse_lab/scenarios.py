@@ -263,8 +263,10 @@ def _example2_limit() -> FiniteJoint:
 def _example2_sampler(n: int) -> Draw:
     def draw(rng: np.random.Generator, size: int):
         x = rng.random(size)
-        b = rng.integers(0, 2, size).astype(float)
-        return x[:, None], (b + x / n)[:, None]
+        # B + X / n, with the bit B added in place
+        y = x / n
+        y += rng.integers(0, 2, size)
+        return x[:, None], y[:, None]
 
     return draw
 
@@ -370,8 +372,11 @@ def _example4_limit() -> FiniteJoint:
 def _example4_sampler(n: int) -> Draw:
     def draw(rng: np.random.Generator, size: int):
         x = rng.uniform(-SQRT3, SQRT3, size)
-        w = rng.uniform(-SQRT3, SQRT3, size) / n
-        return x[:, None], (x + w)[:, None]
+        # X + W / n, built in the buffer of W
+        y = rng.uniform(-SQRT3, SQRT3, size)
+        y /= n
+        y += x
+        return x[:, None], y[:, None]
 
     return draw
 
@@ -450,17 +455,31 @@ def _cor1_realize_factory(gamma_of_n, lambda_of_n):
     return realize
 
 
+_SIGNS = np.array([-1.0, 1.0])
+
+
 def _cor1_sampler_factory(gamma_of_n, lambda_of_n):
     def make(n: int) -> Draw:
         gamma = gamma_of_n(n)
         lam = lambda_of_n(n)
 
         def draw(rng: np.random.Generator, size: int):
-            x = rng.choice([-1.0, 1.0], size)
-            nr = rng.choice([-1.0, 1.0], size)
-            pert = (rng.random(size) - 0.5) * gamma
-            meas = (rng.random(size) - 0.5) * lam
-            return (x + pert)[:, None], (x + nr + meas)[:, None]
+            # the signs X and N; rng.choice([-1.0, 1.0], size) draws these
+            # same integers and leaves the generator in the same state
+            x = _SIGNS.take(rng.integers(0, 2, size))
+            y = _SIGNS.take(rng.integers(0, 2, size))
+            y += x
+            # the perturbation of X, then the noise on Y, drawn into one
+            # buffer: X_n = X + perturbation, Y_n = (X + N) + noise
+            noise = rng.random(size)
+            noise -= 0.5
+            noise *= gamma
+            x += noise
+            rng.random(out=noise)
+            noise -= 0.5
+            noise *= lam
+            y += noise
+            return x[:, None], y[:, None]
 
         return draw
 

@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mmse_lab import (
+    FiniteJoint,
     InsufficientSamples,
     InvalidDistribution,
     RegressionConfig,
+    builtin_scenarios,
     mc_mmse,
     mc_mmse_vs_exact,
     sampler_from_joint,
 )
+from mmse_lab import mc
+from mmse_lab.mc import MIN_BIN_COUNT, _binned_value
+from mc_reference import binned_value
 from test_exact import bsc_joint
 from test_probcore import rademacher_sum_joint
 
@@ -106,6 +113,91 @@ def test_sparse_bins_are_excluded():
     kept = drawn[0][3:, 0]
     assert est.value == pytest.approx(np.mean((kept - kept.mean()) ** 2),
                                       rel=1e-12)
+
+
+def _estimate_or_error(reduce, xs, bin_idx, n_bins):
+    try:
+        est = reduce(xs, bin_idx, n_bins)
+    except InsufficientSamples:
+        return "InsufficientSamples"
+    return est.value.hex(), est.std_error.hex(), est.n_effective
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.sampled_from([1, 2, 3]),
+       counts=st.lists(st.integers(0, 3 * MIN_BIN_COUNT), min_size=1,
+                       max_size=12),
+       all_retained=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1e-6, 1.0, 3e5]))
+@example(k=1, counts=[MIN_BIN_COUNT - 1] * 3, all_retained=False, seed=0,
+         scale=1.0)
+@example(k=2, counts=[0, MIN_BIN_COUNT, 1], all_retained=False, seed=1,
+         scale=1.0)
+def test_binned_value_matches_the_allocating_reference(k, counts, all_retained,
+                                                        seed, scale):
+    # some bins hold fewer than MIN_BIN_COUNT samples unless every bin is
+    # retained; samples come in shuffled bin order, as draws do
+    if all_retained:
+        counts = [c + MIN_BIN_COUNT for c in counts]
+    rng = np.random.default_rng(seed)
+    bin_idx = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+    xs = rng.normal(size=(bin_idx.size, k)) * scale
+    got = _estimate_or_error(_binned_value, xs, bin_idx, len(counts))
+    assert got == _estimate_or_error(binned_value, xs, bin_idx, len(counts))
+
+
+def _read_only(draw):
+    def frozen(rng, size):
+        xs, ys = draw(rng, size)
+        xs.flags.writeable = False
+        ys.flags.writeable = False
+        return xs, ys
+
+    return frozen
+
+
+def _sparse_tail(rng, size):
+    x = rng.random(size)
+    y = x.copy()
+    y[:3] = 1e6  # a bin under MIN_BIN_COUNT
+    return x[:, None], y[:, None]
+
+
+EXAMPLE2 = builtin_scenarios()["example2"]
+
+
+@pytest.mark.parametrize("draw, bins", [
+    (uniform_pair_sampler(), None),
+    (_sparse_tail, None),
+    (lambda rng, size: (rng.random((size, 2)), np.full((size, 1), 7.0)), None),
+    (sampler_from_joint(bsc_joint(0.1)), None),
+    (EXAMPLE2.mc_sampler(64), EXAMPLE2.mc_bins(64)),
+], ids=["identity", "sparse_bin", "constant_y", "bsc", "example2"])
+def test_mc_mmse_reads_a_read_only_draw(draw, bins):
+    # the estimate needs no write access to what the draw returned
+    config = RegressionConfig(n_samples=20_000, seed=12, bins=bins)
+    assert mc_mmse(_read_only(draw), config) == mc_mmse(draw, config)
+
+
+@pytest.mark.parametrize("joint, dropped", [
+    (bsc_joint(0.1), 0),
+    # y = 1 has mass 1e-3: three of the 3000 samples, under MIN_BIN_COUNT
+    (FiniteJoint(np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]]),
+                 np.array([[0.5, 0.001], [0.499, 0.0]])), 3),
+], ids=["bsc", "sparse_bin"])
+def test_mc_mmse_vs_exact_reads_read_only_samples(monkeypatch, joint, dropped):
+    config = RegressionConfig(n_samples=3_000, seed=1)
+    want = mc_mmse_vs_exact(joint, config)
+    assert want[0].n_effective == config.n_samples - dropped
+
+    def frozen(xs, bin_idx, n_bins):
+        xs.flags.writeable = False
+        bin_idx.flags.writeable = False
+        return _binned_value(xs, bin_idx, n_bins)
+
+    monkeypatch.setattr(mc, "_binned_value", frozen)
+    assert mc_mmse_vs_exact(joint, config) == want
 
 
 # --------------------------------------------------------------------------

@@ -10,11 +10,13 @@ from mmse_lab import (
     InvalidDistribution,
     MissingWitness,
     OutcomeKind,
+    RegressionConfig,
     ScenarioRunError,
     builtin_scenarios,
     compose,
     estimator_convergence_check,
     lmmse,
+    mc_mmse,
     mmse_exact,
     run_scenario,
     usc_check,
@@ -42,6 +44,7 @@ from atom_realizations import (
     cor1_atoms,
     example2_atoms,
 )
+from mc_reference import reference_draw
 
 GRID = [1, 2, 4, 8, 16, 32, 64]
 
@@ -300,37 +303,115 @@ def test_limit_must_be_a_finite_joint(catalog):
                             limit=catalog["example4"].mc_sampler(1))
 
 
-# (n, mmse, std_err) of run_scenario(s, [1, 2, 4], seed=7).mc_rows.  A change
-# to a draw function's body or RNG call order, to the derived seeds or to the
-# binning moves these values, and the report comparisons leave mc_rows out.
+# (n, mmse, std_err) of run_scenario(s, MC_PIN_GRID, seed=7).mc_rows over the
+# benchmark's grid 1, 2, 4, ..., 1024.  A change to a draw function's body or
+# RNG call order, to the derived seeds or to the binning moves these values,
+# and the report comparisons leave mc_rows out.  The grid reaches example2's
+# large bin counts: 64 (n + 1) bins, 65,600 at n = 1024, of which at most 128
+# hold a sample.  No row here drops a sparse bin; tests/test_mc.py covers that.
+MC_PIN_GRID = [2 ** k for k in range(11)]
 PINNED_MC_ROWS = {
     "example2": [
         (1, 2.0427849704543003e-05, 5.7584495595289425e-08),
         (2, 2.0383350603941737e-05, 5.7582039637368174e-08),
-        (4, 2.0252292349833407e-05, 5.736031058393924e-08)],
+        (4, 2.0252292349833407e-05, 5.736031058393924e-08),
+        (8, 2.036208069906479e-05, 5.7652969794886866e-08),
+        (16, 2.0332443801140275e-05, 5.772254714039317e-08),
+        (32, 2.0233889735663344e-05, 5.732122589889365e-08),
+        (64, 2.035273978532663e-05, 5.7594096311922216e-08),
+        (128, 2.038973236504611e-05, 5.7627147561752774e-08),
+        (256, 2.0322481309616175e-05, 5.7587224225783934e-08),
+        (512, 2.030856191697142e-05, 5.7579513343020005e-08),
+        (1024, 2.0341179183304242e-05, 5.757789047147449e-08)],
     "example4": [
         (1, 0.5005523570428898, 0.001868983986247914),
         (2, 0.18870567989962692, 0.0006371139541704553),
-        (4, 0.05544238866992731, 0.00017401136822455744)],
+        (4, 0.05544238866992731, 0.00017401136822455744),
+        (8, 0.015093319434029117, 4.693920120383071e-05),
+        (16, 0.00426854012598415, 1.4084711756176191e-05),
+        (32, 0.0014225046204191785, 5.237372593925766e-06),
+        (64, 0.000702718545345545, 2.587518988415946e-06),
+        (128, 0.0005129714166111435, 1.6697108473791528e-06),
+        (256, 0.00046682887284218543, 1.383258604919665e-06),
+        (512, 0.0004583015875307143, 1.3094095777107875e-06),
+        (1024, 0.0004529342669249209, 1.2880894878183356e-06)],
     "cor1_additive": [
         (1, 0.5833295013502463, 0.0020511192661536587),
         (2, 0.5223461850425375, 0.0017111234730229562),
-        (4, 0.5037972828923435, 0.0016157297066450413)],
+        (4, 0.5037972828923435, 0.0016157297066450413),
+        (8, 0.49811702655948276, 0.0015897104082934215),
+        (16, 0.49874411910864236, 0.0015833313290384964),
+        (32, 0.5001180918006065, 0.0015826006759274093),
+        (64, 0.5015427947018846, 0.0015812382136860506),
+        (128, 0.5019237270371557, 0.0015812350935834887),
+        (256, 0.5007947654369547, 0.0015811396620738927),
+        (512, 0.49894842524302074, 0.0015811379302289681),
+        (1024, 0.5015287419955082, 0.0015811277792407217)],
     "cor1_additive_fast_x": [
         (1, 0.5884763560455825, 0.002063737326876696),
         (2, 0.5066272735977393, 0.001615354325073953),
-        (4, 0.4991764640563493, 0.0015838579885980473)],
+        (4, 0.4991764640563493, 0.0015838579885980473),
+        (8, 0.4966311213280417, 0.001581435351506736),
+        (16, 0.5014576581529404, 0.0015812598095131356),
+        (32, 0.5004409417033039, 0.0015812244890990252),
+        (64, 0.4987690024167648, 0.0015814336557738364),
+        (128, 0.5009434974350976, 0.0015811981735446427),
+        (256, 0.4994399929794669, 0.0015812321328609923),
+        (512, 0.4986557224993267, 0.001581173658814152),
+        (1024, 0.49907257201029587, 0.0015813962971288104)],
     "cor1_additive_fast_y": [
         (1, 0.5834340508722824, 0.002053371420565347),
         (2, 0.5196484754841864, 0.00170967174703897),
-        (4, 0.5036364007841353, 0.0016150746987267939)],
+        (4, 0.5036364007841353, 0.0016150746987267939),
+        (8, 0.5015024146385371, 0.0015895354276590351),
+        (16, 0.5001837212248805, 0.0015831484554944383),
+        (32, 0.5024811895777724, 0.001581388895496052),
+        (64, 0.500928986152628, 0.0015812672454122744),
+        (128, 0.500355448795758, 0.0015812660538358002),
+        (256, 0.4998443170252033, 0.0015812032267135132),
+        (512, 0.4992401227941418, 0.0015813611592504135),
+        (1024, 0.49948404842685384, 0.0015812005565450777)],
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_MC_ROWS))
 def test_mc_rows_are_pinned(catalog, name):
-    rows = run_scenario(catalog[name], [1, 2, 4], seed=7).mc_rows
+    rows = run_scenario(catalog[name], MC_PIN_GRID, seed=7).mc_rows
     assert [(r.n, r.mmse, r.std_err) for r in rows] == PINNED_MC_ROWS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MC_ROWS))
+def test_draws_match_the_allocating_reference(catalog, name):
+    for n in (1, 3, 64, 1024):
+        draw, want_draw = catalog[name].mc_sampler(n), reference_draw(name, n)
+        for seed in (0, 7, 2 ** 40 + 1):
+            for size in (1, 7, 100_000):
+                rng = np.random.default_rng(seed)
+                want_rng = np.random.default_rng(seed)
+                got, want = draw(rng, size), want_draw(want_rng, size)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes(), (n, seed, size)
+                assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_example2_mc_allocates_per_bin_and_per_sample(catalog):
+    # at n = 16384 the regressogram has 64 (n + 1) = 1,048,640 bins, ten per
+    # sample; each bin holds a count (8 B), a retained flag (1 B) and a mean
+    # (8 B, divided in the buffer of its sum), and no more than five
+    # sample-sized arrays of 8 B are alive at once
+    sc = catalog["example2"]
+    n = 16384
+    config = RegressionConfig(n_samples=100_000, seed=3, bins=sc.mc_bins(n))
+    draw = sc.mc_sampler(n)
+    mc_mmse(draw, RegressionConfig(n_samples=1_000, seed=3))  # lazy imports
+    tracemalloc.start()
+    try:
+        mc_mmse(draw, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * config.bins + 40 * config.n_samples + 2 ** 20
 
 
 def test_markov_witness_reconstructs_each_index(catalog):
