@@ -143,6 +143,8 @@ def cmd_run(config: RunConfig, stream=None, err_stream=None) -> int:
         return EXIT_USAGE
     try:
         grid = config.n_grid()
+        if not config.tol_abs > 0.0:
+            raise ValueError(f"bad tolerance: tol={config.tol_abs!r} is not positive")
     except ValueError as exc:
         print(str(exc), file=err)
         return EXIT_USAGE

@@ -15,8 +15,9 @@ says to watch:
 
 * ``second_moment_gap``   — |E||X_n||^2 - E||X||^2| at the largest index;
 * ``second_moment_gap_y`` — same for the measurement coordinate;
-* ``prob_convergence_proxy`` — exact P(||X_n - X|| > 0.05) under the
-  scenario coupling where one is registered, else None;
+* ``prob_convergence_proxy`` — exact P(||X_n - X|| > 0.05) at the
+  largest index, under the coupling every scenario registers
+  (``x_deviation_prob``);
 * ``ui_proxy`` — the uniform-integrability functional of the squared
   prior, a -> E[1{||X_n||^2 > a} ||X_n||^2], on a fixed grid of a.  A
   healthy (u.i.) squared family drives this to zero along the grid; the
@@ -67,7 +68,7 @@ class McRow:
 class DiagnosticsBundle:
     second_moment_gap: float
     second_moment_gap_y: float
-    prob_convergence_proxy: float | None
+    prob_convergence_proxy: float
     ui_proxy: dict[float, float]
     markov_verified: bool | None
 
@@ -178,9 +179,7 @@ def run_scenario(scenario: ScenarioSequence, n_grid, tol_abs: float = 0.02,
     diag = DiagnosticsBundle(
         second_moment_gap=abs(last.second_moment_x - smx_lim),
         second_moment_gap_y=abs(last.second_moment_y - smy_lim),
-        prob_convergence_proxy=(
-            scenario.x_deviation_prob(grid[-1], PROB_EPS)
-            if scenario.x_deviation_prob is not None else None),
+        prob_convergence_proxy=scenario.x_deviation_prob(grid[-1], PROB_EPS),
         ui_proxy={a: ui_functional(joint, a) for a in UI_GRID},  # last n
         markov_verified=markov_verified,
     )

@@ -57,6 +57,7 @@ from .probcore import FiniteJoint, _as_support
 
 ROW_SUM_TOL = 1e-12
 FEASIBILITY_TOL = 1e-7
+ORDER_TOL = 1e-10             # garbling may lower the exact MMSE by this much
 CERT_ROW_TOL = 1e-9
 BOUND_SLACK = 1e-12           # a dual lower bound may exceed the residual by this
 HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
@@ -108,7 +109,7 @@ class GarblingCertificate:
     ``garbling_matrix`` is the least-squares candidate or the LP argmin,
     clipped to [0, 1]; when ``feasible`` it is row-stochastic within
     CERT_ROW_TOL and achieves ``residual`` = max-entry |W1 G - W2| below
-    the tolerance used.  When not ``feasible``, ``test_matrix`` is
+    FEASIBILITY_TOL.  When not ``feasible``, ``test_matrix`` is
     Blackwell's witness Lambda (n_in, n_out) with ||Lambda||_1 = 1, and
     ``lower_bound`` its recomputed bound on max |W1 G - W2| over every
     row-stochastic G; a "yes" has no witness (None) and bound 0.0.
@@ -124,20 +125,6 @@ class GarblingCertificate:
     residual: float
     test_matrix: np.ndarray | None
     lower_bound: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "garbling_matrix": _nested(self.garbling_matrix),
-            "residual": float(self.residual),
-            "test_matrix": (None if self.test_matrix is None
-                            else _nested(self.test_matrix)),
-            "lower_bound": float(self.lower_bound),
-        }
-
-
-def _nested(matrix: np.ndarray) -> list[list[float]]:
-    return [[float(v) for v in row] for row in matrix]
 
 
 def _garbling(x: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, float]:
@@ -221,14 +208,14 @@ def _shown_infeasible(m1: np.ndarray, m2: np.ndarray, g: np.ndarray,
                                lower_bound=lower_bound)
 
 
-def is_degraded(w1: Channel, w2: Channel,
-                feasibility_tolerance: float = FEASIBILITY_TOL) -> GarblingCertificate:
+def is_degraded(w1: Channel, w2: Channel) -> GarblingCertificate:
     """Decide whether w2 = w1 G for some row-stochastic G.
 
-    Both channels must share the input alphabet.  The residual reported is
-    recomputed from the returned matrix, and a "no" carries a test matrix
-    whose lower bound is recomputed too, so the certificate stands on its
-    own regardless of solver internals.
+    Both channels must share the input alphabet.  The answer is "yes" when
+    the recomputed max-entry residual of the returned G is below
+    FEASIBILITY_TOL.  A "no" carries a test matrix whose lower bound is
+    recomputed too, so the certificate stands on its own regardless of
+    solver internals.
     """
     if not np.array_equal(w1.input_support, w2.input_support):
         raise AlphabetMismatch("channels do not share an input alphabet")
@@ -239,10 +226,10 @@ def is_degraded(w1: Channel, w2: Channel,
     n_g = n_mid * n_out
     g0, _, rank, _ = np.linalg.lstsq(m1, m2, rcond=None)
     g, residual = _garbling(g0.ravel(), m1, m2)
-    if residual < feasibility_tolerance and _row_sum_error(g) <= CERT_ROW_TOL:
+    if residual < FEASIBILITY_TOL and _row_sum_error(g) <= CERT_ROW_TOL:
         return _shown_feasible(g, residual)
     witness = _closed_form_witness(m1, m2, g0, rank)
-    if witness is not None and witness[1] >= feasibility_tolerance:
+    if witness is not None and witness[1] >= FEASIBILITY_TOL:
         return _shown_infeasible(m1, m2, _simplex_rows(g0), witness[0])
     # scipy.optimize is slow to import, and only the epigraph LP needs it
     from scipy.optimize import linprog
@@ -272,7 +259,7 @@ def is_degraded(w1: Channel, w2: Channel,
             f"garbling LP did not solve cleanly (status {result.status}): "
             f"{result.message}")
     g, residual = _garbling(result.x, m1, m2)
-    if residual < feasibility_tolerance:
+    if residual < FEASIBILITY_TOL:
         return _shown_feasible(g, residual)
     # Lambda = (duals of the +dev rows) - (duals of the -dev rows): positive
     # where W2 exceeds W1 G at the optimum
@@ -299,13 +286,13 @@ def compose(joint: FiniteJoint, channel: Channel) -> FiniteJoint:
                        pmf=joint.pmf @ channel.matrix)
 
 
-def blackwell_verify(joint: FiniteJoint, channel: Channel,
-                     tol: float = 1e-10) -> tuple[float, float, bool]:
+def blackwell_verify(joint: FiniteJoint, channel: Channel) -> tuple[float, float, bool]:
     """Exact MMSE before and after garbling the measurement.
 
-    Returns (before, after, ordered) with ordered = after >= before - tol.
-    Information processing makes `ordered` true for every valid input.
+    Returns (before, after, ordered) with ordered = after >= before -
+    ORDER_TOL.  Information processing makes `ordered` true for every valid
+    input.
     """
     before = mmse_exact(joint).mmse
     after = mmse_exact(compose(joint, channel)).mmse
-    return before, after, bool(after >= before - tol)
+    return before, after, bool(after >= before - ORDER_TOL)

@@ -128,19 +128,19 @@ class ScenarioSequence:
     un-quantized continuous law for the Monte Carlo cross-path, and
     ``mc_bins(n)``, when present, the regressogram bin count at index n
     (default ``mc.cube_root_bins`` of the sample count).
-    ``x_deviation_prob(n, eps)`` is the exact P(||X_n - X|| > eps) under
-    the scenario's natural coupling.
+    Every scenario gives ``x_deviation_prob(n, eps)``, the exact
+    P(||X_n - X|| > eps) under its natural coupling.
     """
 
     name: str
     realize: Callable[[int], FiniteJoint | SufficientJoint]
     limit: FiniteJoint
     expected: ExpectedOutcome
+    x_deviation_prob: Callable[[int, float], float]
     markov_witness: Callable[[int], Channel] | None = None
     audit: str = "mmse"
     mc_sampler: Callable[[int], Draw] | None = None
     mc_bins: Callable[[int], int] | None = None
-    x_deviation_prob: Callable[[int, float], float] | None = None
     notes: str = ""
 
     def __post_init__(self):
@@ -407,7 +407,10 @@ def example4_scenario() -> ScenarioSequence:
 # perturbed and quantized variants of the example3 limit pair
 # ---------------------------------------------------------------------------
 
-def _cor1_realize_factory(gamma_of_n, lambda_of_n):
+_SIGNS = np.array([-1.0, 1.0])
+
+
+def _cor1_scenario(name: str, gamma_of_n, lambda_of_n, path_note: str) -> ScenarioSequence:
     base = example3_limit_joint()
 
     def realize(n: int) -> SufficientJoint:
@@ -426,22 +429,14 @@ def _cor1_realize_factory(gamma_of_n, lambda_of_n):
                   for x0 in base.x_support[:, 0]]
         y_runs = [uniform_lattice_cells(y0 - lam / 2.0, y0 + lam / 2.0, h)
                   for y0 in base.y_support[:, 0]]
-        x_first = np.cumsum([0] + [cells.size for cells, _ in x_runs])
-        nnz = int(np.diff(x_first)
-                  @ np.bincount(base.x_idx, minlength=len(x_runs)))
-        x_idx = np.empty(nnz, dtype=np.intp)
-        t_idx = np.empty(nnz, dtype=np.intp)
-        weights = np.empty(nnz)
-        end = 0
-        for i, (cells, px) in enumerate(x_runs):
-            atoms = np.flatnonzero(base.x_idx == i)
-            start, end = end, end + cells.size * atoms.size
-            shape = (cells.size, atoms.size)
-            x_idx[start:end].reshape(shape)[:] = \
-                np.arange(x_first[i], x_first[i + 1])[:, None]
-            t_idx[start:end].reshape(shape)[:] = base.y_idx[atoms]
-            np.multiply(base.prob[atoms], px[:, None],
-                        out=weights[start:end].reshape(shape))
+        rows = [np.flatnonzero(base.x_idx == i) for i in range(len(x_runs))]
+        sizes = [cells.size for cells, _ in x_runs]
+        x_idx = np.repeat(np.arange(sum(sizes)),
+                          np.repeat([atoms.size for atoms in rows], sizes))
+        t_idx = np.concatenate([np.tile(base.y_idx[atoms], size)
+                                for atoms, size in zip(rows, sizes)])
+        weights = np.concatenate([np.outer(px, base.prob[atoms]).ravel()
+                                  for atoms, (_, px) in zip(rows, x_runs)])
         core = _lattice_joint(
             np.concatenate([cells for cells, _ in x_runs]) * h,
             base.y_support, x_idx, t_idx, weights)
@@ -452,14 +447,7 @@ def _cor1_realize_factory(gamma_of_n, lambda_of_n):
             # a run's cell masses sum to 1 only up to rounding in hi - lo
             np.concatenate([py / py.sum() for _, py in y_runs]))
 
-    return realize
-
-
-_SIGNS = np.array([-1.0, 1.0])
-
-
-def _cor1_sampler_factory(gamma_of_n, lambda_of_n):
-    def make(n: int) -> Draw:
+    def sampler(n: int) -> Draw:
         gamma = gamma_of_n(n)
         lam = lambda_of_n(n)
 
@@ -483,10 +471,6 @@ def _cor1_sampler_factory(gamma_of_n, lambda_of_n):
 
         return draw
 
-    return make
-
-
-def _cor1_scenario(name: str, gamma_of_n, lambda_of_n, path_note: str) -> ScenarioSequence:
     expected = ExpectedOutcome(
         kind=OutcomeKind.CONTINUOUS,
         limit_mmse=0.5,
@@ -502,10 +486,10 @@ def _cor1_scenario(name: str, gamma_of_n, lambda_of_n, path_note: str) -> Scenar
 
     return ScenarioSequence(
         name=name,
-        realize=_cor1_realize_factory(gamma_of_n, lambda_of_n),
-        limit=example3_limit_joint(),
+        realize=realize,
+        limit=base,
         expected=expected,
-        mc_sampler=_cor1_sampler_factory(gamma_of_n, lambda_of_n),
+        mc_sampler=sampler,
         x_deviation_prob=x_dev,
         notes="both noises are centered uniform of width gamma (on X) and "
               "lambda (on Y), independent of everything; " + path_note
@@ -559,14 +543,13 @@ def cor2_scenario() -> ScenarioSequence:
 # degraded family: base pair garbled by a shrinking symmetric flip
 # ---------------------------------------------------------------------------
 
-def bsc_prior_joint(flip: float, prior=(0.5, 0.5)) -> FiniteJoint:
-    """Uniform-by-default +-1 prior observed through a symmetric flip."""
-    p0, p1 = prior
+def bsc_prior_joint(flip: float) -> FiniteJoint:
+    """Uniform +-1 prior observed through a symmetric flip."""
     return FiniteJoint(
         x_support=np.array([[-1.0], [1.0]]),
         y_support=np.array([[-1.0], [1.0]]),
-        pmf=np.array([[p0 * (1.0 - flip), p0 * flip],
-                      [p1 * flip, p1 * (1.0 - flip)]]),
+        pmf=np.array([[0.5 * (1.0 - flip), 0.5 * flip],
+                      [0.5 * flip, 0.5 * (1.0 - flip)]]),
     )
 
 
@@ -624,16 +607,17 @@ def markov_degraded_scenario() -> ScenarioSequence:
     )
 
 
-def make_random_degraded_scenario(seed: int, max_support: int = 6) -> ScenarioSequence:
-    """Random base joint garbled by a shrinking random stochastic kernel.
+def make_random_degraded_scenario(seed: int) -> ScenarioSequence:
+    """Random base joint of 2 to 6 letters per coordinate, garbled by a
+    shrinking random stochastic kernel.
 
     The witness is D_n = (1 - 2^-n) I + 2^-n R with R a fixed random
     row-stochastic matrix, so realize(n) -> base geometrically and every
     realization is degraded with respect to the base by construction.
     """
     rng = rng_stream(seed, "random_degraded")
-    nx = int(rng.integers(2, max_support + 1))
-    ny = int(rng.integers(2, max_support + 1))
+    nx = int(rng.integers(2, 7))
+    ny = int(rng.integers(2, 7))
     grid = np.linspace(-2.0, 2.0, 33)
     x_vals = np.sort(rng.choice(grid, size=nx, replace=False))[:, None]
     y_vals = np.sort(rng.choice(grid, size=ny, replace=False))[:, None]

@@ -6,13 +6,18 @@ P(Y_n | T).  The builders below emit every (X_n, Y_n) atom instead, in
 row-major order, as ``FiniteJoint``s.  They are the reference that the
 reduced realizations are checked against, and they give the tests that need
 P(Y_n | X_n) itself (the garbling decisions) a joint to read it from.
+
+``cor1_sufficient`` keeps the ``cor1_*`` core builder as it was written
+when the reduction landed, filling preallocated arrays through reshaped
+views.  It is the reference that the catalog's builder must match bit for
+bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from mmse_lab.probcore import FiniteJoint
+from mmse_lab.probcore import FiniteJoint, SufficientJoint
 from mmse_lab.scenarios import (
     EXAMPLE2_CELLS_PER_INDEX,
     _lattice_joint,
@@ -92,6 +97,46 @@ def cor1_atoms(gamma: float, lam: float) -> FiniteJoint:
         np.concatenate([cells for cells, _ in x_runs]) * h,
         np.concatenate([cells for cells, _ in y_runs]) * h,
         x_idx, y_idx, weights)
+
+
+def cor1_sufficient(gamma: float, lam: float) -> SufficientJoint:
+    """The (X_n, T) core and P(Y_n | T) of ``cor1_atoms(gamma, lam)``, where
+    T(Y_n) is the base y atom whose noise run holds Y_n.
+
+    The core lists each x row of base row i times the letters of its base
+    atoms, in row-major order, written through (cells, atoms) views of
+    preallocated arrays.
+    """
+    base = example3_limit_joint()
+    h = min(gamma, lam) / 8.0
+    x_runs = [uniform_lattice_cells(x0 - gamma / 2.0, x0 + gamma / 2.0, h)
+              for x0 in base.x_support[:, 0]]
+    y_runs = [uniform_lattice_cells(y0 - lam / 2.0, y0 + lam / 2.0, h)
+              for y0 in base.y_support[:, 0]]
+    x_first = np.cumsum([0] + [cells.size for cells, _ in x_runs])
+    nnz = int(np.diff(x_first)
+              @ np.bincount(base.x_idx, minlength=len(x_runs)))
+    x_idx = np.empty(nnz, dtype=np.intp)
+    t_idx = np.empty(nnz, dtype=np.intp)
+    weights = np.empty(nnz)
+    end = 0
+    for i, (cells, px) in enumerate(x_runs):
+        atoms = np.flatnonzero(base.x_idx == i)
+        start, end = end, end + cells.size * atoms.size
+        shape = (cells.size, atoms.size)
+        x_idx[start:end].reshape(shape)[:] = \
+            np.arange(x_first[i], x_first[i + 1])[:, None]
+        t_idx[start:end].reshape(shape)[:] = base.y_idx[atoms]
+        np.multiply(base.prob[atoms], px[:, None],
+                    out=weights[start:end].reshape(shape))
+    core = _lattice_joint(
+        np.concatenate([cells for cells, _ in x_runs]) * h,
+        base.y_support, x_idx, t_idx, weights)
+    return SufficientJoint(
+        core, np.concatenate([cells for cells, _ in y_runs]) * h,
+        np.repeat(np.arange(len(y_runs)),
+                  [cells.size for cells, _ in y_runs]),
+        np.concatenate([py / py.sum() for _, py in y_runs]))
 
 
 def atom_realization(name: str, n: int) -> FiniteJoint:

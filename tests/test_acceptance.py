@@ -161,7 +161,7 @@ def test_criterion_08_garbling_never_helps():
     for _ in range(500):
         joint = random_joint(rng, max_x=8, max_y=8)
         channel = random_channel(rng, joint.y_support)
-        before, after, ordered = blackwell_verify(joint, channel, tol=1e-10)
+        before, after, ordered = blackwell_verify(joint, channel)
         assert ordered is True
     assert time.perf_counter() - t0 < 10.0
 

@@ -244,6 +244,16 @@ def test_main_rejects_inverted_grid(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "0"])
+def test_main_rejects_a_tolerance_that_is_not_positive(tmp_path, capsys, tol):
+    out = tmp_path / "reports"
+    code = main(["run", "--scenarios", "example1", "--tol", tol,
+                 "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "bad tolerance" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_bad_flag_exits_two():
     assert main(["run", "--no-such-flag"]) == EXIT_USAGE
 

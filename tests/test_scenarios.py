@@ -42,6 +42,7 @@ from atom_realizations import (
     COR1_PATHS,
     atom_realization,
     cor1_atoms,
+    cor1_sufficient,
     example2_atoms,
 )
 from mc_reference import reference_draw
@@ -675,6 +676,21 @@ def test_reduced_realizations_match_the_atom_reference(catalog, name):
             a, b = (a(), b()) if callable(a) else (a, b)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), (n, field)
         assert abs(mmse_exact(got).mmse - mmse_exact(want).mmse) <= 1e-12, n
+
+
+@pytest.mark.parametrize("name", sorted(COR1_PATHS))
+def test_cor1_core_matches_the_fill_in_place_reference(catalog, name):
+    gamma, lam = COR1_PATHS[name]
+    for n in (1, 2, 3, 7, 64, 1024):
+        got, want = catalog[name].realize(n), cor1_sufficient(gamma(n), lam(n))
+        for field in ("x_support", "y_support", "x_idx", "y_idx", "prob"):
+            a, b = getattr(got.core, field), getattr(want.core, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (n, field)
+            assert a.tobytes() == b.tobytes(), (n, field)
+        for field in ("y_support", "y_stat", "y_given_stat"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (n, field)
+            assert a.tobytes() == b.tobytes(), (n, field)
 
 
 def test_example2_allocation_follows_the_atoms(catalog):
