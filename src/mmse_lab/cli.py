@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -107,7 +108,9 @@ def report_to_json(report: ConvergenceReport) -> str:
         payload["diagnostics"]["mc_rows"] = [
             {"n": r.n, "mmse": r.mmse, "std_err": r.std_err} for r in report.mc_rows
         ]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # allow_nan=False: JSON (RFC 8259) has no NaN or Infinity, so a report
+    # holding one raises ValueError instead of being written
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def cmd_list(name_filter: str | None = None, stream=None) -> int:
@@ -143,8 +146,9 @@ def cmd_run(config: RunConfig, stream=None, err_stream=None) -> int:
         return EXIT_USAGE
     try:
         grid = config.n_grid()
-        if not config.tol_abs > 0.0:
-            raise ValueError(f"bad tolerance: tol={config.tol_abs!r} is not positive")
+        if not (config.tol_abs > 0.0 and math.isfinite(config.tol_abs)):
+            raise ValueError(f"bad tolerance: tol={config.tol_abs!r} is not "
+                             "positive and finite")
     except ValueError as exc:
         print(str(exc), file=err)
         return EXIT_USAGE
@@ -157,14 +161,18 @@ def cmd_run(config: RunConfig, stream=None, err_stream=None) -> int:
     except MmseLabError as exc:
         print(f"engine error: {exc}", file=err)
         return EXIT_ENGINE
+    render = report_to_csv if config.format == "csv" else report_to_json
+    try:
+        texts = {name: render(report) for name, report in reports.items()}
+    except ValueError as exc:  # a non-finite value has no JSON form
+        print(f"engine error: {exc}", file=err)
+        return EXIT_ENGINE
     all_match = True
     for name in config.scenario_names:
         report = reports[name]
         suffix = "csv" if config.format == "csv" else "json"
         path = out_dir / f"{name}.{suffix}"
-        text = (report_to_csv(report) if config.format == "csv"
-                else report_to_json(report))
-        path.write_text(text)
+        path.write_text(texts[name])
         tail = report.rows[-1]
         status = "match" if report.verdict_matches else "MISMATCH"
         print(f"{name}: {status} (n={tail.n} value={tail.mmse:.6g} "

@@ -25,6 +25,14 @@ says to watch:
 * ``markov_verified`` — whether compose(limit, witness(n)) reproduced
   realize(n) atom-for-atom within 1e-9 at every grid index (None when the
   scenario has no witness).
+
+Memory: one index holds one realized law at a time.  The law is realized,
+checked, reduced to its second moments and its audited value (and, at the
+last index only, to the ``ui_proxy``), and dropped before the Monte Carlo
+draw.  So the working set of an index is one law plus the temporaries of
+the stage that is running: one atom-sized array in ``mmse_exact`` (see
+``exact``), one support-sized array in the moment and ``ui_proxy`` passes,
+and ``mc_mmse``'s own arrays with no law alive.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ import numpy as np
 
 from .degradedness import compose
 from .errors import MissingWitness, MmseLabError, ScenarioRunError
-from .exact import conditional_expectation, mmse_exact
+from .exact import conditional_expectation, mmse_exact, squared_norms
 from .linear import lmmse, tail_window
 from .mc import RegressionConfig, mc_mmse
 from .probcore import FiniteJoint, SufficientJoint, moments_exact, rng_stream
@@ -97,18 +105,25 @@ class ConvergenceReport:
 def ui_functional(joint: FiniteJoint | SufficientJoint,
                   threshold: float) -> float:
     """E[ 1{||X||^2 > a} ||X||^2 ] for the prior marginal of a joint."""
-    sq = (joint.x_support * joint.x_support).sum(axis=1)
-    px = joint.x_marginal()
-    return float((px * sq * (sq > threshold)).sum())
+    sq = squared_norms(joint.x_support)
+    above = sq > threshold
+    sq *= joint.x_marginal()
+    sq *= above
+    return float(sq.sum())
 
 
 def _second_moments(joint: FiniteJoint | SufficientJoint
                     ) -> tuple[float, float]:
+    return (_second_moment(joint.x_support, joint.x_marginal()),
+            _second_moment(joint.y_support, joint.y_marginal()))
+
+
+def _second_moment(points: np.ndarray, marginal: np.ndarray) -> float:
     # math.fsum, not a BLAS dot: a threaded dot splits long sums across
     # threads, so its last bits would depend on the BLAS thread count
-    smx = math.fsum(joint.x_marginal() * (joint.x_support ** 2).sum(axis=1))
-    smy = math.fsum(joint.y_marginal() * (joint.y_support ** 2).sum(axis=1))
-    return smx, smy
+    sq = squared_norms(points)
+    sq *= marginal
+    return math.fsum(sq)
 
 
 def _audit_value(scenario: ScenarioSequence,
@@ -132,8 +147,9 @@ def run_scenario(scenario: ScenarioSequence, n_grid, tol_abs: float = 0.02,
     grid = [int(n) for n in n_grid]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
         raise ScenarioRunError(f"n_grid must be strictly increasing and >= 1, got {grid}")
-    if not tol_abs > 0.0:
-        raise ScenarioRunError(f"tol_abs must be positive, got {tol_abs!r}")
+    if not (tol_abs > 0.0 and math.isfinite(tol_abs)):
+        raise ScenarioRunError(
+            f"tol_abs must be positive and finite, got {tol_abs!r}")
 
     rows: list[ReportRow] = []
     mc_rows: list[McRow] = []
@@ -149,6 +165,11 @@ def run_scenario(scenario: ScenarioSequence, n_grid, tol_abs: float = 0.02,
             rows.append(ReportRow(n=n, mmse=_audit_value(scenario, joint),
                                   std_err=0.0, second_moment_x=smx,
                                   second_moment_y=smy))
+            if n == grid[-1]:
+                ui_proxy = {a: ui_functional(joint, a) for a in UI_GRID}
+            # drop the law before the draw, so that no two of this index's
+            # large allocations are alive at once
+            del joint
             if scenario.mc_sampler is not None:
                 config = RegressionConfig(
                     n_samples=100_000,
@@ -180,7 +201,7 @@ def run_scenario(scenario: ScenarioSequence, n_grid, tol_abs: float = 0.02,
         second_moment_gap=abs(last.second_moment_x - smx_lim),
         second_moment_gap_y=abs(last.second_moment_y - smy_lim),
         prob_convergence_proxy=scenario.x_deviation_prob(grid[-1], PROB_EPS),
-        ui_proxy={a: ui_functional(joint, a) for a in UI_GRID},  # last n
+        ui_proxy=ui_proxy,
         markov_verified=markov_verified,
     )
     return ConvergenceReport(

@@ -18,6 +18,15 @@ difference form is the orthogonality principle in disguise, so the
 agreement doubles as a structural self-check.  A self-check whose
 compared values are not finite (overflowing atoms, say) raises
 SelfCheckError instead of passing.
+
+Memory: besides the joint and its cached marginals, ``mmse_exact`` holds
+one atom-sized (nnz, k) array, the x value of each atom, which becomes its
+residual in place.  The column weights and the gathered estimates are made
+``ATOM_CHUNK`` atoms at a time, and the residual is squared, weighted and
+summed in its own buffer (for k > 1 the row sums take one more atom-sized
+array).  The rest is sized by the supports.  The joint's read-only index
+and mass arrays are read by slicing, fancy indexing and ``np.add.at``,
+which use them in place; ``np.bincount`` and ``np.take`` would copy them.
 """
 
 from __future__ import annotations
@@ -32,6 +41,9 @@ from .errors import EmptySupport, SelfCheckError
 from .probcore import FiniteJoint, SufficientJoint
 
 CHECK_TOL = 1e-10
+# atoms per pass of an elementwise step whose temporaries need not be
+# atom-sized: 2^14 doubles (128 KiB) per column
+ATOM_CHUNK = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -49,13 +61,9 @@ class ConditionalExpectation:
     dropped_zero_mass: bool
 
 
-def _table_rows(joint: FiniteJoint) -> np.ndarray:
-    """Row of the conditional mean table for each atom of the joint.
-
-    The table lists the positive-mass measurement columns in order, and
-    every atom sits in one of them.
-    """
-    return (np.cumsum(joint.y_marginal() > 0.0) - 1)[joint.y_idx]
+def _atom_chunks(nnz: int):
+    """Slices of ATOM_CHUNK consecutive atoms covering range(nnz) in order."""
+    return (slice(lo, lo + ATOM_CHUNK) for lo in range(0, nnz, ATOM_CHUNK))
 
 
 def conditional_expectation(joint: FiniteJoint) -> ConditionalExpectation:
@@ -65,18 +73,26 @@ def conditional_expectation(joint: FiniteJoint) -> ConditionalExpectation:
 
 def _conditional_expectation(joint: FiniteJoint) -> tuple[
         ConditionalExpectation, np.ndarray, np.ndarray]:
-    """The table, with the per-atom table rows and x values (nnz, k) that
-    built it, so that a caller does not repeat those whole-atom passes."""
+    """The table, with what built it, so that a caller does not repeat
+    those whole-atom passes: the estimates indexed by measurement letter
+    (ny, k) and the x value of each atom (nnz, k).  A letter without mass
+    keeps a zero row, which no atom reads."""
     py = joint.y_marginal()
     keep = py > 0.0
     if not np.any(keep):
         raise EmptySupport("every measurement atom has zero probability")
-    rows = _table_rows(joint)
-    mass = py[keep]
     xa = joint.x_support[joint.x_idx]  # (nnz, k)
-    est = np.stack([np.bincount(rows, weights=joint.prob * xa[:, c],
-                                minlength=mass.size)
-                    for c in range(joint.k)], axis=1) / mass[:, None]
+    by_letter = np.zeros((py.size, joint.k))
+    for part in _atom_chunks(xa.shape[0]):
+        for c in range(joint.k):
+            # adds in atom order, as np.bincount does, but reads the
+            # read-only y_idx in place, where np.bincount would copy it
+            np.add.at(by_letter[:, c], joint.y_idx[part],
+                      joint.prob[part] * xa[part, c])
+    mass = py[keep]
+    est = by_letter[keep]
+    est /= mass[:, None]
+    by_letter[keep] = est
     ce = ConditionalExpectation(
         y_support=joint.y_support[keep],
         estimates=est,
@@ -90,7 +106,7 @@ def _conditional_expectation(joint: FiniteJoint) -> tuple[
     if np.max(np.abs(ex - eg)) > CHECK_TOL * max(1.0, float(np.max(np.abs(ex)))):
         raise SelfCheckError(
             f"law of total expectation violated: E[X]={ex!r} vs E[g(Y)]={eg!r}")
-    return ce, rows, xa
+    return ce, by_letter, xa
 
 
 @dataclass(frozen=True)
@@ -101,6 +117,15 @@ class MmseResult:
     estimator: ConditionalExpectation
     second_moment_x: float
     estimator_second_moment: float
+
+
+def squared_norms(points: np.ndarray) -> np.ndarray:
+    """||p||^2 of each row of a (n, d) array, as a new (n,) array.
+
+    The squares of scalar rows are the result, so no second array is made.
+    """
+    sq = points * points
+    return sq[:, 0] if sq.shape[1] == 1 else sq.sum(axis=1)
 
 
 def _require_finite(check: str, *values) -> None:
@@ -122,14 +147,18 @@ def mmse_exact(joint: FiniteJoint | SufficientJoint) -> MmseResult:
     """
     if isinstance(joint, SufficientJoint):
         joint = joint.core
-    ce, rows, resid = _conditional_expectation(joint)
+    ce, by_letter, resid = _conditional_expectation(joint)
+    # the x value of each atom is no longer needed: make it the residual
+    for part in _atom_chunks(resid.shape[0]):
+        resid[part] -= by_letter[joint.y_idx[part]]
+    resid *= resid
+    sq = resid[:, 0] if joint.k == 1 else resid.sum(axis=1)
+    sq *= joint.prob
+    direct = float(sq.sum())
+    del resid, sq
     xs = joint.x_support
     px = joint.x_marginal()
-    # the x value of each atom is no longer needed: make it the residual
-    resid -= ce.estimates[rows]
-    resid *= resid
-    direct = float((joint.prob * resid.sum(axis=1)).sum())
-    sm_x = float(px @ (xs * xs).sum(axis=1))
+    sm_x = float(px @ squared_norms(xs))
     est_sm = float(ce.posterior_mass @ (ce.estimates * ce.estimates).sum(axis=1))
     difference = sm_x - est_sm
     _require_finite("MMSE forms", direct, difference)
@@ -161,7 +190,9 @@ def orthogonality_check(
     length m) to a vector of length k.
     """
     ce = estimator if estimator is not None else conditional_expectation(joint)
-    rows = _table_rows(joint)
+    # the table row of each atom: the table lists the positive-mass
+    # measurement columns in order, and every atom sits in one of them
+    rows = (np.cumsum(joint.y_marginal() > 0.0) - 1)[joint.y_idx]
     weighted = joint.prob[:, None] * (joint.x_support[joint.x_idx]
                                       - ce.estimates[rows])  # (nnz, k)
     worst = 0.0

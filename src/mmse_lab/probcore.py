@@ -193,12 +193,21 @@ class FiniteJoint:
         return _cached(self, "_pmf", dense)
 
     def x_marginal(self) -> np.ndarray:
-        return _cached(self, "_x_marginal", lambda: np.bincount(
-            self.x_idx, weights=self.prob, minlength=self.x_support.shape[0]))
+        return _cached(self, "_x_marginal", lambda: _mass_by_row(
+            self.x_idx, self.prob, self.x_support.shape[0]))
 
     def y_marginal(self) -> np.ndarray:
-        return _cached(self, "_y_marginal", lambda: np.bincount(
-            self.y_idx, weights=self.prob, minlength=self.y_support.shape[0]))
+        return _cached(self, "_y_marginal", lambda: _mass_by_row(
+            self.y_idx, self.prob, self.y_support.shape[0]))
+
+
+def _mass_by_row(idx: np.ndarray, prob: np.ndarray, rows: int) -> np.ndarray:
+    """``np.bincount(idx, weights=prob, minlength=rows)``, adding in the
+    same order; np.add.at reads the read-only atom arrays in place, where
+    np.bincount would copy both."""
+    out = np.zeros(rows)
+    np.add.at(out, idx, prob)
+    return out
 
 
 def _cached(owner, name: str, build) -> np.ndarray:

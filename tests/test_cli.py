@@ -211,6 +211,24 @@ def test_run_engine_error_exits_three(tmp_path, monkeypatch):
     assert "engine error" in err.getvalue()
 
 
+def test_run_refuses_to_write_a_non_finite_json_report(tmp_path, monkeypatch):
+    import dataclasses
+
+    import mmse_lab.cli as cli_mod
+
+    def nan_report(*args, **kwargs):
+        report = run_scenario(*args, **kwargs)
+        return dataclasses.replace(report, limit_value=float("nan"))
+
+    monkeypatch.setattr(cli_mod, "run_scenario", nan_report)
+    out = tmp_path / "reports"
+    cfg = make_config(out, ["example1", "example3"], format="json", n_stop=4)
+    err = io.StringIO()
+    assert cmd_run(cfg, stream=io.StringIO(), err_stream=err) == EXIT_ENGINE
+    assert "engine error" in err.getvalue()
+    assert list(out.iterdir()) == []
+
+
 # --------------------------------------------------------------------------
 # argument parsing / main
 # --------------------------------------------------------------------------
@@ -244,7 +262,7 @@ def test_main_rejects_inverted_grid(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
-@pytest.mark.parametrize("tol", ["-1", "nan", "0"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "0", "inf", "1e400"])
 def test_main_rejects_a_tolerance_that_is_not_positive(tmp_path, capsys, tol):
     out = tmp_path / "reports"
     code = main(["run", "--scenarios", "example1", "--tol", tol,

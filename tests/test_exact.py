@@ -13,8 +13,13 @@ from mmse_lab import (
     product_joint,
     rng_stream,
 )
+from mmse_lab import convergence, exact
+from mmse_lab.probcore import SufficientJoint
+from mmse_lab.scenarios import builtin_scenarios
 from mmse_lab.selftest import random_joint
 from test_probcore import diagonal_pm1_joint, rademacher_sum_joint
+
+import exact_reference
 
 
 def bsc_joint(flip: float) -> FiniteJoint:
@@ -198,3 +203,76 @@ def test_mmse_invariants_hold_on_arbitrary_joints(j):
     assert r.mmse >= 0.0
     assert r.mmse <= np.trace(ms.c_x) + 1e-10
     assert orthogonality_check(j, [lambda y: y, lambda y: np.ones(1)]) <= 1e-10
+
+
+# --------------------------------------------------------------------------
+# the in-place engine against the allocating reference
+# --------------------------------------------------------------------------
+
+@st.composite
+def reference_joints(draw):
+    """A FiniteJoint with k = 1 or 2 and maybe measurement columns without
+    mass, or a SufficientJoint over one."""
+    k = draw(st.sampled_from([1, 2]))
+    nx = draw(st.integers(min_value=1, max_value=6))
+    ny = draw(st.integers(min_value=1, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pmf = rng.exponential(1.0, (nx, ny))
+    pmf[rng.random((nx, ny)) < 0.3] = 0.0
+    dead = rng.permutation(ny)[:draw(st.integers(0, ny - 1))]
+    pmf[:, dead] = 0.0
+    if not pmf.any():
+        pmf[0, np.setdiff1d(np.arange(ny), dead)[0]] = 1.0
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e4]))
+    joint = FiniteJoint(x_support=rng.normal(0.0, scale, (nx, k)),
+                        y_support=np.arange(ny, dtype=float),
+                        pmf=pmf / pmf.sum())
+    if not draw(st.booleans()):
+        return joint
+    # each letter of the core's measurement becomes one to three atoms
+    y_stat = np.repeat(np.arange(ny), rng.integers(1, 4, ny))
+    given = rng.random(y_stat.size) + 0.1
+    given /= np.bincount(y_stat, weights=given)[y_stat]
+    return SufficientJoint(joint, rng.normal(size=(y_stat.size, 1)),
+                           y_stat, given)
+
+
+def assert_same_bits(got, want):
+    assert (got.mmse, got.second_moment_x, got.estimator_second_moment) == (
+        want.mmse, want.second_moment_x, want.estimator_second_moment)
+    assert got.estimator.dropped_zero_mass == want.estimator.dropped_zero_mass
+    for field in ("y_support", "estimates", "posterior_mass"):
+        a, b = getattr(got.estimator, field), getattr(want.estimator, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+
+
+def assert_matches_reference(joint):
+    assert_same_bits(mmse_exact(joint), exact_reference.mmse_exact(joint))
+    assert (convergence._second_moments(joint)
+            == exact_reference.second_moments(joint))
+    for a in convergence.UI_GRID + (0.0,):
+        assert (convergence.ui_functional(joint, a)
+                == exact_reference.ui_functional(joint, a))
+
+
+@settings(max_examples=150, deadline=None)
+@given(joint=reference_joints(), chunk=st.sampled_from([1, 3, None]))
+def test_in_place_engine_matches_the_allocating_reference(joint, chunk):
+    # a small ATOM_CHUNK puts chunk boundaries inside these joints
+    default = exact.ATOM_CHUNK
+    exact.ATOM_CHUNK = chunk or default
+    try:
+        assert_matches_reference(joint)
+    finally:
+        exact.ATOM_CHUNK = default
+
+
+@pytest.mark.parametrize("name, n", [
+    ("example2", 1024),               # 65536 atoms: four chunks
+    ("example4", 64),
+    ("cor1_additive_fast_y", 256),
+    ("cor1_additive_fast_x", 256),
+])
+def test_in_place_engine_matches_the_reference_on_realizations(name, n):
+    assert_matches_reference(builtin_scenarios()[name].realize(n))

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +23,7 @@ from mmse_lab import (
     run_scenario,
     usc_check,
 )
+from mmse_lab import convergence
 from mmse_lab.probcore import (
     FiniteJoint,
     SufficientJoint,
@@ -258,6 +261,8 @@ def test_grid_must_increase():
         run_scenario(sc, [], seed=0)
     with pytest.raises(ScenarioRunError):
         run_scenario(sc, [1, 2], tol_abs=0.0, seed=0)
+    with pytest.raises(ScenarioRunError, match="finite"):
+        run_scenario(sc, [1, 2], tol_abs=math.inf, seed=0)
 
 
 def test_engine_errors_carry_scenario_context(catalog):
@@ -413,6 +418,48 @@ def test_example2_mc_allocates_per_bin_and_per_sample(catalog):
     finally:
         tracemalloc.stop()
     assert peak <= 17 * config.bins + 40 * config.n_samples + 2 ** 20
+
+
+@pytest.mark.parametrize("name", ["example2", "example4"])
+def test_no_realized_law_is_alive_during_the_draw(catalog, monkeypatch, name):
+    laws = []
+
+    def realize(n):
+        joint = catalog[name].realize(n)
+        laws.append(weakref.ref(joint))
+        return joint
+
+    def mc_mmse_without_laws(draw, config):
+        assert all(law() is None for law in laws), "a realized law is alive"
+        return mc_mmse(draw, config)
+
+    monkeypatch.setattr(convergence, "mc_mmse", mc_mmse_without_laws)
+    clone = dataclasses.replace(catalog[name], realize=realize)
+    rep = run_scenario(clone, [1, 2, 4], seed=0)
+    assert len(laws) == len(rep.mc_rows) == 3
+    # the ui proxy still reads the last index's law
+    last = catalog[name].realize(4)
+    assert rep.diagnostics.ui_proxy == {
+        a: convergence.ui_functional(last, a) for a in convergence.UI_GRID}
+
+
+def test_example2_peak_is_one_law_and_its_stage(catalog):
+    # realize(1024) has 64 * 1024 atoms and one x support row per atom: the
+    # law is five atom-sized arrays of 8 B (the x support, x_idx, y_idx,
+    # prob and the cached x marginal), and mmse_exact adds one more and its
+    # chunks.  mc_mmse's own peak at this index (3.4 MiB for 100 000
+    # samples in 65 600 bins) is under that bound too, but not with the
+    # law's 2.5 MiB on top, as when the law was kept through the draw.
+    sc = catalog["example2"]
+    atoms = EXAMPLE2_CELLS_PER_INDEX * 1024
+    run_scenario(sc, [1, 2], seed=0)  # lazy imports
+    tracemalloc.start()
+    try:
+        run_scenario(sc, [1024], seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 8 * atoms + 2 ** 18
 
 
 def test_markov_witness_reconstructs_each_index(catalog):
