@@ -33,7 +33,6 @@ from .errors import (
     NonPositiveStep,
     ScenarioRunError,
     SelfCheckError,
-    SingularLimitCovariance,
 )
 from .exact import (
     ConditionalExpectation,
@@ -42,13 +41,7 @@ from .exact import (
     mmse_exact,
     orthogonality_check,
 )
-from .linear import (
-    ConvergenceVerdict,
-    LmmseResult,
-    LmmseSequenceReport,
-    lmmse,
-    lmmse_sequence_limit,
-)
+from .linear import LmmseResult, lmmse
 from .mc import (
     McMmseEstimate,
     RegressionConfig,

@@ -82,6 +82,18 @@ def report_to_csv(report: ConvergenceReport) -> str:
 
 
 def report_to_json(report: ConvergenceReport) -> str:
+    diag = report.diagnostics
+    diagnostics = {
+        "second_moment_gap": diag.second_moment_gap,
+        "second_moment_gap_y": diag.second_moment_gap_y,
+        "prob_convergence_proxy": diag.prob_convergence_proxy,
+        "ui_proxy": {repr(a): v for a, v in sorted(diag.ui_proxy.items())},
+        "markov_verified": diag.markov_verified,
+    }
+    if report.mc_rows:
+        diagnostics["mc_rows"] = [
+            {"n": r.n, "mmse": r.mmse, "std_err": r.std_err} for r in report.mc_rows
+        ]
     payload = {
         "scenario": report.scenario,
         "rows": [
@@ -95,7 +107,7 @@ def report_to_json(report: ConvergenceReport) -> str:
             }
             for row in report.rows
         ],
-        "diagnostics": report.diagnostics.to_json_dict(),
+        "diagnostics": diagnostics,
         "verdict": {
             "matches": report.verdict_matches,
             "expected_kind": report.expected.kind.value,
@@ -104,10 +116,6 @@ def report_to_json(report: ConvergenceReport) -> str:
             "tol_abs": report.tol_abs,
         },
     }
-    if report.mc_rows:
-        payload["diagnostics"]["mc_rows"] = [
-            {"n": r.n, "mmse": r.mmse, "std_err": r.std_err} for r in report.mc_rows
-        ]
     # allow_nan=False: JSON (RFC 8259) has no NaN or Infinity, so a report
     # holding one raises ValueError instead of being written
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"

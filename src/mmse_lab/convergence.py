@@ -45,7 +45,7 @@ import numpy as np
 from .degradedness import compose
 from .errors import MissingWitness, MmseLabError, ScenarioRunError
 from .exact import conditional_expectation, mmse_exact, squared_norms
-from .linear import lmmse, tail_window
+from .linear import lmmse
 from .mc import RegressionConfig, mc_mmse
 from .probcore import FiniteJoint, SufficientJoint, moments_exact, rng_stream
 from .scenarios import ExpectedOutcome, ScenarioSequence
@@ -79,15 +79,6 @@ class DiagnosticsBundle:
     prob_convergence_proxy: float
     ui_proxy: dict[float, float]
     markov_verified: bool | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "second_moment_gap": self.second_moment_gap,
-            "second_moment_gap_y": self.second_moment_gap_y,
-            "prob_convergence_proxy": self.prob_convergence_proxy,
-            "ui_proxy": {repr(a): v for a, v in sorted(self.ui_proxy.items())},
-            "markov_verified": self.markov_verified,
-        }
 
 
 @dataclass(frozen=True)
@@ -132,6 +123,11 @@ def _audit_value(scenario: ScenarioSequence,
     if scenario.audit == "lmmse":
         return lmmse(moments_exact(joint)).value
     return mmse_exact(joint).mmse
+
+
+def tail_window(length: int) -> int:
+    """Number of trailing entries making up the audit window (last 25%)."""
+    return max(1, math.ceil(length / 4))
 
 
 def _tail_mean_within(tail: list[ReportRow] | list[McRow], target: float,
@@ -250,12 +246,11 @@ def _witness_holds(scenario: ScenarioSequence, n: int,
     return bool(np.max(np.abs(composed.pmf - joint.pmf)) <= WITNESS_TOL)
 
 
-def usc_check(report: ConvergenceReport, expected: ExpectedOutcome,
-              slack: float = 0.05) -> bool:
+def usc_check(report: ConvergenceReport, slack: float = 0.05) -> bool:
     """Does the tail stay below the limit value (up to slack and noise)?
 
-    True iff max tail mmse <= expected.limit_mmse + slack + 3 * max tail
-    std_err.  This is the one-sided check that a family continuous from
+    True iff max tail mmse <= report.expected.limit_mmse + slack + 3 * max
+    tail std_err.  This is the one-sided check that a family continuous from
     above (e.g. any degraded family) must satisfy, and that the
     escaping-mass scenario must fail.
     """
@@ -263,7 +258,7 @@ def usc_check(report: ConvergenceReport, expected: ExpectedOutcome,
     tail = report.rows[len(report.rows) - window:]
     worst = max(r.mmse for r in tail)
     noise = max(r.std_err for r in tail)
-    return bool(worst <= expected.limit_mmse + slack + 3.0 * noise)
+    return bool(worst <= report.expected.limit_mmse + slack + 3.0 * noise)
 
 
 def estimator_convergence_check(scenario: ScenarioSequence, n: int) -> float:

@@ -33,15 +33,6 @@ class MissingWitness(MmseLabError, ValueError):
     """The requested check needs a coupling witness the scenario lacks."""
 
 
-class SingularLimitCovariance(MmseLabError, ValueError):
-    """The limit measurement covariance is singular; the sequence audit
-    is undefined there.  Per-index values are attached for inspection."""
-
-    def __init__(self, message: str, per_n_values=None):
-        super().__init__(message)
-        self.per_n_values = per_n_values
-
-
 class SelfCheckError(MmseLabError, ArithmeticError):
     """Two independent internal computations of the same quantity disagree
     beyond tolerance.  Indicates a bug, not bad input."""

@@ -9,23 +9,25 @@ and achieves
     lmmse = trace( C_X - C_XY C_Y^+ C_XY^T ).
 
 Singular measurement covariance is not an error: the pseudo-inverse is
-taken on the eigenspace with eigenvalues above ``rank_tolerance`` times the
+taken on the eigenspace with eigenvalues above ``RANK_TOL_FACTOR`` times the
 largest one, which amounts to discarding linearly dependent measurement
 coordinates.  The trace form is cross-checked against the second-moment
 difference  E||X||^2 - E||A Y + b||^2  on every call; forms that are not
 finite raise SelfCheckError instead of passing the comparison.
+
+The standard statement of continuity: if the means and covariances of
+(X_n, Y_n) converge to those of (X, Y) and the limit C_Y is nonsingular,
+the LMMSE of (X_n, Y_n) converges to that of (X, Y).
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import SelfCheckError, SingularLimitCovariance
+from .errors import SelfCheckError
 from .probcore import MomentSummary
 
 RANK_TOL_FACTOR = 1e-9
@@ -85,64 +87,3 @@ def lmmse(moments: MomentSummary) -> LmmseResult:
         value, clamped = 0.0, True
     return LmmseResult(gain=gain, offset=offset, value=value,
                        c_y_rank=rank, clamped=clamped)
-
-
-class ConvergenceVerdict(enum.Enum):
-    CONVERGES = "CONVERGES"
-    DIVERGES_AS_PREDICTED = "DIVERGES_AS_PREDICTED"
-    VIOLATION = "VIOLATION"
-
-
-@dataclass(frozen=True)
-class LmmseSequenceReport:
-    """Per-index values, the limit value, and the tail verdict."""
-
-    verdict: ConvergenceVerdict
-    values: tuple[float, ...]
-    limit_value: float
-    tail_gap: float
-
-
-def tail_window(length: int) -> int:
-    """Number of trailing entries making up the audit window (last 25%)."""
-    return max(1, math.ceil(length / 4))
-
-
-def lmmse_sequence_limit(
-    moments_seq: Sequence[MomentSummary],
-    moments_limit: MomentSummary,
-    tol: float,
-    expected_gap: float | None = None,
-) -> LmmseSequenceReport:
-    """Audit an LMMSE trajectory against the value at the limit moments.
-
-    The limit C_Y must be numerically invertible — convergence of second
-    moments only controls the limit LMMSE when it is.  A singular limit
-    raises SingularLimitCovariance with the per-index values attached so
-    the trajectory can still be inspected.
-
-    Verdict over the tail window (last 25% of the sequence, summarised by
-    its mean): CONVERGES if the tail mean is within ``tol`` of the limit
-    value; DIVERGES_AS_PREDICTED if an ``expected_gap`` was registered and
-    the tail mean is within ``tol`` of limit + gap; VIOLATION otherwise.
-    """
-    if not moments_seq:
-        raise SelfCheckError("moments_seq must be non-empty")
-    values = tuple(lmmse(ms).value for ms in moments_seq)
-    c_y = moments_limit.c_y
-    w = np.linalg.eigvalsh((c_y + c_y.T) / 2.0)
-    if float(w[0]) <= RANK_TOL_FACTOR * max(float(w[-1]), 0.0) or float(w[-1]) <= 0.0:
-        raise SingularLimitCovariance(
-            "limit measurement covariance is singular; sequence audit undefined",
-            per_n_values=values)
-    limit_value = lmmse(moments_limit).value
-    tail = values[len(values) - tail_window(len(values)):]
-    tail_gap = abs(math.fsum(tail) / len(tail) - limit_value)
-    if tail_gap <= tol:
-        verdict = ConvergenceVerdict.CONVERGES
-    elif expected_gap is not None and abs(tail_gap - expected_gap) <= tol:
-        verdict = ConvergenceVerdict.DIVERGES_AS_PREDICTED
-    else:
-        verdict = ConvergenceVerdict.VIOLATION
-    return LmmseSequenceReport(verdict=verdict, values=values,
-                               limit_value=limit_value, tail_gap=tail_gap)

@@ -30,10 +30,10 @@ canonical stress cases:
   symmetric channel with flip probability 1/(10 n): degraded measurements
   converging back to the base; continuous.
 * ``lmmse_mixture`` — the LMMSE stress case: Y_n equals X with probability
-  1 - 1/n and an independent +-sqrt(n) spike otherwise.  Second moments
-  converge but the limit measurement variance (here of Y = X) differs from
-  the sequence's, and the LMMSE trajectory 1 - (1-1/n)^2/(2-1/n) stalls at
-  1/2 while the limit LMMSE is 0.  (The MMSE itself is continuous here —
+  1 - 1/n and an independent +-sqrt(n) spike otherwise.  Only the prior's
+  moments converge (X_n = X): the measurement's do not, E[Y_n^2] = 2 - 1/n
+  while E[Y^2] = 1, and the LMMSE trajectory 1 - (1-1/n)^2/(2-1/n) stalls
+  at 1/2 while the limit LMMSE is 0.  (The MMSE itself is continuous here —
   the gap is a purely linear-estimation effect.)
 
 Every realization and every limit is an exact finite law: continuous laws
@@ -99,6 +99,12 @@ class ExpectedOutcome:
     source: str
 
     def __post_init__(self):
+        # checked first: every comparison below reads False on nan
+        if not (math.isfinite(self.limit_mmse)
+                and math.isfinite(self.sequence_limit_mmse)):
+            raise InvalidDistribution(
+                "expected values must be finite, got limit "
+                f"{self.limit_mmse!r} and sequence {self.sequence_limit_mmse!r}")
         equal = self.limit_mmse == self.sequence_limit_mmse
         if (self.kind is OutcomeKind.CONTINUOUS) != equal:
             raise InvalidDistribution(
@@ -639,7 +645,7 @@ def make_random_degraded_scenario(seed: int) -> ScenarioSequence:
 
 
 # ---------------------------------------------------------------------------
-# LMMSE mixture: second moments converge, linear estimation still breaks
+# LMMSE mixture: X's moments converge, Y's do not, and linear estimation breaks
 # ---------------------------------------------------------------------------
 
 def _lmmse_mixture_realize(n: int) -> FiniteJoint:

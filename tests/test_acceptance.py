@@ -7,6 +7,7 @@ criterion after the run.
 """
 
 import io
+import math
 import time
 
 import numpy as np
@@ -22,7 +23,6 @@ from mmse_lab import (
     example3_limit_joint,
     is_degraded,
     lmmse,
-    lmmse_sequence_limit,
     make_random_degraded_scenario,
     mc_mmse_vs_exact,
     mmse_exact,
@@ -33,7 +33,7 @@ from mmse_lab import (
     usc_check,
 )
 from mmse_lab.cli import EXIT_OK, RunConfig, cmd_run
-from mmse_lab.linear import ConvergenceVerdict
+from mmse_lab.convergence import tail_window
 from mmse_lab.selftest import random_channel, random_joint
 
 DOUBLING = [1, 2, 4, 8, 16, 32, 64]
@@ -144,13 +144,13 @@ def test_criterion_07_upper_tail_suite(catalog):
              "example4": DOUBLING}
     for name, grid in grids.items():
         rep = run_scenario(catalog[name], grid)
-        assert usc_check(rep, rep.expected) is True, name
+        assert usc_check(rep) is True, name
     for seed in range(50):
         scenario = make_random_degraded_scenario(seed)
         rep = run_scenario(scenario, [1, 2, 4, 8])
-        assert usc_check(rep, rep.expected) is True, scenario.name
+        assert usc_check(rep) is True, scenario.name
     rep1 = run_scenario(catalog["example1"], range(1, 101))
-    assert usc_check(rep1, rep1.expected) is False
+    assert usc_check(rep1) is False
     assert time.perf_counter() - t0 < 120.0
 
 
@@ -194,11 +194,10 @@ def test_criterion_10_linear_suite(catalog):
         predicted = 1.0 - (1.0 - 1.0 / n) ** 2 / (2.0 - 1.0 / n)
         assert abs(row.mmse - predicted) <= 1e-10
 
-    seq = [moments_exact(mixture.realize(n)) for n in grid]
-    limit = moments_exact(mixture.limit)
-    audit = lmmse_sequence_limit(seq, limit, tol=0.02, expected_gap=0.5)
-    assert audit.verdict is ConvergenceVerdict.DIVERGES_AS_PREDICTED
-    assert abs(audit.tail_gap - 0.5) <= 0.02
+    assert rep.verdict_matches is True
+    tail = rep.rows[len(rep.rows) - tail_window(len(rep.rows)):]
+    tail_gap = abs(math.fsum(r.mmse for r in tail) / len(tail) - rep.limit_value)
+    assert abs(tail_gap - 0.5) <= 0.02
 
     rng = rng_stream(99, "acceptance-dominance")
     for _ in range(200):
@@ -206,9 +205,10 @@ def test_criterion_10_linear_suite(catalog):
         assert lmmse(moments_exact(joint)).value >= mmse_exact(joint).mmse - 1e-8
 
     vanishing = catalog["example4"]
-    seq4 = [moments_exact(vanishing.realize(n)) for n in range(1, 65)]
-    audit4 = lmmse_sequence_limit(seq4, moments_exact(vanishing.limit), tol=0.02)
-    assert audit4.verdict is ConvergenceVerdict.CONVERGES
+    tail4 = [lmmse(moments_exact(vanishing.realize(n))).value
+             for n in range(49, 65)]
+    limit4 = lmmse(moments_exact(vanishing.limit)).value
+    assert abs(math.fsum(tail4) / len(tail4) - limit4) <= 0.02
     assert time.perf_counter() - t0 < 5.0
 
 

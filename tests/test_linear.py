@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 
 from mmse_lab import (
-    ConvergenceVerdict,
     FiniteJoint,
     InvalidDistribution,
     SelfCheckError,
-    SingularLimitCovariance,
     lmmse,
-    lmmse_sequence_limit,
     mmse_exact,
     moments_exact,
 )
@@ -105,48 +102,3 @@ def test_singular_measurement_covariance_uses_spectral_projection():
 def test_value_bounded_by_prior_trace():
     r = lmmse(scalar_moments(1.0, 4.0, 1.5))
     assert -1e-10 <= r.value <= 1.0 + 1e-10
-
-
-# --------------------------------------------------------------------------
-# sequence audit
-# --------------------------------------------------------------------------
-
-def additive_noise_moments(n: int) -> MomentSummary:
-    # Y = X + N/n with unit variances: c_y = 1 + 1/n^2, c_xy = 1
-    return scalar_moments(1.0, 1.0 + 1.0 / n**2, 1.0)
-
-
-def test_sequence_converges_on_shrinking_noise():
-    seq = [additive_noise_moments(n) for n in (1, 2, 4, 8, 16, 32, 64)]
-    rep = lmmse_sequence_limit(seq, scalar_moments(1.0, 1.0, 1.0), tol=0.02)
-    assert rep.verdict is ConvergenceVerdict.CONVERGES
-    assert rep.limit_value == pytest.approx(0.0, abs=1e-12)
-
-
-def test_sequence_flags_predicted_gap():
-    seq = [mixture_moments(n) for n in range(1, 201)]
-    rep = lmmse_sequence_limit(seq, scalar_moments(1.0, 1.0, 1.0),
-                               tol=0.02, expected_gap=0.5)
-    assert rep.verdict is ConvergenceVerdict.DIVERGES_AS_PREDICTED
-    assert rep.tail_gap == pytest.approx(0.5, abs=0.02)
-
-
-def test_sequence_constant_has_zero_gap():
-    ms = scalar_moments(1.0, 2.0, 1.0)
-    rep = lmmse_sequence_limit([ms] * 8, ms, tol=1e-6)
-    assert rep.verdict is ConvergenceVerdict.CONVERGES
-    assert rep.tail_gap == 0.0
-
-
-def test_sequence_unregistered_gap_is_violation():
-    seq = [mixture_moments(n) for n in range(1, 201)]
-    rep = lmmse_sequence_limit(seq, scalar_moments(1.0, 1.0, 1.0), tol=0.02)
-    assert rep.verdict is ConvergenceVerdict.VIOLATION
-
-
-def test_singular_limit_raises_with_trajectory_attached():
-    seq = [additive_noise_moments(n) for n in (1, 2, 4)]
-    degenerate = scalar_moments(1.0, 0.0, 0.0)
-    with pytest.raises(SingularLimitCovariance) as exc:
-        lmmse_sequence_limit(seq, degenerate, tol=0.02)
-    assert len(exc.value.per_n_values) == 3

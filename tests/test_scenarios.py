@@ -103,6 +103,17 @@ def test_expected_outcome_rejects_inconsistent_continuity():
                         sequence_limit_mmse=0.5, source="broken on purpose")
 
 
+@pytest.mark.parametrize("kind, limit, sequence", [
+    (OutcomeKind.DISCONTINUOUS_LSC, math.nan, 1.0),
+    (OutcomeKind.DISCONTINUOUS_USC, 0.5, -math.inf),
+    (OutcomeKind.CONTINUOUS, math.inf, math.inf),
+])
+def test_expected_outcome_rejects_non_finite_values(kind, limit, sequence):
+    with pytest.raises(InvalidDistribution, match="finite"):
+        ExpectedOutcome(kind=kind, limit_mmse=limit,
+                        sequence_limit_mmse=sequence, source="broken on purpose")
+
+
 def test_every_builtin_verdict_matches_expected(catalog):
     for name, scenario in catalog.items():
         rep = run_scenario(scenario, GRID, tol_abs=0.02, seed=0)
@@ -489,9 +500,9 @@ def test_probability_proxy_reports_the_tail(catalog):
 def test_usc_check_on_the_example_families(catalog):
     for name in ("example2", "example3", "example4"):
         rep = run_scenario(catalog[name], GRID, seed=0)
-        assert usc_check(rep, catalog[name].expected, slack=0.5), name
+        assert usc_check(rep, slack=0.5), name
     rep1 = run_scenario(catalog["example1"], GRID, seed=0)
-    assert not usc_check(rep1, catalog["example1"].expected, slack=0.5)
+    assert not usc_check(rep1, slack=0.5)
 
 
 def test_random_degraded_scenarios_are_sound():
@@ -500,7 +511,7 @@ def test_random_degraded_scenarios_are_sound():
         rep = run_scenario(sc, GRID, seed=seed)
         assert rep.verdict_matches
         assert rep.diagnostics.markov_verified is True
-        assert usc_check(rep, sc.expected, slack=0.05)
+        assert usc_check(rep, slack=0.05)
 
 
 IDENTITY_BASE = FiniteJoint(
@@ -564,6 +575,16 @@ def test_mixture_scenario_audits_the_linear_functional(catalog):
         assert r.mmse == pytest.approx(want, abs=1e-10)
     assert rep.limit_value == pytest.approx(0.0, abs=1e-12)
     assert rep.verdict_matches
+
+
+def test_mixture_audit_rejects_an_undeclared_gap(catalog):
+    # declared continuous at 0, the linear values stalling at 1/2 must read
+    # as a mismatch (the test above checks that the declared gap matches)
+    sc = catalog["lmmse_mixture"]
+    wrong = dataclasses.replace(sc, expected=ExpectedOutcome(
+        kind=OutcomeKind.CONTINUOUS, limit_mmse=0.0, sequence_limit_mmse=0.0,
+        source="gap left undeclared on purpose"))
+    assert run_scenario(wrong, GRID, seed=0).verdict_matches is False
 
 
 # --------------------------------------------------------------------------
