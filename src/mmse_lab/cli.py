@@ -1,7 +1,11 @@
 """Command line front end: list scenarios, run them, self-test the build.
 
 Exit codes: 0 success; 1 a verdict or suite failed; 2 bad usage or
-configuration; 3 an engine error while running.
+configuration; 3 an engine error while running; 141 (128 + SIGPIPE, as a
+shell reports a program that a closed pipe ended) when standard output
+closes before the program has written all of it, as under ``| head``.  The
+program then stops quietly, so whatever it had not yet done (for ``run``,
+the remaining reports too) is left undone.
 
 Reports are deterministic byte-for-byte for a fixed RunConfig: every float
 is printed with its shortest round-trip representation and no timestamps or
@@ -30,6 +34,7 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
 EXIT_ENGINE = 3
+EXIT_BROKEN_PIPE = 141
 
 
 @dataclass(frozen=True)
@@ -283,7 +288,16 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        # a closed pipe shows at the latest when the buffered output goes
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; send that flush nowhere so
+        # that it cannot raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -5,10 +5,18 @@ alphabet when W2 = W1 G for some row-stochastic G.  ``is_degraded``
 decides this in up to three steps, each tried only when the ones before
 it leave the pair open:
 
-1. *The least-squares candidate* G = W1^+ W2, clipped to [0, 1], answers
-   "yes" when its residual is below the tolerance and its rows sum to one
-   within CERT_ROW_TOL.  When W1 has full column rank, W1 G = W2 has at
-   most one solution, and the candidate is that solution.
+1. *The candidate* G = W1^+ W2, clipped to [0, 1], answers "yes" when
+   its residual is below the tolerance and its rows sum to one within
+   CERT_ROW_TOL.  W1 is factorized once per decision: a square W1 by LU
+   (its explicit inverse), unless the inverse fails, has a non-finite
+   entry or ||W1||_1 ||W1^-1||_1 exceeds 1 / (n eps), the cutoff that
+   least squares puts on singular values; every other W1 by one SVD,
+   which gives the minimum-norm candidate and the rank at that cutoff.
+   When W1 has full column rank, W1 G = W2 has at most one solution, and
+   the candidate is that solution.  Its rows then sum to one up to the
+   rounding of W1's own row sums, which an ill-conditioned W1 magnifies;
+   when only the row sums fail, the rows projected onto the simplex are
+   tried instead.
 2. *A closed-form "no"*: a refused candidate yields Blackwell's test
    matrix (below) from its residual W2 - W1 G or, when W1 has full column
    rank, from a row of W1^+ that exposes a negative entry of G.  When
@@ -38,6 +46,13 @@ residual belongs to the candidate with each row projected onto the
 simplex; the two meet at the min-max optimum only when the witness comes
 from the epigraph LP's duals, which is where every other "no" reads
 Lambda.
+
+Which factorization produced G and Lambda never decides soundness: every
+residual and bound is recomputed from the returned matrices.  Their bits
+can depend on the BLAS thread count, though.  The LU route's certificate
+bits differ between one and two OpenBLAS threads on random square pairs
+from 128 letters on (least squares first differed at 256); on the 128-
+and 256-letter pairs the tests decide, the verdicts and LP calls do not.
 
 Garbling a measurement can only destroy information, so the exact MMSE
 after composing a channel onto Y never drops below the MMSE before —
@@ -106,8 +121,9 @@ def binary_symmetric_channel(flip: float, support=(-1.0, 1.0)) -> Channel:
 class GarblingCertificate:
     """Outcome of the garbling feasibility program.
 
-    ``garbling_matrix`` is the least-squares candidate or the LP argmin,
-    clipped to [0, 1]; when ``feasible`` it is row-stochastic within
+    ``garbling_matrix`` is the candidate W1^+ W2 or the LP argmin,
+    clipped to [0, 1] (or the candidate's rows projected onto the simplex,
+    see the module docstring); when ``feasible`` it is row-stochastic within
     CERT_ROW_TOL and achieves ``residual`` = max-entry |W1 G - W2| below
     FEASIBILITY_TOL.  When not ``feasible``, ``test_matrix`` is
     Blackwell's witness Lambda (n_in, n_out) with ||Lambda||_1 = 1, and
@@ -116,8 +132,8 @@ class GarblingCertificate:
 
     A "no" reports the interval [lower_bound, residual] around the best
     achievable residual.  It is tight only when the epigraph LP decided
-    the pair; a closed-form "no" pairs its witness with the least-squares
-    candidate projected onto the simplex, whose residual may be far above.
+    the pair; a closed-form "no" pairs its witness with the candidate
+    W1^+ W2 projected onto the simplex, whose residual may be far above.
     """
 
     feasible: bool
@@ -161,9 +177,35 @@ def _blackwell_bound(lam: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> float:
     return float(np.sum(lam * m2) - np.max(m1.T @ lam, axis=1).sum())
 
 
+def _pseudo_inverse(m1: np.ndarray) -> tuple[np.ndarray, int]:
+    """W1^+ and the rank of W1, from one factorization of W1.
+
+    A square W1 is inverted by LU when it is full rank by the rule of the
+    module docstring; a non-finite inverse fails that rule too, since it
+    makes the condition number non-finite.  Every other W1 goes through
+    one SVD, with singular values at or below eps * max(n_in, n_mid) * s_max
+    counted as zero, as least squares with numpy's default cutoff
+    counts them.
+    """
+    n_in, n_mid = m1.shape
+    eps = np.finfo(float).eps
+    if n_in == n_mid:
+        try:
+            inv = np.linalg.inv(m1)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            if np.linalg.norm(m1, 1) * np.linalg.norm(inv, 1) <= 1.0 / (n_in * eps):
+                return inv, n_in
+    u, s, vt = np.linalg.svd(m1, full_matrices=False)
+    rank = int(np.count_nonzero(s > eps * max(n_in, n_mid) * s[0]))
+    return (vt[:rank].T / s[:rank]) @ u[:, :rank].T, rank
+
+
 def _closed_form_witness(m1: np.ndarray, m2: np.ndarray, g0: np.ndarray,
+                         pinv: np.ndarray,
                          rank: int) -> tuple[np.ndarray, float] | None:
-    """Blackwell's test matrix from a refused least-squares candidate G0.
+    """Blackwell's test matrix from a refused candidate G0 = W1^+ W2.
 
     Two candidates, each with ||Lambda||_1 = 1, and the larger recomputed
     bound wins:
@@ -178,7 +220,7 @@ def _closed_form_witness(m1: np.ndarray, m2: np.ndarray, g0: np.ndarray,
     """
     candidates = [m2 - m1 @ g0]
     if rank == m1.shape[1] and g0.min() < 0.0:
-        pinv_t = np.linalg.pinv(m1).T
+        pinv_t = pinv.T
         k, j = np.unravel_index(
             np.argmax(-g0 / np.abs(pinv_t).sum(axis=0)[:, None]), g0.shape)
         lam = np.zeros_like(m2)
@@ -221,16 +263,27 @@ def is_degraded(w1: Channel, w2: Channel) -> GarblingCertificate:
         raise AlphabetMismatch("channels do not share an input alphabet")
     m1 = w1.matrix
     m2 = w2.matrix
+    pinv, rank = _pseudo_inverse(m1)
+    g0 = pinv @ m2
+    g, residual = _garbling(g0.ravel(), m1, m2)
+    if (rank == m1.shape[1] and residual < FEASIBILITY_TOL
+            and _row_sum_error(g) > CERT_ROW_TOL):
+        # the one solution, with row sums off by rounding (module docstring)
+        g = _simplex_rows(g0)
+        residual = float(np.max(np.abs(m1 @ g - m2)))
+    if residual < FEASIBILITY_TOL and _row_sum_error(g) <= CERT_ROW_TOL:
+        return _shown_feasible(g, residual)
+    witness = _closed_form_witness(m1, m2, g0, pinv, rank)
+    if witness is not None and witness[1] >= FEASIBILITY_TOL:
+        return _shown_infeasible(m1, m2, _simplex_rows(g0), witness[0])
+    return _epigraph(m1, m2)
+
+
+def _epigraph(m1: np.ndarray, m2: np.ndarray) -> GarblingCertificate:
+    """Decide the pair with the epigraph LP, reading a "no" from its duals."""
     n_in, n_mid = m1.shape
     n_out = m2.shape[1]
     n_g = n_mid * n_out
-    g0, _, rank, _ = np.linalg.lstsq(m1, m2, rcond=None)
-    g, residual = _garbling(g0.ravel(), m1, m2)
-    if residual < FEASIBILITY_TOL and _row_sum_error(g) <= CERT_ROW_TOL:
-        return _shown_feasible(g, residual)
-    witness = _closed_form_witness(m1, m2, g0, rank)
-    if witness is not None and witness[1] >= FEASIBILITY_TOL:
-        return _shown_infeasible(m1, m2, _simplex_rows(g0), witness[0])
     # scipy.optimize is slow to import, and only the epigraph LP needs it
     from scipy.optimize import linprog
 

@@ -131,7 +131,8 @@ class ScenarioSequence:
     when present, is a channel D_n with realize(n) = compose(limit, D_n),
     i.e. an explicit degradedness coupling of the sequence to its limit.
     ``mc_sampler(n)`` is a draw function (``probcore.Draw``) of the
-    un-quantized continuous law for the Monte Carlo cross-path, and
+    un-quantized continuous law for the Monte Carlo cross-path, which
+    estimates the MMSE and so is refused with ``audit="lmmse"``, and
     ``mc_bins(n)``, when present, the regressogram bin count at index n
     (default ``mc.cube_root_bins`` of the sample count).
     Every scenario gives ``x_deviation_prob(n, eps)``, the exact
@@ -152,6 +153,10 @@ class ScenarioSequence:
     def __post_init__(self):
         if self.audit not in ("mmse", "lmmse"):
             raise InvalidDistribution(f"unknown audit {self.audit!r}")
+        if self.audit == "lmmse" and self.mc_sampler is not None:
+            raise InvalidDistribution(
+                f"scenario {self.name!r}: the Monte Carlo path estimates the "
+                "MMSE, so an LMMSE audit takes no mc_sampler")
         if not isinstance(self.limit, FiniteJoint):
             raise InvalidDistribution(
                 f"scenario {self.name!r}: limit must be a FiniteJoint, "

@@ -12,6 +12,7 @@ import mmse_lab
 from mmse_lab import ScenarioRunError, run_scenario
 from mmse_lab.cli import (
     CSV_HEADER,
+    EXIT_BROKEN_PIPE,
     EXIT_ENGINE,
     EXIT_OK,
     EXIT_USAGE,
@@ -128,6 +129,26 @@ def test_module_form_runs_the_cli():
     assert done.returncode == EXIT_OK
     names = [line.split()[0] for line in done.stdout.splitlines()[2:-1:2]]
     assert names == list(builtin_scenarios())
+
+
+def test_closed_stdout_ends_the_cli_quietly():
+    # as in `mmse-lab list | head -1` when head has already exited: the
+    # pipe has no reader left, so writing the table fails with EPIPE
+    src = str(Path(mmse_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", "from mmse_lab.cli import entry; entry()",
+             "list"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.stderr == b""
+    assert done.returncode == EXIT_BROKEN_PIPE
 
 
 def test_run_json_shape(tmp_path):

@@ -26,6 +26,7 @@ from mmse_lab import (
 )
 from mmse_lab.scenarios import builtin_scenarios
 from mmse_lab.selftest import random_channel, random_joint
+import garbling_reference
 from atom_realizations import atom_realization
 from test_exact import bsc_joint
 from test_probcore import rademacher_sum_joint
@@ -250,10 +251,16 @@ def lp_calls(monkeypatch):
     return calls
 
 
-def refused_candidate(a, b, rcond=None):
-    """np.linalg.lstsq stand-in whose candidate can never be accepted."""
-    return (np.full((a.shape[1], b.shape[1]), np.nan), np.empty(0), 0,
-            np.empty(0))
+def refused_candidate(calls: list):
+    """A ``_pseudo_inverse`` stand-in whose candidate can never be accepted.
+
+    It returns an all-NaN W1^+ of rank 0 and appends W1 to ``calls``.
+    """
+    def pseudo_inverse(m1):
+        calls.append(m1)
+        return np.full(m1.shape[::-1], np.nan), 0
+
+    return pseudo_inverse
 
 
 @pytest.mark.parametrize("k", [12, 48])
@@ -275,6 +282,22 @@ def test_full_rank_yes_needs_no_lp(lp_calls):
     assert cert.feasible
     assert cert.residual < 1e-7
     g = cert.garbling_matrix
+    assert g.min() >= 0.0
+    assert np.max(np.abs(g.sum(axis=1) - 1.0)) <= 1e-9
+
+
+def test_ill_conditioned_yes_needs_no_lp(lp_calls):
+    # W1 has condition number about 3e7, and the rows of W1^-1 W2 miss
+    # their sum by 7e-9 (least squares: 3e-9), outside CERT_ROW_TOL;
+    # projected onto the simplex they fit W2 within FEASIBILITY_TOL
+    rng = np.random.default_rng([733004, 24])
+    m1, g = (_stochastic(rng, 24, 24) for _ in range(2))
+    w1, w2 = _channel(m1), _channel(m1 @ g)
+    cert = is_degraded(w1, w2)
+    assert lp_calls == []
+    assert cert.feasible
+    g = cert.garbling_matrix
+    assert np.max(np.abs(m1 @ g - w2.matrix)) < 1e-7
     assert g.min() >= 0.0
     assert np.max(np.abs(g.sum(axis=1) - 1.0)) <= 1e-9
 
@@ -315,9 +338,11 @@ def test_rank_deficient_yes_goes_to_the_epigraph(lp_calls, n_in, n_mid, n_out):
 
 def test_refused_candidate_leaves_the_two_phases(monkeypatch, lp_calls):
     # a refused candidate with rank 0 leaves even a full-rank "yes" to the LP
-    monkeypatch.setattr(np.linalg, "lstsq", refused_candidate)
+    calls = []
+    monkeypatch.setattr(degradedness, "_pseudo_inverse", refused_candidate(calls))
     w1, w2 = square_garbling_pair(12, 43)
     cert = is_degraded(w1, w2)
+    assert len(calls) == 1
     assert lp_calls == ["epigraph"]
     assert cert.feasible
     assert cert.residual < 1e-7
@@ -359,13 +384,17 @@ def verdict_pairs(seed: int, n_in: int, n_mid: int, n_out: int,
                   column: str) -> list[tuple[Channel, Channel]]:
     """Forward, reversed and unrelated pairs around one random W1.
 
-    ``column`` makes W1 repeat a column or leave one empty, so that W1
-    has no full column rank; the first pair is always a garbling.
+    ``column`` makes W1 repeat a column, repeat one up to a relative
+    perturbation of 1e-14 or leave one empty, so that W1 has no full
+    column rank at least by the least-squares cutoff; the first pair is
+    always a garbling.
     """
     rng = rng_stream(seed, "candidate-verdicts", n_in, n_mid, n_out, column)
     m1 = _stochastic(rng, n_in, n_mid)
-    if n_mid >= 2 and column == "repeated":
+    if n_mid >= 2 and column in ("repeated", "perturbed"):
         m1[:, -1] = m1[:, 0] = 0.5 * (m1[:, 0] + m1[:, -1])
+        if column == "perturbed":
+            m1[:, -1] *= 1.0 + 1e-14
     elif n_mid >= 2 and column == "zero":
         m1[:, 0] += m1[:, -1]
         m1[:, -1] = 0.0
@@ -380,7 +409,9 @@ def over_pair_shapes(test):
     for shape in [dict(seed=5, n_in=6, n_mid=2, n_out=3, column="distinct"),  # tall W1
                   dict(seed=6, n_in=2, n_mid=5, n_out=4, column="distinct"),  # wide W1
                   dict(seed=7, n_in=4, n_mid=4, n_out=4, column="repeated"),
-                  dict(seed=8, n_in=5, n_mid=3, n_out=2, column="zero")]:
+                  dict(seed=8, n_in=5, n_mid=3, n_out=2, column="zero"),
+                  # the reversed pair's W1 has rank 2 and spans W2
+                  dict(seed=3, n_in=4, n_mid=3, n_out=3, column="repeated")]:
         test = example(**shape)(test)
     letters = st.integers(min_value=1, max_value=6)
     return settings(max_examples=60, deadline=None)(given(
@@ -395,9 +426,11 @@ def test_least_squares_candidate_never_changes_a_verdict(seed, n_in, n_mid,
     pairs = verdict_pairs(seed, n_in, n_mid, n_out, column)
     for a, b in pairs:
         verdict = is_degraded(a, b).feasible
+        calls = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(np.linalg, "lstsq", refused_candidate)
+            mp.setattr(degradedness, "_pseudo_inverse", refused_candidate(calls))
             assert is_degraded(a, b).feasible == verdict
+        assert len(calls) == 1
     assert is_degraded(*pairs[0]).feasible
 
 
@@ -421,6 +454,102 @@ def test_closed_form_no_never_changes_a_verdict(seed, n_in, n_mid, n_out,
             mp.setattr(degradedness, "_closed_form_witness",
                        lambda *args: None)
             assert is_degraded(a, b).feasible == cert.feasible
+
+
+def agrees_with_the_reference(a: Channel, b: Channel, solve: bool = True):
+    """Decide (a, b) with the least-squares front end and the package's.
+
+    Both must reach the same verdict, and make the same epigraph calls
+    except where one side settles the pair in closed form by a route whose
+    outcome the other's rounding decides (see below).  With ``solve``
+    False an epigraph call is recorded and answers None: it is one LP on
+    the same two matrices whichever front end makes it.
+    Returns both certificates and the factorizations the package applied
+    to W1, by name.
+    """
+    lp = degradedness._epigraph
+    m1 = a.matrix
+    found = []
+    for decide in (garbling_reference.is_degraded, is_degraded):
+        calls, factorized = [], []
+
+        def epigraph(x, y):
+            calls.append((x.shape, y.shape))
+            return lp(x, y) if solve else None
+
+        def spy(name, factorize):
+            def wrapped(arr, *args, **kwargs):
+                if arr is m1:
+                    factorized.append(name)
+                return factorize(arr, *args, **kwargs)
+            return wrapped
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(degradedness, "_epigraph", epigraph)
+            if decide is is_degraded:
+                mp.setattr(np.linalg, "inv", spy("lu", np.linalg.inv))
+                mp.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
+            found.append((decide(a, b), calls, factorized))
+    (ref, ref_calls, _), (cert, calls, factorized) = found
+    if calls != ref_calls:
+        # only one side made the LP call; its certificate is None when the
+        # LP is not solved
+        closed, lp_side = (cert, ref) if ref_calls else (ref, cert)
+        if closed.feasible:
+            # a W1 of full column rank makes G0 the one solution; its rows
+            # projected onto the simplex fit W2 where the clipped ones
+            # missed CERT_ROW_TOL, and the LP optimum is at most that fit
+            assert closed is cert
+            assert np.linalg.matrix_rank(m1) == m1.shape[1]
+        else:
+            # W2 lies in the span of a W1 without full column rank, so the
+            # residual W2 - W1 G0 that witness (a) reads is rounding noise,
+            # and the last bits of G0 decide whether it proves the "no"
+            # without the LP
+            assert np.linalg.matrix_rank(m1) < m1.shape[1]
+            assert_certified_no(closed, a, b)
+            assert closed.lower_bound >= 1e-7
+        assert lp_side is None or lp_side.feasible == closed.feasible
+    else:
+        assert (cert is None) == (ref is None)
+        if ref is not None:
+            assert cert.feasible == ref.feasible
+    # one factorization, or a refused LU followed by the SVD
+    assert factorized in (["lu"], ["svd"], ["lu", "svd"])
+    assert factorized[0] == ("lu" if m1.shape[0] == m1.shape[1] else "svd")
+    return ref, cert, factorized
+
+
+@over_pair_shapes
+def test_front_end_matches_the_least_squares_reference(seed, n_in, n_mid,
+                                                       n_out, column):
+    for a, b in verdict_pairs(seed, n_in, n_mid, n_out, column):
+        agrees_with_the_reference(a, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       k=st.integers(min_value=8, max_value=64))
+def test_square_front_end_matches_the_reference_certificates(seed, k):
+    # full rank: the LU route alone, and each "no" certificate within 1e-9
+    # of the least-squares one (a "yes" residual is rounding error)
+    for a, b in verdict_pairs(seed, k, k, k, "distinct"):
+        ref, cert, factorized = agrees_with_the_reference(a, b, solve=False)
+        assert factorized == ["lu"]
+        if ref is not None and not ref.feasible:
+            assert cert.residual == pytest.approx(ref.residual, rel=1e-9)
+            assert cert.lower_bound == pytest.approx(ref.lower_bound, rel=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       k=st.integers(min_value=8, max_value=64),
+       column=st.sampled_from(["zero", "repeated", "perturbed"]))
+def test_singular_square_w1_takes_the_svd(seed, k, column):
+    for a, b in verdict_pairs(seed, k, k, k, column)[::2]:
+        # W1 is the singular one in the first and third pairs
+        _, _, factorized = agrees_with_the_reference(a, b, solve=False)
+        assert factorized[-1] == "svd"
 
 
 def markov_pair(name: str, n: int) -> tuple[Channel, Channel]:
@@ -583,13 +712,44 @@ def test_channel_rejects_non_stochastic_matrix():
                 matrix=np.array([[0.7, 0.7], [0.5, 0.5]]))
 
 
-def run_after_import(code: str) -> None:
-    """Run ``code`` in a fresh interpreter that has the package on its path."""
+def run_after_import(code: str, **environ: str) -> str:
+    """Run ``code`` in a fresh interpreter that has the package on its path.
+
+    ``environ`` adds environment variables; returns what the code printed.
+    """
     src = str(Path(mmse_lab.__file__).resolve().parent.parent)
-    env = dict(os.environ)
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_decisions_do_not_depend_on_the_blas_thread_count():
+    # from 128 letters on, the LU route's certificate bits differ between
+    # one and two OpenBLAS threads; the verdicts and the LP calls may not.
+    # The LP is recorded, not solved: at 256 letters it would not fit in
+    # memory.
+    code = (
+        "import numpy as np\n"
+        "from mmse_lab import Channel, degradedness, is_degraded, rng_stream\n"
+        "calls = []\n"
+        "degradedness._epigraph = lambda m1, m2: calls.append(m1.shape)\n"
+        "for k in (128, 256):\n"
+        "    rng = rng_stream(59, 'thread-pair', k)\n"
+        "    m1, g = (rng.exponential(1.0, (k, k)) for _ in range(2))\n"
+        "    m1 /= m1.sum(axis=1, keepdims=True)\n"
+        "    g /= g.sum(axis=1, keepdims=True)\n"
+        "    support = np.arange(k, dtype=float)[:, None]\n"
+        "    w1, w2 = (Channel(support, support, m) for m in (m1, m1 @ g))\n"
+        "    for a, b in ((w1, w2), (w2, w1)):\n"
+        "        cert = is_degraded(a, b)\n"
+        "        print(k, cert and cert.feasible, calls)\n")
+    runs = [run_after_import(code, OPENBLAS_NUM_THREADS=threads)
+            for threads in ("1", "2")]
+    assert runs[0] == runs[1]
+    assert runs[0].splitlines() == ["128 True []", "128 False []",
+                                    "256 True []", "256 False []"]
 
 
 def test_import_does_not_load_the_lp_solver():
@@ -599,7 +759,7 @@ def test_import_does_not_load_the_lp_solver():
 
 
 def test_closed_form_decisions_do_not_load_the_lp_solver():
-    # least squares settles the "yes" and the closed form the "no"
+    # the candidate W1^-1 W2 settles the "yes" and the closed form the "no"
     run_after_import(
         "import sys\n"
         "from mmse_lab import binary_symmetric_channel as bsc, is_degraded\n"

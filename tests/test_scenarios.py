@@ -299,7 +299,7 @@ def test_realize_must_return_a_finite_joint(catalog):
 
 @pytest.mark.parametrize("change, needs", [
     ({"markov_witness": lambda n: None}, "witness check"),  # never called
-    ({"audit": "lmmse"}, "LMMSE audit"),
+    ({"audit": "lmmse", "mc_sampler": None}, "LMMSE audit"),
 ])
 def test_reduced_realization_is_refused_where_every_atom_is_read(
         catalog, change, needs):
@@ -310,6 +310,14 @@ def test_reduced_realization_is_refused_where_every_atom_is_read(
     with pytest.raises(ScenarioRunError,
                        match=rf"reduced-clone.*realize\(1\).*{needs}"):
         run_scenario(clone, [1, 2], seed=0)
+
+
+def test_lmmse_audit_takes_no_monte_carlo_sampler(catalog):
+    # the sampler's estimate is of the MMSE, not of the audited LMMSE
+    import dataclasses
+
+    with pytest.raises(InvalidDistribution, match="mc_sampler"):
+        dataclasses.replace(catalog["example4"], audit="lmmse")
 
 
 def test_limit_must_be_a_finite_joint(catalog):
