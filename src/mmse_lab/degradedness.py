@@ -269,8 +269,7 @@ def is_degraded(w1: Channel, w2: Channel) -> GarblingCertificate:
     if (rank == m1.shape[1] and residual < FEASIBILITY_TOL
             and _row_sum_error(g) > CERT_ROW_TOL):
         # the one solution, with row sums off by rounding (module docstring)
-        g = _simplex_rows(g0)
-        residual = float(np.max(np.abs(m1 @ g - m2)))
+        g, residual = _garbling(_simplex_rows(g0).ravel(), m1, m2)
     if residual < FEASIBILITY_TOL and _row_sum_error(g) <= CERT_ROW_TOL:
         return _shown_feasible(g, residual)
     witness = _closed_form_witness(m1, m2, g0, pinv, rank)
