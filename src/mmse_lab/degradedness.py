@@ -19,8 +19,10 @@ it leave the pair open:
    tried instead.
 2. *A closed-form "no"*: a refused candidate yields Blackwell's test
    matrix (below) from its residual W2 - W1 G or, when W1 has full column
-   rank, from a row of W1^+ that exposes a negative entry of G.  When
-   that bound reaches the tolerance, no row-stochastic G comes within it.
+   rank, from a row of W1^+ that exposes a negative entry of G, or from
+   the residual after a few projected gradient steps towards the best
+   row-stochastic fit (see ``_closed_form_witness``).  When that bound
+   reaches the tolerance, no row-stochastic G comes within it.
 3. *The epigraph LP*, solved with HiGHS, which alone decides every pair:
 
        minimize t   s.t.   |(W1 G - W2)_ij| <= t,   G >= 0,   G 1 = 1.
@@ -75,6 +77,7 @@ FEASIBILITY_TOL = 1e-7
 ORDER_TOL = 1e-10             # garbling may lower the exact MMSE by this much
 CERT_ROW_TOL = 1e-9
 BOUND_SLACK = 1e-12           # a dual lower bound may exceed the residual by this
+WITNESS_STEPS = 16            # projected gradient steps of witness (c)
 HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
                  "dual_feasibility_tolerance": 1e-10}
 
@@ -216,24 +219,51 @@ def _closed_form_witness(m1: np.ndarray, m2: np.ndarray, g0: np.ndarray,
         W1^T Lambda picks -G0_kj alone and the bound is
         -G0_kj / ||W1^{+T} e_k||_1, largest at some negative entry of G0.
 
-    None when neither candidate is a usable matrix.
+    When W1 has full column rank but is ill-conditioned, the rows of W1^+
+    are long and (b) proves little although the pair may be far from
+    feasible.  Then, while neither proves FEASIBILITY_TOL:
+
+    (c) Lambda ~ W2 - W1 G after each of up to WITNESS_STEPS projected
+        gradient steps on ||W1 G - W2||_F^2 / 2 over row-stochastic G,
+        from G0's rows projected onto the simplex.  At that least-squares
+        problem's optimum, its optimality conditions make the bound
+        ||R||_F^2 / ||R||_1 for R = W2 - W1 G, positive exactly when the
+        pair is infeasible; the steps approach it.
+
+    None when no candidate is a usable matrix.
     """
-    candidates = [m2 - m1 @ g0]
-    if rank == m1.shape[1] and g0.min() < 0.0:
-        pinv_t = pinv.T
-        k, j = np.unravel_index(
-            np.argmax(-g0 / np.abs(pinv_t).sum(axis=0)[:, None]), g0.shape)
-        lam = np.zeros_like(m2)
-        lam[:, j] = -pinv_t[:, k]
-        candidates.append(lam)
     best = None
-    for lam in candidates:
+
+    def consider(lam: np.ndarray) -> None:
+        nonlocal best
         mass = float(np.abs(lam).sum())
         if mass > 0.0:
             lam = lam / mass
             bound = _blackwell_bound(lam, m1, m2)
             if best is None or bound > best[1]:
                 best = (lam, bound)
+
+    full_rank = rank == m1.shape[1]
+    consider(m2 - m1 @ g0)
+    if full_rank and g0.min() < 0.0:
+        pinv_t = pinv.T
+        k, j = np.unravel_index(
+            np.argmax(-g0 / np.abs(pinv_t).sum(axis=0)[:, None]), g0.shape)
+        lam = np.zeros_like(m2)
+        lam[:, j] = -pinv_t[:, k]
+        consider(lam)
+    if not full_rank:
+        return best
+    # 1 / (||W1||_1 ||W1||_inf) <= 1 / ||W1||_2^2: a step that cannot overshoot
+    step = 1.0 / (m1.sum(axis=0).max() * m1.sum(axis=1).max())
+    g = _simplex_rows(g0)
+    resid = m2 - m1 @ g
+    for _ in range(WITNESS_STEPS):
+        if best is not None and best[1] >= FEASIBILITY_TOL:
+            break
+        g = _simplex_rows(g + step * (m1.T @ resid))
+        resid = m2 - m1 @ g
+        consider(resid)
     return best
 
 

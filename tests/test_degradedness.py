@@ -310,6 +310,24 @@ def test_full_rank_no_needs_no_lp(lp_calls):
     assert cert.lower_bound >= 1e-7
 
 
+def test_ill_conditioned_no_needs_no_lp(monkeypatch, lp_calls):
+    # two rows of W1 = A G differ by 1e-8, so its condition number is about
+    # 4e10 and the row of W1^-1 that witness (b) reads proves less than
+    # 1e-7; the epigraph's dual bound is 0.1, and the projected gradient
+    # steps of witness (c) prove 5e-3
+    rng = np.random.default_rng([0, 24])
+    a, g = (_stochastic(rng, 24, 24) for _ in range(2))
+    a[1] = (1.0 - 1e-8) * a[0] + 1e-8 * a[1]
+    w1, w2 = _channel(a @ g), _channel(a)
+    cert = is_degraded(w1, w2)
+    assert lp_calls == []
+    assert_certified_no(cert, w1, w2)
+    assert cert.lower_bound >= 1e-3
+    monkeypatch.setattr(degradedness, "WITNESS_STEPS", 0)
+    assert not is_degraded(w1, w2).feasible
+    assert lp_calls == ["epigraph"]
+
+
 def test_full_rank_no_goes_straight_to_the_epigraph(lp_calls):
     # a step of 5e-6 from W2 towards W1 leaves the garblings of W2 by
     # about 3e-7, while the closed-form witness only proves about 4e-8
