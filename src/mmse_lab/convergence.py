@@ -28,11 +28,15 @@ says to watch:
 
 Memory: one index holds one realized law at a time.  The law is realized,
 checked, reduced to its second moments and its audited value (and, at the
-last index only, to the ``ui_proxy``), and dropped before the Monte Carlo
-draw.  So the working set of an index is one law plus the temporaries of
-the stage that is running: one atom-sized array in ``mmse_exact`` (see
-``exact``), one support-sized array in the moment and ``ui_proxy`` passes,
-and ``mc_mmse``'s own arrays with no law alive.
+last index only, to the ``ui_proxy``), and dropped before the next index.
+So the working set of an exact stage is one law plus the temporaries of the
+stage that is running: one atom-sized array in ``mmse_exact`` (see
+``exact``) and one support-sized array in the moment and ``ui_proxy``
+passes.  The Monte Carlo indices run after the exact ones, in a second
+loop with no law alive.  That loop allocates one pair of sample buffers,
+every index draws into them and ``mc_mmse`` reduces inside them (see
+``mc``), and they are dropped when the loop ends: an index allocates only
+bin-sized arrays and chunks, and no page of the buffers is faulted twice.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ UI_GRID = (1.0, 2.0, 4.0, 8.0, 16.0)
 PROB_EPS = 0.05
 MC_BIN_SLACK = 1e-2
 WITNESS_TOL = 1e-9
+MC_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -163,19 +168,14 @@ def run_scenario(scenario: ScenarioSequence, n_grid, tol_abs: float = 0.02,
                                   second_moment_y=smy))
             if n == grid[-1]:
                 ui_proxy = {a: ui_functional(joint, a) for a in UI_GRID}
-            # drop the law before the draw, so that no two of this index's
-            # large allocations are alive at once
+            # drop the law before the next realize and before the Monte
+            # Carlo loop: no two laws, and no law and the sample buffers,
+            # are alive at once
             del joint
-            if scenario.mc_sampler is not None:
-                config = RegressionConfig(
-                    n_samples=100_000,
-                    seed=_derived_seed(seed, scenario.name + "/mc", n),
-                    bins=None if scenario.mc_bins is None
-                    else scenario.mc_bins(n))
-                est = mc_mmse(scenario.mc_sampler(n), config)
-                mc_rows.append(McRow(n=n, mmse=est.value, std_err=est.std_error))
         limit_value = _audit_value(scenario, scenario.limit)
         smx_lim, smy_lim = _second_moments(scenario.limit)
+        if scenario.mc_sampler is not None:
+            mc_rows = _mc_rows(scenario, grid, seed)
     except MmseLabError as err:
         if isinstance(err, ScenarioRunError):
             raise
@@ -210,6 +210,25 @@ def run_scenario(scenario: ScenarioSequence, n_grid, tol_abs: float = 0.02,
         tol_abs=tol_abs,
         mc_rows=tuple(mc_rows),
     )
+
+
+def _mc_rows(scenario: ScenarioSequence, grid: list[int],
+             seed: int) -> list[McRow]:
+    """The Monte Carlo estimate at every grid index.
+
+    Every index draws into the same two sample buffers, which live only
+    for this loop.
+    """
+    xs, ys = np.empty((MC_SAMPLES, 1)), np.empty((MC_SAMPLES, 1))
+    rows = []
+    for n in grid:
+        config = RegressionConfig(
+            n_samples=MC_SAMPLES,
+            seed=_derived_seed(seed, scenario.name + "/mc", n),
+            bins=None if scenario.mc_bins is None else scenario.mc_bins(n))
+        est = mc_mmse(scenario.mc_sampler(n), config, xs, ys)
+        rows.append(McRow(n=n, mmse=est.value, std_err=est.std_error))
+    return rows
 
 
 def _check_realized(scenario: ScenarioSequence, n: int, joint) -> None:

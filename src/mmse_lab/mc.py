@@ -12,12 +12,13 @@ Determinism: the sample stream is derived from ``config.seed`` only, and
 all reductions run in sample-index order, so identical inputs give
 bit-identical estimates on the same platform.
 
-Memory: one ``mc_mmse`` call holds the draw's two sample arrays, the bin
-index, one residual buffer and three bin-sized arrays (the counts, the
-retained-bin mask and the means, divided in the buffer of the sums).  The
-measurement is released once the bin index exists, and the residual, its
-square and the standard error are computed in place, in buffers the
-estimator allocated: it never writes into an array a draw returned.
+Memory: ``mc_mmse`` works inside its two sample buffers, which the caller
+may pass in and reuse from call to call.  The draw fills them; the bin
+index replaces the measurement in its own buffer (an int64 view of it), and
+the residual, its square and the standard error are computed in the buffer
+of X.  For a scalar X every other array is bin-sized (the counts, the
+retained-bin mask and the means, divided in the buffer of the sums) or a
+chunk of ``probcore.SAMPLE_CHUNK`` samples.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import InsufficientSamples, InvalidDistribution
 from .exact import mmse_exact
-from .probcore import Draw, FiniteJoint, draw_atom_indices, rng_stream, sample_pairs
+from .probcore import Draw, FiniteJoint, _chunks, draw_atom_indices, rng_stream
 
 MIN_BIN_COUNT = 5
 
@@ -73,7 +74,7 @@ def _binned_value(xs: np.ndarray, bin_idx: np.ndarray,
                   n_bins: int) -> McMmseEstimate:
     """Shared reduction: within-bin means, residuals in sample order.
 
-    Reads ``xs`` and ``bin_idx`` and writes only into arrays it allocates.
+    Reads ``bin_idx`` and overwrites ``xs`` with the squared residuals.
     """
     counts = np.bincount(bin_idx, minlength=n_bins)
     retained_bins = counts >= MIN_BIN_COUNT
@@ -91,62 +92,95 @@ def _binned_value(xs: np.ndarray, bin_idx: np.ndarray,
     # the sums become the means of the retained bins; a dropped bin keeps
     # its sum, and every sample in it is filtered out below
     np.divide(means, counts[:, None], out=means, where=retained_bins[:, None])
-    # the gathered means become the residual and then its square
-    resid = means[bin_idx]
-    np.subtract(xs, resid, out=resid)
-    resid *= resid
-    sq = resid[:, 0] if k == 1 else resid.sum(axis=1)
+    # the residual, in the buffer of X, gathering the means chunk by chunk
+    for part, idx in zip(_chunks(xs), _chunks(bin_idx)):
+        part -= means[idx]
+    sq = _squared_norms_in_place(xs)
     n_eff = int(counts.sum(where=retained_bins))
     if n_eff < sq.size:
-        sq = sq[retained_bins[bin_idx]]
+        # keep the samples of retained bins, moved forward in sq's buffer
+        kept = 0
+        for part, idx in zip(_chunks(sq), _chunks(bin_idx)):
+            keep = part[retained_bins[idx]]
+            sq[kept:kept + keep.size] = keep
+            kept += keep.size
+        sq = sq[:kept]
+    return _estimate(sq)
+
+
+def _squared_norms_in_place(resid: np.ndarray) -> np.ndarray:
+    """Squared row norms of the (n, k) residual, squared in its buffer."""
+    resid *= resid
+    return resid[:, 0] if resid.shape[1] == 1 else resid.sum(axis=1)
+
+
+def _estimate(sq: np.ndarray, degenerate_range: bool = False
+              ) -> McMmseEstimate:
+    """Mean of the squared residuals with its plug-in standard error.
+
+    sq.std(ddof=0) step by step in sq's own buffer: mean, subtract, square,
+    sum, divide by the count, square root.  A non-finite result (a NaN or an
+    infinity among the samples of X) raises.
+    """
     value = sq.mean()
-    # sq.std(ddof=0) step by step in sq's own buffer: mean, subtract, square,
-    # sum, divide by the count, square root
     sq -= value
     sq *= sq
-    std = math.sqrt(sq.sum() / sq.size)
-    return McMmseEstimate(value=float(value),
-                          std_error=float(std / math.sqrt(n_eff)),
-                          n_effective=n_eff)
+    std_error = math.sqrt(sq.sum() / sq.size) / math.sqrt(sq.size)
+    if not (math.isfinite(value) and math.isfinite(std_error)):
+        raise InvalidDistribution(
+            f"the regressogram estimate is not finite: value {float(value)!r}, "
+            f"standard error {std_error!r}")
+    return McMmseEstimate(value=float(value), std_error=float(std_error),
+                          n_effective=sq.size,
+                          degenerate_range=degenerate_range)
 
 
-def mc_mmse(draw: Draw, config: RegressionConfig) -> McMmseEstimate:
+def mc_mmse(draw: Draw, config: RegressionConfig, xs: np.ndarray | None = None,
+            ys: np.ndarray | None = None) -> McMmseEstimate:
     """Regressogram MMSE estimate from fresh draws of ``draw``.
 
     The measurement must be scalar.  If every measurement sample coincides
     there is no range to bin; the estimate then degrades to the prior
     variance of X and is flagged ``degenerate_range`` (the MMSE of a
-    constant measurement).
+    constant measurement).  A non-finite sample raises InvalidDistribution.
+
+    ``xs`` and ``ys`` are the sample buffers, float64 arrays of shape
+    (n_samples, k) and (n_samples, 1) that the draw fills; the estimate
+    overwrites both.  None allocates an (n_samples, 1) array.
     """
-    rng = rng_stream(config.seed, "mc_mmse")
-    xs, ys = sample_pairs(draw, config.n_samples, rng)
+    n = config.n_samples
+    xs = np.empty((n, 1)) if xs is None else xs
+    ys = np.empty((n, 1)) if ys is None else ys
     if ys.shape[1] != 1:
         raise InvalidDistribution(
             f"the regressogram bins a scalar measurement, got dimension "
             f"{ys.shape[1]}")
+    if not (xs.shape[0] == ys.shape[0] == n
+            and xs.dtype == ys.dtype == np.float64):
+        raise InvalidDistribution(
+            f"sample buffers must be float64 with {n} rows, got "
+            f"{xs.dtype} {xs.shape} and {ys.dtype} {ys.shape}")
+    draw(rng_stream(config.seed, "mc_mmse"), xs, ys)
     y = ys[:, 0]
     lo = y.min()
     hi = y.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidDistribution(
+            f"measurement samples are not finite: range "
+            f"[{float(lo)!r}, {float(hi)!r}]")
     if hi == lo:
-        mean = xs.mean(axis=0)
-        resid = xs - mean
-        sq = (resid * resid).sum(axis=1)
-        return McMmseEstimate(
-            value=float(sq.mean()),
-            std_error=float(sq.std(ddof=0) / math.sqrt(xs.shape[0])),
-            n_effective=xs.shape[0],
-            degenerate_range=True,
-        )
-    bins = (cube_root_bins(config.n_samples) if config.bins is None
-            else config.bins)
+        xs -= xs.mean(axis=0)
+        return _estimate(_squared_norms_in_place(xs), degenerate_range=True)
+    bins = cube_root_bins(n) if config.bins is None else config.bins
     width = (hi - lo) / bins
-    # the bin index in one float buffer: (y - lo) / width, floored
-    t = y - lo
-    del ys, y  # the measurement is not needed past its bin index
-    t /= width
-    np.floor(t, out=t)
-    idx = t.astype(np.int64)
-    del t
+    # the bin index in the measurement's buffer: (y - lo) / width, floored,
+    # then cast to int64 in place (a 1-D assignment between arrays that
+    # overlap exactly casts element by element, with no copy)
+    y -= lo
+    y /= width
+    np.floor(y, out=y)
+    idx = y.view(np.int64)
+    idx[...] = y
     return _binned_value(xs, np.clip(idx, 0, bins - 1, out=idx), bins)
 
 

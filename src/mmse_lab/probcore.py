@@ -16,11 +16,12 @@ The whole lab runs on four value types:
   the MMSE is computed on the (X, T) joint; the marginals of X and Y are
   exposed, the (X, Y) atoms are never built.  The lattice scenarios whose
   measurement refines a small statistic (``cor1_*``, ``example2``) use it.
-* ``Draw`` — a seeded batch-draw function ``draw(rng, size) -> (xs, ys)``
-  for laws that are not finite (uniform priors, additive noise families);
-  it returns ``size`` independent draws of X and of Y.  Only the Monte
-  Carlo cross-path consumes these; every exact result is computed on a
-  ``FiniteJoint``.
+* ``Draw`` — a seeded fill function ``draw(rng, xs, ys)`` for laws that
+  are not finite (uniform priors, additive noise families); it writes
+  ``len(xs)`` independent draws of X and of Y into float64 arrays of shape
+  (n, k) and (n, m) that the caller owns, so one pair of buffers serves
+  many draws.  Only the Monte Carlo cross-path consumes these; every exact
+  result is computed on a ``FiniteJoint``.
 * ``MomentSummary`` — first and second moments of a pair, with the
   second-moment identity  E||Z||^2 = trace(Cov Z) + ||E Z||^2  enforced at
   construction.
@@ -92,10 +93,10 @@ class FiniteJoint:
 
     Atom ``a`` says P(X = x_support[x_idx[a]], Y = y_support[y_idx[a]]) =
     prob[a].  Atom masses are finite, strictly positive and sum to 1 within
-    ``PMF_TOL``; atoms are stored in row-major order, so the flat index
-    ``x_idx * ny + y_idx`` is strictly increasing.  Support atoms are rows
-    and must be pairwise distinct; a support atom may carry no mass.  Every
-    array is read-only.
+    ``PMF_TOL``; atoms are stored in row-major order, so the pairs
+    ``(x_idx, y_idx)`` strictly increase in lexicographic order.  Support
+    atoms are rows and must be pairwise distinct; a support atom may carry
+    no mass.  Every array is read-only.
 
     ``FiniteJoint(x_support, y_support, pmf)`` takes a dense (nx, ny)
     matrix and keeps its nonzero entries.  ``FiniteJoint(x_support,
@@ -162,8 +163,13 @@ class FiniteJoint:
                     or y_idx.min() < 0 or y_idx.max() >= ny):
                 raise InvalidDistribution(
                     f"atom indices out of range for supports ({nx}, {ny})")
-            flat = x_idx * ny + y_idx
-            if not (flat[1:] > flat[:-1]).all():
+            # row-major: each atom's x row is greater, or equal with a
+            # greater y row.  Pairwise, so no flat index can overflow.
+            ordered = x_idx[1:] > x_idx[:-1]
+            same_row = x_idx[1:] == x_idx[:-1]
+            same_row &= y_idx[1:] > y_idx[:-1]
+            ordered |= same_row
+            if not ordered.all():
                 raise InvalidDistribution(
                     "atoms must be distinct and in row-major order")
         total = float(prob.sum())
@@ -288,19 +294,32 @@ class SufficientJoint:
 
 
 # a string, because evaluating np.random here would import numpy.random,
-# which numpy otherwise loads only when a generator is first made.  A draw may
-# return arrays it keeps (a fixed table, a view of a read-only joint), so the
-# estimators only read what a draw returns and never write into it.
-Draw = Callable[["np.random.Generator", int], tuple[np.ndarray, np.ndarray]]
+# which numpy otherwise loads only when a generator is first made.  A draw
+# fills the caller's two float64 arrays and returns nothing; what it writes
+# must not depend on what they held, so a caller may reuse them from one
+# draw to the next and the estimators may use them as scratch afterwards.
+Draw = Callable[["np.random.Generator", np.ndarray, np.ndarray], None]
+
+# Rows per chunk of a chunked pass over sample arrays.  8192 float64 or int64
+# values are 64 KiB, half of glibc's default mmap threshold: a chunk's
+# temporaries come from the heap, which keeps freed pages, so a loop of them
+# faults no fresh pages.  At 128 KiB they are mapped and unmapped each time.
+SAMPLE_CHUNK = 8192
+
+
+def _chunks(a: np.ndarray):
+    """Views of consecutive ``SAMPLE_CHUNK``-row slices of ``a``, in order."""
+    for start in range(0, a.shape[0], SAMPLE_CHUNK):
+        yield a[start:start + SAMPLE_CHUNK]
 
 
 def sample_pairs(draw: Draw, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n pairs as (n, k) and (n, m) arrays."""
+    """Draw n scalar pairs into two new (n, 1) arrays."""
     if n < 1:
         raise InsufficientSamples("need at least one sample")
-    xs, ys = draw(rng, n)
-    return (np.asarray(xs, dtype=float).reshape(n, -1),
-            np.asarray(ys, dtype=float).reshape(n, -1))
+    xs, ys = np.empty((n, 1)), np.empty((n, 1))
+    draw(rng, xs, ys)
+    return xs, ys
 
 
 def draw_atom_indices(joint: FiniteJoint, size: int,
@@ -315,11 +334,14 @@ def draw_atom_indices(joint: FiniteJoint, size: int,
 
 
 def sampler_from_joint(joint: FiniteJoint) -> Draw:
-    """Categorical draw function over the atoms of an exact joint."""
-    def draw(rng: np.random.Generator, size: int):
-        idx = draw_atom_indices(joint, size, rng)
-        return (joint.x_support[joint.x_idx[idx]],
-                joint.y_support[joint.y_idx[idx]])
+    """Categorical draw function over the atoms of an exact joint.
+
+    It fills (n, k) and (n, m) arrays, k and m the dimensions of the joint.
+    """
+    def draw(rng: np.random.Generator, xs: np.ndarray, ys: np.ndarray):
+        idx = draw_atom_indices(joint, xs.shape[0], rng)
+        np.take(joint.x_support, joint.x_idx[idx], axis=0, out=xs)
+        np.take(joint.y_support, joint.y_idx[idx], axis=0, out=ys)
 
     return draw
 

@@ -63,9 +63,11 @@ from .degradedness import Channel, binary_symmetric_channel, compose
 from .errors import InvalidDistribution
 from .exact import mmse_exact
 from .probcore import (
+    SAMPLE_CHUNK,
     Draw,
     FiniteJoint,
     SufficientJoint,
+    _chunks,
     floor_index,
     joint_from_atoms,
     product_joint,
@@ -131,8 +133,10 @@ class ScenarioSequence:
     when present, is a channel D_n with realize(n) = compose(limit, D_n),
     i.e. an explicit degradedness coupling of the sequence to its limit.
     ``mc_sampler(n)`` is a draw function (``probcore.Draw``) of the
-    un-quantized continuous law for the Monte Carlo cross-path, which
-    estimates the MMSE and so is refused with ``audit="lmmse"``, and
+    un-quantized continuous law for the Monte Carlo cross-path: it fills
+    the caller's (size, 1) sample arrays of X_n and Y_n, with no array of
+    its own larger than a ``probcore.SAMPLE_CHUNK`` chunk.  The estimate is
+    of the MMSE, so a sampler is refused with ``audit="lmmse"``; and
     ``mc_bins(n)``, when present, the regressogram bin count at index n
     (default ``mc.cube_root_bins`` of the sample count).
     Every scenario gives ``x_deviation_prob(n, eps)``, the exact
@@ -272,12 +276,15 @@ def _example2_limit() -> FiniteJoint:
 
 
 def _example2_sampler(n: int) -> Draw:
-    def draw(rng: np.random.Generator, size: int):
-        x = rng.random(size)
-        # B + X / n, with the bit B added in place
-        y = x / n
-        y += rng.integers(0, 2, size)
-        return x[:, None], y[:, None]
+    def draw(rng: np.random.Generator, xs: np.ndarray, ys: np.ndarray):
+        x, y = xs[:, 0], ys[:, 0]
+        rng.random(out=x)
+        # B + X / n, with the bit B added in place.  integers() has no out=;
+        # calls on consecutive chunks draw the same integers as one call and
+        # leave the generator in the same state
+        np.divide(x, n, out=y)
+        for part in _chunks(y):
+            part += rng.integers(0, 2, part.size)
 
     return draw
 
@@ -380,14 +387,25 @@ def _example4_limit() -> FiniteJoint:
                           np.arange(cells.size), np.arange(cells.size), p)
 
 
+def _uniform_fill(rng: np.random.Generator, out: np.ndarray) -> None:
+    """``rng.uniform(-SQRT3, SQRT3, out.size)``, written into ``out``.
+
+    numpy's uniform is low + (high - low) * u, and high - low is 2 SQRT3
+    exactly.
+    """
+    rng.random(out=out)
+    out *= 2.0 * SQRT3
+    out += -SQRT3
+
+
 def _example4_sampler(n: int) -> Draw:
-    def draw(rng: np.random.Generator, size: int):
-        x = rng.uniform(-SQRT3, SQRT3, size)
+    def draw(rng: np.random.Generator, xs: np.ndarray, ys: np.ndarray):
+        x, y = xs[:, 0], ys[:, 0]
+        _uniform_fill(rng, x)
         # X + W / n, built in the buffer of W
-        y = rng.uniform(-SQRT3, SQRT3, size)
+        _uniform_fill(rng, y)
         y /= n
         y += x
-        return x[:, None], y[:, None]
 
     return draw
 
@@ -462,23 +480,26 @@ def _cor1_scenario(name: str, gamma_of_n, lambda_of_n, path_note: str) -> Scenar
         gamma = gamma_of_n(n)
         lam = lambda_of_n(n)
 
-        def draw(rng: np.random.Generator, size: int):
-            # the signs X and N; rng.choice([-1.0, 1.0], size) draws these
-            # same integers and leaves the generator in the same state
-            x = _SIGNS.take(rng.integers(0, 2, size))
-            y = _SIGNS.take(rng.integers(0, 2, size))
+        def draw(rng: np.random.Generator, xs: np.ndarray, ys: np.ndarray):
+            x, y = xs[:, 0], ys[:, 0]
+            # the signs X and N, chunk by chunk; rng.choice([-1.0, 1.0],
+            # size) draws these same integers and leaves the generator in
+            # the same state
+            for signs in (x, y):
+                for part in _chunks(signs):
+                    _SIGNS.take(rng.integers(0, 2, part.size), out=part)
             y += x
-            # the perturbation of X, then the noise on Y, drawn into one
-            # buffer: X_n = X + perturbation, Y_n = (X + N) + noise
-            noise = rng.random(size)
-            noise -= 0.5
-            noise *= gamma
-            x += noise
-            rng.random(out=noise)
-            noise -= 0.5
-            noise *= lam
-            y += noise
-            return x[:, None], y[:, None]
+            # the perturbation of X, then the noise on Y, each drawn chunk by
+            # chunk into one scratch chunk: X_n = X + perturbation,
+            # Y_n = (X + N) + noise
+            scratch = np.empty(SAMPLE_CHUNK)
+            for out, width in ((x, gamma), (y, lam)):
+                for part in _chunks(out):
+                    noise = scratch[:part.size]
+                    rng.random(out=noise)
+                    noise -= 0.5
+                    noise *= width
+                    part += noise
 
         return draw
 

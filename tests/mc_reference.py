@@ -1,8 +1,9 @@
 """The Monte Carlo path as written before its temporaries were made in place.
 
-``mc._binned_value`` and the scenarios' draw functions compute their bin
-means, residuals, standard error and samples in buffers they reuse.  The
-versions below allocate a new array for each step, in the same IEEE
+``mc._binned_value`` computes its bin means, residuals and standard error
+in the buffer of its samples, and the scenarios' draw functions fill
+caller-owned sample buffers, chunk by chunk where numpy has no ``out=``.
+The versions below allocate a new array for each step, in the same IEEE
 operations and order.  They are the reference that the in-place versions must
 match bit for bit, and leave the generator in the same state.
 """

@@ -22,10 +22,12 @@ from test_probcore import rademacher_sum_joint
 
 def uniform_pair_sampler(copy_y: bool = True):
     """X uniform[0,1); Y = X, or Y independent of X."""
-    def draw(rng, size):
-        x = rng.random(size)[:, None]
-        y = x.copy() if copy_y else rng.random(size)[:, None]
-        return x, y
+    def draw(rng, xs, ys):
+        rng.random(out=xs)
+        if copy_y:
+            ys[...] = xs
+        else:
+            rng.random(out=ys)
 
     return draw
 
@@ -48,8 +50,9 @@ def test_independent_pair_recovers_prior_variance():
 
 
 def test_degenerate_measurement_range_flagged():
-    def constant_measurement(rng, size):
-        return rng.random((size, 1)), np.full((size, 1), 7.0)
+    def constant_measurement(rng, xs, ys):
+        rng.random(out=xs)
+        ys[...] = 7.0
 
     est = mc_mmse(constant_measurement, RegressionConfig(n_samples=2_000, seed=4))
     assert est.degenerate_range is True
@@ -58,8 +61,9 @@ def test_degenerate_measurement_range_flagged():
 
 
 def test_no_retained_bin_raises():
-    def too_few(rng, size):
-        return rng.random((size, 1)), rng.random((size, 1))
+    def too_few(rng, xs, ys):
+        rng.random(out=xs)
+        rng.random(out=ys)
 
     with pytest.raises(InsufficientSamples):
         mc_mmse(too_few, RegressionConfig(n_samples=4, seed=5))
@@ -71,11 +75,39 @@ def test_bin_count_below_one_rejected():
 
 
 def test_vector_measurement_rejected():
-    def planar_measurement(rng, size):
-        return rng.random((size, 1)), rng.random((size, 2))
+    def planar_measurement(rng, xs, ys):
+        rng.random(out=xs)
+        rng.random(out=ys)
 
     with pytest.raises(InvalidDistribution, match="scalar measurement"):
-        mc_mmse(planar_measurement, RegressionConfig(n_samples=100, seed=0))
+        mc_mmse(planar_measurement, RegressionConfig(n_samples=100, seed=0),
+                np.empty((100, 1)), np.empty((100, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_measurement_raises(bad):
+    # one such sample among 10,000 would put every other sample in bin 0
+    def draw(rng, xs, ys):
+        rng.random(out=xs)
+        ys[...] = xs
+        ys[1234] = bad
+
+    with pytest.raises(InvalidDistribution, match="not finite"):
+        mc_mmse(draw, RegressionConfig(n_samples=10_000, seed=0))
+
+
+@pytest.mark.parametrize("constant_y", [False, True],
+                         ids=["binned", "degenerate_range"])
+def test_non_finite_prior_sample_raises(constant_y):
+    # a NaN of X reaches the bin means and the value, or with a constant
+    # measurement the prior variance
+    def draw(rng, xs, ys):
+        rng.random(out=xs)
+        ys[...] = 7.0 if constant_y else xs
+        xs[1234] = np.nan
+
+    with pytest.raises(InvalidDistribution, match="not finite"):
+        mc_mmse(draw, RegressionConfig(n_samples=10_000, seed=0))
 
 
 def test_estimate_is_reproducible_bitwise():
@@ -101,12 +133,11 @@ def test_sparse_bins_are_excluded():
     # sample shares the first bin, so the estimate is their variance
     drawn = []
 
-    def outliers(rng, size):
-        x = rng.random(size)[:, None]
-        y = x.copy()
-        y[:min(3, size)] = 1e6
-        drawn.append(x)
-        return x, y
+    def outliers(rng, xs, ys):
+        rng.random(out=xs)
+        ys[...] = xs
+        ys[:3] = 1e6
+        drawn.append(xs.copy())  # the estimator overwrites xs
 
     est = mc_mmse(outliers, RegressionConfig(n_samples=20_000, seed=7))
     assert est.n_effective == 20_000 - 3
@@ -143,41 +174,51 @@ def test_binned_value_matches_the_allocating_reference(k, counts, all_retained,
     rng = np.random.default_rng(seed)
     bin_idx = rng.permutation(np.repeat(np.arange(len(counts)), counts))
     xs = rng.normal(size=(bin_idx.size, k)) * scale
-    got = _estimate_or_error(_binned_value, xs, bin_idx, len(counts))
+    # _binned_value overwrites its xs; the reference reads the original
+    got = _estimate_or_error(_binned_value, xs.copy(), bin_idx, len(counts))
     assert got == _estimate_or_error(binned_value, xs, bin_idx, len(counts))
 
 
-def _read_only(draw):
-    def frozen(rng, size):
-        xs, ys = draw(rng, size)
-        xs.flags.writeable = False
-        ys.flags.writeable = False
-        return xs, ys
-
-    return frozen
+def _sparse_tail(rng, xs, ys):
+    rng.random(out=xs)
+    ys[...] = xs
+    ys[:3] = 1e6  # a bin under MIN_BIN_COUNT
 
 
-def _sparse_tail(rng, size):
-    x = rng.random(size)
-    y = x.copy()
-    y[:3] = 1e6  # a bin under MIN_BIN_COUNT
-    return x[:, None], y[:, None]
+def _constant_y(rng, xs, ys):
+    rng.random(out=xs)
+    ys[...] = 7.0
 
 
 EXAMPLE2 = builtin_scenarios()["example2"]
 
 
-@pytest.mark.parametrize("draw, bins", [
-    (uniform_pair_sampler(), None),
-    (_sparse_tail, None),
-    (lambda rng, size: (rng.random((size, 2)), np.full((size, 1), 7.0)), None),
-    (sampler_from_joint(bsc_joint(0.1)), None),
-    (EXAMPLE2.mc_sampler(64), EXAMPLE2.mc_bins(64)),
+@pytest.mark.parametrize("draw, bins, k", [
+    (uniform_pair_sampler(), None, 1),
+    (_sparse_tail, None, 1),
+    (_constant_y, None, 2),
+    (sampler_from_joint(bsc_joint(0.1)), None, 1),
+    (EXAMPLE2.mc_sampler(64), EXAMPLE2.mc_bins(64), 1),
 ], ids=["identity", "sparse_bin", "constant_y", "bsc", "example2"])
-def test_mc_mmse_reads_a_read_only_draw(draw, bins):
-    # the estimate needs no write access to what the draw returned
-    config = RegressionConfig(n_samples=20_000, seed=12, bins=bins)
-    assert mc_mmse(_read_only(draw), config) == mc_mmse(draw, config)
+def test_mc_mmse_ignores_what_its_buffers_held(draw, bins, k):
+    # the estimate is the same in fresh buffers, in buffers full of NaN and
+    # in buffers that an estimate at another index has just used
+    size = 20_000
+    config = RegressionConfig(n_samples=size, seed=12, bins=bins)
+    want = mc_mmse(draw, config, np.zeros((size, k)), np.zeros((size, 1)))
+    if k == 1:
+        assert mc_mmse(draw, config) == want
+    nan_buffers = np.full((size, k), np.nan), np.full((size, 1), np.nan)
+    assert mc_mmse(draw, config, *nan_buffers) == want
+    used = np.empty((size, k)), np.empty((size, 1))
+    mc_mmse(draw, RegressionConfig(n_samples=size, seed=13, bins=bins), *used)
+    assert mc_mmse(draw, config, *used) == want
+
+
+def test_mc_mmse_refuses_buffers_of_another_size():
+    with pytest.raises(InvalidDistribution, match="buffers"):
+        mc_mmse(uniform_pair_sampler(), RegressionConfig(n_samples=100, seed=0),
+                np.empty((99, 1)), np.empty((99, 1)))
 
 
 @pytest.mark.parametrize("joint, dropped", [
@@ -187,12 +228,13 @@ def test_mc_mmse_reads_a_read_only_draw(draw, bins):
                  np.array([[0.5, 0.001], [0.499, 0.0]])), 3),
 ], ids=["bsc", "sparse_bin"])
 def test_mc_mmse_vs_exact_reads_read_only_samples(monkeypatch, joint, dropped):
+    # the reduction only reads the sampled bin index; the gathered X
+    # samples are its own copy, which it overwrites with the residuals
     config = RegressionConfig(n_samples=3_000, seed=1)
     want = mc_mmse_vs_exact(joint, config)
     assert want[0].n_effective == config.n_samples - dropped
 
     def frozen(xs, bin_idx, n_bins):
-        xs.flags.writeable = False
         bin_idx.flags.writeable = False
         return _binned_value(xs, bin_idx, n_bins)
 

@@ -214,6 +214,26 @@ def test_atom_constructor_rejects_invalid_atoms(x_idx, y_idx, prob):
         atom_joint(x_idx, y_idx, prob)
 
 
+def wide_int32_joint(x_idx, y_idx):
+    # 70,000 atoms a side: nx * ny is past 2**31, so the flat index
+    # x_idx * ny + y_idx of an int32 atom overflows int32
+    support = np.arange(70_000.0)
+    return FiniteJoint(support, support,
+                       x_idx=np.array(x_idx, dtype=np.int32),
+                       y_idx=np.array(y_idx, dtype=np.int32),
+                       prob=np.array([0.5, 0.5]))
+
+
+def test_row_major_int32_atoms_on_wide_supports_are_accepted():
+    j = wide_int32_joint([0, 40_000], [69_999, 0])
+    assert j.x_idx.tolist() == [0, 40_000]
+
+
+def test_out_of_order_int32_atoms_on_wide_supports_are_rejected():
+    with pytest.raises(InvalidDistribution, match="row-major"):
+        wide_int32_joint([40_000, 0], [0, 1])
+
+
 def test_joint_needs_exactly_one_representation():
     xs, ys = np.array([[0.0]]), np.array([[0.0]])
     with pytest.raises(InvalidDistribution):

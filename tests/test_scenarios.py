@@ -25,6 +25,7 @@ from mmse_lab import (
 )
 from mmse_lab import convergence
 from mmse_lab.probcore import (
+    SAMPLE_CHUNK,
     FiniteJoint,
     SufficientJoint,
     floor_quantize,
@@ -407,13 +408,19 @@ def test_mc_rows_are_pinned(catalog, name):
 
 @pytest.mark.parametrize("name", sorted(PINNED_MC_ROWS))
 def test_draws_match_the_allocating_reference(catalog, name):
+    # the draws fill NaN buffers, so a value they leave unwritten shows; the
+    # sizes straddle the chunk boundaries of the chunked draws
+    sizes = (1, 7, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1,
+             3 * SAMPLE_CHUNK + 1, 100_000)
     for n in (1, 3, 64, 1024):
         draw, want_draw = catalog[name].mc_sampler(n), reference_draw(name, n)
         for seed in (0, 7, 2 ** 40 + 1):
-            for size in (1, 7, 100_000):
+            for size in sizes:
                 rng = np.random.default_rng(seed)
                 want_rng = np.random.default_rng(seed)
-                got, want = draw(rng, size), want_draw(want_rng, size)
+                got = np.full((size, 1), np.nan), np.full((size, 1), np.nan)
+                draw(rng, *got)
+                want = want_draw(want_rng, size)
                 for a, b in zip(got, want):
                     assert a.dtype == b.dtype and a.shape == b.shape
                     assert a.tobytes() == b.tobytes(), (n, seed, size)
@@ -423,8 +430,9 @@ def test_draws_match_the_allocating_reference(catalog, name):
 def test_example2_mc_allocates_per_bin_and_per_sample(catalog):
     # at n = 16384 the regressogram has 64 (n + 1) = 1,048,640 bins, ten per
     # sample; each bin holds a count (8 B), a retained flag (1 B) and a mean
-    # (8 B, divided in the buffer of its sum), and no more than five
-    # sample-sized arrays of 8 B are alive at once
+    # (8 B, divided in the buffer of its sum), and the only sample-sized
+    # arrays are the two buffers of 8 B per sample that mc_mmse allocates
+    # when it is given none
     sc = catalog["example2"]
     n = 16384
     config = RegressionConfig(n_samples=100_000, seed=3, bins=sc.mc_bins(n))
@@ -436,7 +444,7 @@ def test_example2_mc_allocates_per_bin_and_per_sample(catalog):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 17 * config.bins + 40 * config.n_samples + 2 ** 20
+    assert peak <= 17 * config.bins + 16 * config.n_samples + 2 ** 18
 
 
 @pytest.mark.parametrize("name", ["example2", "example4"])
@@ -448,9 +456,9 @@ def test_no_realized_law_is_alive_during_the_draw(catalog, monkeypatch, name):
         laws.append(weakref.ref(joint))
         return joint
 
-    def mc_mmse_without_laws(draw, config):
+    def mc_mmse_without_laws(draw, config, *buffers):
         assert all(law() is None for law in laws), "a realized law is alive"
-        return mc_mmse(draw, config)
+        return mc_mmse(draw, config, *buffers)
 
     monkeypatch.setattr(convergence, "mc_mmse", mc_mmse_without_laws)
     clone = dataclasses.replace(catalog[name], realize=realize)
@@ -466,8 +474,8 @@ def test_example2_peak_is_one_law_and_its_stage(catalog):
     # realize(1024) has 64 * 1024 atoms and one x support row per atom: the
     # law is five atom-sized arrays of 8 B (the x support, x_idx, y_idx,
     # prob and the cached x marginal), and mmse_exact adds one more and its
-    # chunks.  mc_mmse's own peak at this index (3.4 MiB for 100 000
-    # samples in 65 600 bins) is under that bound too, but not with the
+    # chunks.  The Monte Carlo loop's peak (two 0.8 MB sample buffers and
+    # 1.1 MB for 65 600 bins) is under that bound too, but not with the
     # law's 2.5 MiB on top, as when the law was kept through the draw.
     sc = catalog["example2"]
     atoms = EXAMPLE2_CELLS_PER_INDEX * 1024
@@ -479,6 +487,30 @@ def test_example2_peak_is_one_law_and_its_stage(catalog):
     finally:
         tracemalloc.stop()
     assert peak <= 7 * 8 * atoms + 2 ** 18
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MC_ROWS))
+def test_monte_carlo_indices_reuse_the_sample_buffers(catalog, monkeypatch,
+                                                      name):
+    # after the first Monte Carlo index, an index allocates bin-sized arrays
+    # and chunks, and no sample-sized array: not even half of one
+    peaks = []
+
+    def traced(draw, config, *buffers):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        est = mc_mmse(draw, config, *buffers)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return est
+
+    monkeypatch.setattr(convergence, "mc_mmse", traced)
+    tracemalloc.start()
+    try:
+        run_scenario(catalog[name], GRID, seed=0)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == len(GRID)
+    assert max(peaks[1:]) < 4 * convergence.MC_SAMPLES, peaks
 
 
 def test_markov_witness_reconstructs_each_index(catalog):
