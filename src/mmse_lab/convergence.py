@@ -41,6 +41,7 @@ bin-sized arrays and chunks, and no page of the buffers is faulted twice.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -51,7 +52,13 @@ from .errors import MissingWitness, MmseLabError, ScenarioRunError
 from .exact import conditional_expectation, mmse_exact, squared_norms
 from .linear import lmmse
 from .mc import RegressionConfig, mc_mmse
-from .probcore import FiniteJoint, SufficientJoint, moments_exact, rng_stream
+from .probcore import (
+    FiniteJoint,
+    SufficientJoint,
+    _chunks,
+    moments_exact,
+    rng_stream,
+)
 from .scenarios import ExpectedOutcome, ScenarioSequence
 
 UI_GRID = (1.0, 2.0, 4.0, 8.0, 16.0)
@@ -116,10 +123,13 @@ def _second_moments(joint: FiniteJoint | SufficientJoint
 
 def _second_moment(points: np.ndarray, marginal: np.ndarray) -> float:
     # math.fsum, not a BLAS dot: a threaded dot splits long sums across
-    # threads, so its last bits would depend on the BLAS thread count
+    # threads, so its last bits would depend on the BLAS thread count.
+    # fsum is exactly rounded, so feeding it Python floats chunk by chunk
+    # gives the bits of fsum(sq) without walking numpy scalars.
     sq = squared_norms(points)
     sq *= marginal
-    return math.fsum(sq)
+    return math.fsum(itertools.chain.from_iterable(
+        chunk.tolist() for chunk in _chunks(sq)))
 
 
 def _audit_value(scenario: ScenarioSequence,

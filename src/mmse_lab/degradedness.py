@@ -27,6 +27,9 @@ it leave the pair open:
 
        minimize t   s.t.   |(W1 G - W2)_ij| <= t,   G >= 0,   G 1 = 1.
 
+   Its G answers "yes" on the recomputed residual and row sums, whatever
+   status HiGHS reports; a "no" needs a clean solve and finite duals.
+
 Every certificate reports the recomputed max-entry residual of the
 returned G (never the solver's own objective value).  Feasibility means
 the residual is strictly below the tolerance, so a tie at the boundary
@@ -78,13 +81,24 @@ ORDER_TOL = 1e-10             # garbling may lower the exact MMSE by this much
 CERT_ROW_TOL = 1e-9
 BOUND_SLACK = 1e-12           # a dual lower bound may exceed the residual by this
 WITNESS_STEPS = 16            # projected gradient steps of witness (c)
+EPS = np.finfo(float).eps
 HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
                  "dual_feasibility_tolerance": 1e-10}
 
 
 @dataclass(frozen=True)
 class Channel:
-    """Row-stochastic transition matrix between two finite alphabets."""
+    """Row-stochastic transition matrix between two finite alphabets.
+
+    Each alphabet is a support as ``FiniteJoint`` takes one: a non-empty
+    1-D or 2-D array of finite, pairwise distinct letters (0.0 and -0.0
+    are the same letter).  The constructor raises InvalidDistribution for
+    a support that is not, for a matrix whose shape is not (n_in, n_out),
+    for a non-finite or negative entry, and for a row that does not sum to
+    1 within ROW_SUM_TOL.  It stores read-only copies of all three arrays,
+    so a caller that changes its own arrays later does not change the
+    channel.
+    """
 
     input_support: np.ndarray   # (n_in, d)
     output_support: np.ndarray  # (n_out, d')
@@ -98,12 +112,13 @@ class Channel:
             raise InvalidDistribution(
                 f"matrix shape {mat.shape} does not match alphabets "
                 f"({ins.shape[0]}, {outs.shape[0]})")
-        if not np.all(np.isfinite(mat)) or np.any(mat < 0.0):
+        if not np.isfinite(mat).all() or (mat < 0.0).any():
             raise InvalidDistribution("matrix entries must be finite and nonnegative")
         rows = mat.sum(axis=1)
-        if np.max(np.abs(rows - 1.0)) > ROW_SUM_TOL:
+        off = np.abs(rows - 1.0)
+        if off.max() > ROW_SUM_TOL:
             raise InvalidDistribution(
-                f"rows must sum to 1 within {ROW_SUM_TOL}; worst row sum {rows[np.argmax(np.abs(rows - 1.0))]!r}")
+                f"rows must sum to 1 within {ROW_SUM_TOL}; worst row sum {rows[off.argmax()]!r}")
         for arr, fname in ((ins, "input_support"), (outs, "output_support"),
                            (mat, "matrix")):
             arr = arr.copy()
@@ -149,12 +164,12 @@ class GarblingCertificate:
 def _garbling(x: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, float]:
     """G from the leading entries of a solution vector, and its residual."""
     n_mid, n_out = m1.shape[1], m2.shape[1]
-    g = np.clip(x[:n_mid * n_out].reshape(n_mid, n_out), 0.0, 1.0)
-    return g, float(np.max(np.abs(m1 @ g - m2)))
+    g = x[:n_mid * n_out].reshape(n_mid, n_out).clip(0.0, 1.0)
+    return g, float(np.abs(m1 @ g - m2).max())
 
 
 def _row_sum_error(g: np.ndarray) -> float:
-    return float(np.max(np.abs(g.sum(axis=1) - 1.0)))
+    return float(np.abs(g.sum(axis=1) - 1.0).max())
 
 
 def _shown_feasible(g: np.ndarray, residual: float) -> GarblingCertificate:
@@ -167,17 +182,19 @@ def _shown_feasible(g: np.ndarray, residual: float) -> GarblingCertificate:
 
 def _simplex_rows(g: np.ndarray) -> np.ndarray:
     """Each row of g projected onto the probability simplex (Euclidean)."""
-    desc = -np.sort(-g, axis=1)
-    excess = np.cumsum(desc, axis=1) - 1.0
+    desc = -g
+    desc.sort(axis=1)
+    np.negative(desc, out=desc)
+    excess = desc.cumsum(axis=1) - 1.0
     # the entries kept positive are the leading run of the sorted row
-    kept = np.count_nonzero(desc * np.arange(1, g.shape[1] + 1) > excess, axis=1)
+    kept = (desc * np.arange(1, g.shape[1] + 1) > excess).sum(axis=1)
     shift = excess[np.arange(g.shape[0]), kept - 1] / kept
     return np.maximum(g - shift[:, None], 0.0)
 
 
 def _blackwell_bound(lam: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> float:
     """<Lambda, W2> - sum_l max_j (W1^T Lambda)_lj for ||Lambda||_1 = 1."""
-    return float(np.sum(lam * m2) - np.max(m1.T @ lam, axis=1).sum())
+    return float((lam * m2).sum() - (m1.T @ lam).max(axis=1).sum())
 
 
 def _pseudo_inverse(m1: np.ndarray) -> tuple[np.ndarray, int]:
@@ -191,26 +208,28 @@ def _pseudo_inverse(m1: np.ndarray) -> tuple[np.ndarray, int]:
     counts them.
     """
     n_in, n_mid = m1.shape
-    eps = np.finfo(float).eps
     if n_in == n_mid:
         try:
             inv = np.linalg.inv(m1)
         except np.linalg.LinAlgError:
             pass
         else:
-            if np.linalg.norm(m1, 1) * np.linalg.norm(inv, 1) <= 1.0 / (n_in * eps):
+            # ||A||_1, the largest column sum of |A|, as np.linalg.norm(A, 1)
+            if (np.abs(m1).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
+                    <= 1.0 / (n_in * EPS)):
                 return inv, n_in
     u, s, vt = np.linalg.svd(m1, full_matrices=False)
-    rank = int(np.count_nonzero(s > eps * max(n_in, n_mid) * s[0]))
+    rank = int(np.count_nonzero(s > EPS * max(n_in, n_mid) * s[0]))
     return (vt[:rank].T / s[:rank]) @ u[:, :rank].T, rank
 
 
 def _closed_form_witness(m1: np.ndarray, m2: np.ndarray, g0: np.ndarray,
-                         pinv: np.ndarray,
+                         projected: np.ndarray, pinv: np.ndarray,
                          rank: int) -> tuple[np.ndarray, float] | None:
     """Blackwell's test matrix from a refused candidate G0 = W1^+ W2.
 
-    Two candidates, each with ||Lambda||_1 = 1, and the larger recomputed
+    ``projected`` is G0 with each row projected onto the simplex.  Two
+    candidates, each with ||Lambda||_1 = 1, and the larger recomputed
     bound wins:
 
     (a) Lambda ~ W2 - W1 G0, orthogonal to the columns of W1, so its bound
@@ -221,20 +240,22 @@ def _closed_form_witness(m1: np.ndarray, m2: np.ndarray, g0: np.ndarray,
 
     When W1 has full column rank but is ill-conditioned, the rows of W1^+
     are long and (b) proves little although the pair may be far from
-    feasible.  Then, while neither proves FEASIBILITY_TOL:
+    feasible.  Then, and only when neither proves FEASIBILITY_TOL, is (c)
+    set up:
 
     (c) Lambda ~ W2 - W1 G after each of up to WITNESS_STEPS projected
         gradient steps on ||W1 G - W2||_F^2 / 2 over row-stochastic G,
-        from G0's rows projected onto the simplex.  At that least-squares
-        problem's optimum, its optimality conditions make the bound
-        ||R||_F^2 / ||R||_1 for R = W2 - W1 G, positive exactly when the
-        pair is infeasible; the steps approach it.
+        from ``projected``, until one proves FEASIBILITY_TOL.  At that
+        least-squares problem's optimum, its optimality conditions make the
+        bound ||R||_F^2 / ||R||_1 for R = W2 - W1 G, positive exactly when
+        the pair is infeasible; the steps approach it.
 
     None when no candidate is a usable matrix.
     """
     best = None
 
-    def consider(lam: np.ndarray) -> None:
+    def consider(lam: np.ndarray) -> bool:
+        """Keep lam if its bound is the best yet; True once one is proved."""
         nonlocal best
         mass = float(np.abs(lam).sum())
         if mass > 0.0:
@@ -242,34 +263,34 @@ def _closed_form_witness(m1: np.ndarray, m2: np.ndarray, g0: np.ndarray,
             bound = _blackwell_bound(lam, m1, m2)
             if best is None or bound > best[1]:
                 best = (lam, bound)
+        return best is not None and best[1] >= FEASIBILITY_TOL
 
     full_rank = rank == m1.shape[1]
-    consider(m2 - m1 @ g0)
+    proved = consider(m2 - m1 @ g0)
     if full_rank and g0.min() < 0.0:
         pinv_t = pinv.T
         k, j = np.unravel_index(
-            np.argmax(-g0 / np.abs(pinv_t).sum(axis=0)[:, None]), g0.shape)
-        lam = np.zeros_like(m2)
+            (-g0 / np.abs(pinv_t).sum(axis=0)[:, None]).argmax(), g0.shape)
+        lam = np.zeros(m2.shape)
         lam[:, j] = -pinv_t[:, k]
-        consider(lam)
-    if not full_rank:
+        proved = consider(lam)
+    if proved or not full_rank:
         return best
     # 1 / (||W1||_1 ||W1||_inf) <= 1 / ||W1||_2^2: a step that cannot overshoot
     step = 1.0 / (m1.sum(axis=0).max() * m1.sum(axis=1).max())
-    g = _simplex_rows(g0)
+    g = projected
     resid = m2 - m1 @ g
     for _ in range(WITNESS_STEPS):
-        if best is not None and best[1] >= FEASIBILITY_TOL:
-            break
         g = _simplex_rows(g + step * (m1.T @ resid))
         resid = m2 - m1 @ g
-        consider(resid)
+        if consider(resid):
+            break
     return best
 
 
 def _shown_infeasible(m1: np.ndarray, m2: np.ndarray, g: np.ndarray,
                       lam: np.ndarray) -> GarblingCertificate:
-    residual = float(np.max(np.abs(m1 @ g - m2)))
+    residual = float(np.abs(m1 @ g - m2).max())
     lower_bound = _blackwell_bound(lam, m1, m2)
     if not math.isfinite(lower_bound) or lower_bound > residual + BOUND_SLACK:
         raise SelfCheckError(
@@ -296,15 +317,19 @@ def is_degraded(w1: Channel, w2: Channel) -> GarblingCertificate:
     pinv, rank = _pseudo_inverse(m1)
     g0 = pinv @ m2
     g, residual = _garbling(g0.ravel(), m1, m2)
-    if (rank == m1.shape[1] and residual < FEASIBILITY_TOL
-            and _row_sum_error(g) > CERT_ROW_TOL):
-        # the one solution, with row sums off by rounding (module docstring)
-        g, residual = _garbling(_simplex_rows(g0).ravel(), m1, m2)
     if residual < FEASIBILITY_TOL and _row_sum_error(g) <= CERT_ROW_TOL:
         return _shown_feasible(g, residual)
-    witness = _closed_form_witness(m1, m2, g0, pinv, rank)
+    # the one projection of G0 a decision makes: the fallback "yes" below,
+    # the G of a closed-form "no" and the start of witness (c)
+    projected = _simplex_rows(g0)
+    if rank == m1.shape[1] and residual < FEASIBILITY_TOL:
+        # the one solution, with row sums off by rounding (module docstring)
+        g, residual = _garbling(projected.ravel(), m1, m2)
+        if residual < FEASIBILITY_TOL and _row_sum_error(g) <= CERT_ROW_TOL:
+            return _shown_feasible(g, residual)
+    witness = _closed_form_witness(m1, m2, g0, projected, pinv, rank)
     if witness is not None and witness[1] >= FEASIBILITY_TOL:
-        return _shown_infeasible(m1, m2, _simplex_rows(g0), witness[0])
+        return _shown_infeasible(m1, m2, projected, witness[0])
     return _epigraph(m1, m2)
 
 
@@ -336,13 +361,18 @@ def _epigraph(m1: np.ndarray, m2: np.ndarray) -> GarblingCertificate:
     result = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                      bounds=[(0.0, None)] * n_g + [(0.0, None)],
                      method="highs", options=HIGHS_OPTIONS)
+    if result.x is not None:
+        g, residual = _garbling(result.x, m1, m2)
+        # a "yes" rests on the recomputed residual and row sums, never on
+        # the status: HiGHS may call a feasible point's status unknown.
+        # After a clean solve, rows that miss are a SelfCheckError.
+        if residual < FEASIBILITY_TOL and (
+                result.status == 0 or _row_sum_error(g) <= CERT_ROW_TOL):
+            return _shown_feasible(g, residual)
     if result.status != 0 or result.x is None:
         raise SelfCheckError(
             f"garbling LP did not solve cleanly (status {result.status}): "
             f"{result.message}")
-    g, residual = _garbling(result.x, m1, m2)
-    if residual < FEASIBILITY_TOL:
-        return _shown_feasible(g, residual)
     # Lambda = (duals of the +dev rows) - (duals of the -dev rows): positive
     # where W2 exceeds W1 G at the optimum
     duals = result.ineqlin.marginals.reshape(n_in, n_out, 2)

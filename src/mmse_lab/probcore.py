@@ -78,11 +78,16 @@ def _as_support(values, name: str) -> np.ndarray:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise InvalidDistribution(f"{name} must be a non-empty 1-D or 2-D array")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidDistribution(f"{name} contains non-finite values")
     # equal rows sort next to each other; == also merges 0.0 with -0.0
-    rows = arr[np.lexsort(arr.T)]
-    if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
+    if arr.shape[1] == 1:
+        rows = np.sort(arr, axis=0)
+        repeated = (rows[1:] == rows[:-1]).any()
+    else:
+        rows = arr[np.lexsort(arr.T)]
+        repeated = (rows[1:] == rows[:-1]).all(axis=1).any()
+    if repeated:
         raise InvalidDistribution(f"{name} atoms must be pairwise distinct")
     return arr
 

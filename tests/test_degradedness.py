@@ -15,6 +15,7 @@ from mmse_lab import degradedness
 from mmse_lab import (
     AlphabetMismatch,
     Channel,
+    InvalidDistribution,
     SelfCheckError,
     SufficientJoint,
     binary_symmetric_channel,
@@ -570,6 +571,162 @@ def test_singular_square_w1_takes_the_svd(seed, k, column):
         assert factorized[-1] == "svd"
 
 
+def ill_conditioned_pairs() -> list[tuple[Channel, Channel]]:
+    """A "yes" that needs the simplex fallback and a "no" that needs (c).
+
+    The pairs of ``test_ill_conditioned_yes_needs_no_lp`` and
+    ``test_ill_conditioned_no_needs_no_lp``.
+    """
+    rng = np.random.default_rng([733004, 24])
+    m1, g = (_stochastic(rng, 24, 24) for _ in range(2))
+    rng = np.random.default_rng([0, 24])
+    a, h = (_stochastic(rng, 24, 24) for _ in range(2))
+    a[1] = (1.0 - 1e-8) * a[0] + 1e-8 * a[1]
+    return [(_channel(m1), _channel(m1 @ g)), (_channel(a @ h), _channel(a))]
+
+
+def reference_pairs() -> list[tuple[Channel, Channel]]:
+    """Seeded pairs of 2 to 32 letters, in both directions, over every route.
+
+    Square, tall and wide W1 with distinct, repeated, nearly repeated and
+    empty columns (``verdict_pairs``; on the large square W1 only distinct
+    ones, as the others take the LP there), the two ill-conditioned pairs
+    and a rank-deficient "yes" that only the epigraph LP decides.
+    """
+    pairs = []
+    shapes = [(2, 2, 2), (3, 3, 2), (4, 4, 4), (6, 3, 4), (3, 6, 5),
+              (8, 8, 8), (12, 12, 12), (16, 16, 16), (32, 16, 24),
+              (24, 24, 24), (32, 32, 32)]
+    for seed, (n_in, n_mid, n_out) in enumerate(shapes):
+        for column in ("distinct", "repeated", "perturbed", "zero"):
+            if column == "distinct" or n_mid < 24 or n_in != n_mid:
+                pairs += verdict_pairs(seed, n_in, n_mid, n_out, column)
+    return pairs + ill_conditioned_pairs() + [wide_garbling_pair(47, 3, 12, 11)]
+
+
+def assert_same_certificate(got, want) -> None:
+    assert got.feasible is want.feasible
+    assert got.residual.hex() == want.residual.hex()
+    assert got.lower_bound.hex() == want.lower_bound.hex()
+    for a, b in ((got.garbling_matrix, want.garbling_matrix),
+                 (got.test_matrix, want.test_matrix)):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+def test_decision_matches_its_unrewritten_copy_bit_for_bit(monkeypatch):
+    # the copy shares no helper with the package, the epigraph LP included
+    calls = {}
+
+    def counted(module):
+        solve = module._epigraph
+
+        def epigraph(m1, m2):
+            calls[module] = calls.get(module, 0) + 1
+            return solve(m1, m2)
+
+        monkeypatch.setattr(module, "_epigraph", epigraph)
+
+    counted(degradedness)
+    counted(garbling_reference)
+    routes = set()
+    for a, b in reference_pairs():
+        before = dict(calls)
+        want = garbling_reference.decide(a, b)
+        got = is_degraded(a, b)
+        assert_same_certificate(got, want)
+        lp = calls.get(degradedness, 0) - before.get(degradedness, 0)
+        assert lp == (calls.get(garbling_reference, 0)
+                      - before.get(garbling_reference, 0))
+        routes.add((got.feasible, lp))
+    assert routes == {(True, 0), (False, 0), (True, 1), (False, 1)}
+
+
+def projections(monkeypatch, a: Channel, b: Channel) -> tuple[int, int]:
+    """(projections of G0, all projections) that deciding (a, b) makes."""
+    g0 = degradedness._pseudo_inverse(a.matrix)[0] @ b.matrix
+    seen = []
+    project = degradedness._simplex_rows
+
+    def spy(g):
+        seen.append(np.array_equal(g, g0))
+        return project(g)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(degradedness, "_simplex_rows", spy)
+        is_degraded(a, b)
+    return sum(seen), len(seen)
+
+
+def test_a_decision_projects_its_candidate_at_most_once(monkeypatch):
+    w1, w2 = square_garbling_pair(32, 41)
+    # a candidate that fits needs no projection
+    assert projections(monkeypatch, w1, w2) == (0, 0)
+    # (a) or (b) settles the reverse, so witness (c) takes no step
+    assert projections(monkeypatch, w2, w1) == (1, 1)
+    ill_yes, ill_no = ill_conditioned_pairs()
+    assert projections(monkeypatch, *ill_yes) == (1, 1)
+    once, steps = projections(monkeypatch, *ill_no)
+    assert once == 1 and 1 < steps <= 1 + degradedness.WITNESS_STEPS
+
+
+def report_lp_status(monkeypatch, status: int, scale: float = 1.0) -> None:
+    """linprog as solved, but reporting ``status``, with x times ``scale``.
+
+    Status 4 is what HiGHS reports for a model whose status is unknown.
+    """
+    import scipy.optimize
+
+    solve = scipy.optimize.linprog
+
+    def spy(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        result.status = status
+        result.message = f"status set to {status}"
+        result.x = result.x * scale
+        return result
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+
+
+@pytest.mark.parametrize("n_in, n_mid, n_out", [(3, 12, 11), (16, 32, 32)])
+def test_unknown_lp_status_keeps_a_checked_yes(monkeypatch, n_in, n_mid, n_out):
+    # the pairs of test_rank_deficient_yes_goes_to_the_epigraph
+    report_lp_status(monkeypatch, 4)
+    w1, w2 = wide_garbling_pair(47, n_in, n_mid, n_out)
+    cert = is_degraded(w1, w2)
+    assert cert.feasible
+    g = cert.garbling_matrix
+    assert np.max(np.abs(w1.matrix @ g - w2.matrix)) < 1e-7
+    assert g.min() >= 0.0
+    assert np.max(np.abs(g.sum(axis=1) - 1.0)) <= 1e-9
+
+
+@pytest.mark.parametrize("status, message", [
+    (4, "did not solve cleanly (status 4)"),
+    (0, "feasible garbling matrix is not row-stochastic"),
+])
+def test_lp_rows_off_their_sum_are_no_yes(monkeypatch, status, message):
+    # scaled by 1 + 1e-8, G still fits W2 within FEASIBILITY_TOL, but its
+    # rows miss CERT_ROW_TOL: an unclean solve says so, a clean one fails
+    # its self-check
+    report_lp_status(monkeypatch, status, scale=1.0 + 1e-8)
+    w1, w2 = wide_garbling_pair(47, 3, 12, 11)
+    with pytest.raises(SelfCheckError, match=re.escape(message)):
+        is_degraded(w1, w2)
+
+
+def test_unknown_lp_status_never_passes_a_no(monkeypatch):
+    # the pair of test_unusable_duals_raise: its duals are fine, its status
+    # is not
+    report_lp_status(monkeypatch, 4)
+    w1 = _channel(np.array([[0.7, 0.2, 0.1], [0.2, 0.7, 0.1]]))
+    with pytest.raises(SelfCheckError, match=re.escape("status 4")):
+        is_degraded(w1, _channel(binary_symmetric_channel(0.1).matrix))
+
+
 def markov_pair(name: str, n: int) -> tuple[Channel, Channel]:
     """P(Y | X) of a built-in scenario's limit and of its joint at n.
 
@@ -728,6 +885,65 @@ def test_channel_rejects_non_stochastic_matrix():
         Channel(input_support=np.array([[0.0], [1.0]]),
                 output_support=np.array([[0.0], [1.0]]),
                 matrix=np.array([[0.7, 0.7], [0.5, 0.5]]))
+
+
+def binary_channel_fields(**changes) -> dict:
+    """The fields of a valid two-letter channel, with ``changes`` applied."""
+    fields = dict(input_support=np.array([0.0, 1.0]),
+                  output_support=np.array([0.0, 1.0]),
+                  matrix=np.array([[0.9, 0.1], [0.2, 0.8]]))
+    fields.update(changes)
+    return fields
+
+
+ENTRIES = "matrix entries must be finite and nonnegative"
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(matrix=[[np.nan, 0.1], [0.2, 0.8]]), ENTRIES),
+    (dict(matrix=[[np.inf, 0.1], [0.2, 0.8]]), ENTRIES),
+    (dict(matrix=[[1.1, -0.1], [0.2, 0.8]]), ENTRIES),
+    (dict(matrix=[[0.9, 0.1], [0.2, 0.8 + 1e-9]]),
+     "rows must sum to 1 within 1e-12; worst row sum np.float64(1.000000001"),
+    (dict(matrix=[[0.9, 0.1, 0.0], [0.2, 0.8, 0.0]]),
+     "matrix shape (2, 3) does not match alphabets (2, 2)"),
+    (dict(matrix=[0.9, 0.1]), "matrix shape (2,) does not match alphabets (2, 2)"),
+    (dict(input_support=[1.0, 1.0]), "input_support atoms must be pairwise distinct"),
+    (dict(output_support=[0.0, -0.0]),
+     "output_support atoms must be pairwise distinct"),
+    (dict(input_support=[[0.0, 1.0], [0.0, 1.0]]),
+     "input_support atoms must be pairwise distinct"),
+    (dict(input_support=[0.0, np.nan]), "input_support contains non-finite values"),
+    (dict(output_support=np.empty(0)),
+     "output_support must be a non-empty 1-D or 2-D array"),
+    (dict(input_support=np.zeros((2, 1, 1))),
+     "input_support must be a non-empty 1-D or 2-D array"),
+])
+def test_channel_refusals_name_their_cause(changes, message):
+    with pytest.raises(InvalidDistribution, match=re.escape(message)):
+        Channel(**binary_channel_fields(**changes))
+
+
+def test_channel_accepts_rows_within_the_row_sum_tolerance():
+    # a row 1e-13 off its sum is rounding, 1e-9 off is refused (above)
+    channel = Channel(**binary_channel_fields(matrix=[[0.9, 0.1], [0.2, 0.8 + 1e-13]]))
+    assert channel.matrix[1, 1] == 0.8 + 1e-13
+
+
+def test_channel_stores_read_only_copies():
+    fields = binary_channel_fields()
+    channel = Channel(**fields)
+    # a 1-D support is stored as a column, a view of the caller's array
+    # until the channel copies it
+    for value in fields.values():
+        value += 5.0
+    np.testing.assert_array_equal(channel.input_support, [[0.0], [1.0]])
+    np.testing.assert_array_equal(channel.output_support, [[0.0], [1.0]])
+    np.testing.assert_array_equal(channel.matrix, [[0.9, 0.1], [0.2, 0.8]])
+    for stored in (channel.input_support, channel.output_support, channel.matrix):
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored[0, 0] = 1.0
 
 
 def run_after_import(code: str, **environ: str) -> str:

@@ -427,6 +427,29 @@ def test_draws_match_the_allocating_reference(catalog, name):
                 assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
+def second_moment_terms():
+    """Term arrays for the chunked exact sum, with what a plain sum loses."""
+    rng = np.random.default_rng(61)
+    tiny = np.finfo(float).smallest_subnormal
+    yield np.array([1e300, 1.0, -1e300, 1e-300])  # a naive sum gives 1e-300
+    yield np.array([1e300, -1e300])
+    yield np.array([tiny, 3.0 * tiny, -tiny, 2.5e-320])
+    for size in (1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1,
+                 2 * SAMPLE_CHUNK, 3 * SAMPLE_CHUNK + 1):
+        terms = rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size)
+        # cancelling pairs that straddle each chunk boundary
+        terms[SAMPLE_CHUNK - 1::SAMPLE_CHUNK] = 1e300
+        terms[SAMPLE_CHUNK::SAMPLE_CHUNK] = -1e300
+        yield terms
+
+
+@pytest.mark.parametrize("terms", list(second_moment_terms()))
+def test_second_moment_is_the_exactly_rounded_sum(terms):
+    # unit points leave the marginal as the terms of the sum
+    got = convergence._second_moment(np.ones((terms.size, 1)), terms)
+    assert got.hex() == math.fsum(terms).hex()
+
+
 def test_example2_mc_allocates_per_bin_and_per_sample(catalog):
     # at n = 16384 the regressogram has 64 (n + 1) = 1,048,640 bins, ten per
     # sample; each bin holds a count (8 B), a retained flag (1 B) and a mean
