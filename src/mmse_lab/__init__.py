@@ -10,7 +10,6 @@ from .convergence import (
     ConvergenceReport,
     DiagnosticsBundle,
     ReportRow,
-    estimator_convergence_check,
     run_scenario,
     ui_functional,
     usc_check,
@@ -28,7 +27,6 @@ from .errors import (
     EmptySupport,
     InsufficientSamples,
     InvalidDistribution,
-    MissingWitness,
     MmseLabError,
     NonPositiveStep,
     ScenarioRunError,
@@ -55,13 +53,10 @@ from .probcore import (
     SufficientJoint,
     floor_quantize,
     joint_from_atoms,
-    moments_empirical,
     moments_exact,
     product_joint,
     quantize_joint,
     rng_stream,
-    sample_pairs,
-    sampler_from_joint,
 )
 from .scenarios import (
     ExpectedOutcome,
@@ -71,7 +66,6 @@ from .scenarios import (
     builtin_scenarios,
     example3_limit_joint,
     make_markov_degraded_scenario,
-    make_random_degraded_scenario,
 )
 
 __version__ = "0.1.0"

@@ -198,11 +198,10 @@ def cmd_run(config: RunConfig, stream=None, err_stream=None) -> int:
     return EXIT_OK if all_match else EXIT_VERDICT
 
 
-def cmd_selftest(seed: int = 0, stream=None,
-                 estimator_perturbation: float = 0.0) -> int:
+def cmd_selftest(seed: int = 0, stream=None) -> int:
     """Run the randomized property suites; 0 iff all pass."""
     out = stream if stream is not None else sys.stdout
-    ok, lines = run_selftest(seed, estimator_perturbation=estimator_perturbation)
+    ok, lines = run_selftest(seed)
     for line in lines:
         print(line, file=out)
     print("selftest: " + ("all suites passed" if ok else "FAILURES above"),

@@ -48,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degradedness import compose
-from .errors import MissingWitness, MmseLabError, ScenarioRunError
-from .exact import conditional_expectation, mmse_exact, squared_norms
+from .errors import MmseLabError, ScenarioRunError
+from .exact import mmse_exact, squared_norms
 from .linear import lmmse
 from .mc import RegressionConfig, mc_mmse
 from .probcore import (
@@ -289,33 +289,3 @@ def usc_check(report: ConvergenceReport, slack: float = 0.05) -> bool:
     noise = max(r.std_err for r in tail)
     return bool(worst <= report.expected.limit_mmse + slack + 3.0 * noise)
 
-
-def estimator_convergence_check(scenario: ScenarioSequence, n: int) -> float:
-    """Exact mean-square distance between the per-n and limit estimators.
-
-    Uses the degradedness witness to couple (Y, Y_n) exactly:
-
-        E || g_n(Y_n) - g(Y) ||^2
-          = sum_{y, z} P(Y = y) D_n(z | y) || g_n(z) - g(y) ||^2 .
-
-    Returns the value at index ``n``.  Requires the scenario to carry a
-    markov_witness; raises MissingWitness otherwise.  With an identity
-    witness the value is exactly 0; a witness that destroys the measurement
-    entirely keeps it pinned at the limit estimator's second moment.
-    """
-    if scenario.markov_witness is None:
-        raise MissingWitness(
-            f"scenario {scenario.name!r} carries no exact degradedness witness")
-    limit = scenario.limit
-    g = conditional_expectation(limit)
-    channel = scenario.markov_witness(n)
-    composed = compose(limit, channel)
-    gn = conditional_expectation(composed)
-    # (y, z) table over the positive-mass atoms that index g.estimates and
-    # gn.estimates; every z with P(Y = y) D_n(z | y) > 0 has positive mass
-    py = limit.y_marginal()
-    keep_y = py > 0.0
-    keep_z = composed.y_marginal() > 0.0
-    mass = py[keep_y, None] * channel.matrix[np.ix_(keep_y, keep_z)]
-    d = gn.estimates[None, :, :] - g.estimates[:, None, :]
-    return float((mass * (d * d).sum(axis=2)).sum())

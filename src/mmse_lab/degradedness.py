@@ -118,7 +118,8 @@ class Channel:
         off = np.abs(rows - 1.0)
         if off.max() > ROW_SUM_TOL:
             raise InvalidDistribution(
-                f"rows must sum to 1 within {ROW_SUM_TOL}; worst row sum {rows[off.argmax()]!r}")
+                f"rows must sum to 1 within {ROW_SUM_TOL}; worst row sum "
+                f"{float(rows[off.argmax()])!r}")
         for arr, fname in ((ins, "input_support"), (outs, "output_support"),
                            (mat, "matrix")):
             arr = arr.copy()

@@ -29,10 +29,6 @@ class AlphabetMismatch(MmseLabError, ValueError):
     """Channel and joint (or two channels) disagree on an alphabet."""
 
 
-class MissingWitness(MmseLabError, ValueError):
-    """The requested check needs a coupling witness the scenario lacks."""
-
-
 class SelfCheckError(MmseLabError, ArithmeticError):
     """Two independent internal computations of the same quantity disagree
     beyond tolerance.  Indicates a bug, not bad input."""

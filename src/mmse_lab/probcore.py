@@ -44,11 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    InsufficientSamples,
-    InvalidDistribution,
-    NonPositiveStep,
-)
+from .errors import InvalidDistribution, NonPositiveStep
 
 PMF_TOL = 1e-12
 MOMENT_TOL = 1e-10
@@ -76,7 +72,8 @@ def _as_support(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[0] == 0:
+    # size 0 also refuses a support of rows with no coordinates
+    if arr.ndim != 2 or arr.size == 0:
         raise InvalidDistribution(f"{name} must be a non-empty 1-D or 2-D array")
     if not np.isfinite(arr).all():
         raise InvalidDistribution(f"{name} contains non-finite values")
@@ -318,15 +315,6 @@ def _chunks(a: np.ndarray):
         yield a[start:start + SAMPLE_CHUNK]
 
 
-def sample_pairs(draw: Draw, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n scalar pairs into two new (n, 1) arrays."""
-    if n < 1:
-        raise InsufficientSamples("need at least one sample")
-    xs, ys = np.empty((n, 1)), np.empty((n, 1))
-    draw(rng, xs, ys)
-    return xs, ys
-
-
 def draw_atom_indices(joint: FiniteJoint, size: int,
                       rng: np.random.Generator) -> np.ndarray:
     """``size`` atom indices of ``joint`` drawn with the atom probabilities.
@@ -336,19 +324,6 @@ def draw_atom_indices(joint: FiniteJoint, size: int,
     """
     return rng.choice(joint.prob.size, size=size,
                       p=joint.prob / joint.prob.sum())
-
-
-def sampler_from_joint(joint: FiniteJoint) -> Draw:
-    """Categorical draw function over the atoms of an exact joint.
-
-    It fills (n, k) and (n, m) arrays, k and m the dimensions of the joint.
-    """
-    def draw(rng: np.random.Generator, xs: np.ndarray, ys: np.ndarray):
-        idx = draw_atom_indices(joint, xs.shape[0], rng)
-        np.take(joint.x_support, joint.x_idx[idx], axis=0, out=xs)
-        np.take(joint.y_support, joint.y_idx[idx], axis=0, out=ys)
-
-    return draw
 
 
 @dataclass(frozen=True)
@@ -406,8 +381,11 @@ class MomentSummary:
         object.__setattr__(self, "second_moment_y", float(self.second_moment_y))
 
 
-def _summary_from_arrays(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray) -> MomentSummary:
-    w = weights / weights.sum()
+def moments_exact(joint: FiniteJoint) -> MomentSummary:
+    """Exact moments of a finite joint (weighted sums over atoms)."""
+    xs = joint.x_support[joint.x_idx]
+    ys = joint.y_support[joint.y_idx]
+    w = joint.prob / joint.prob.sum()
     eta_x = w @ xs
     eta_y = w @ ys
     dx = xs - eta_x
@@ -422,29 +400,6 @@ def _summary_from_arrays(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray) ->
     c_y = (c_y + c_y.T) / 2.0
     return MomentSummary(eta_x=eta_x, eta_y=eta_y, c_x=c_x, c_y=c_y, c_xy=c_xy,
                          second_moment_x=sm_x, second_moment_y=sm_y)
-
-
-def moments_exact(joint: FiniteJoint) -> MomentSummary:
-    """Exact moments of a finite joint (weighted sums over atoms)."""
-    return _summary_from_arrays(joint.x_support[joint.x_idx],
-                                joint.y_support[joint.y_idx], joint.prob)
-
-
-def moments_empirical(samples: tuple[np.ndarray, np.ndarray]) -> MomentSummary:
-    """Population-convention moments of a sample of pairs.
-
-    ``samples`` is a tuple of two arrays of shape (n, k) and (n, m), as
-    returned by ``sample_pairs``.  Raises InsufficientSamples below two
-    samples.
-    """
-    xs = np.atleast_2d(np.asarray(samples[0], dtype=float))
-    ys = np.atleast_2d(np.asarray(samples[1], dtype=float))
-    if xs.shape[0] < 2:
-        raise InsufficientSamples(f"need at least 2 samples, got {xs.shape[0]}")
-    if xs.shape[0] != ys.shape[0]:
-        raise InvalidDistribution("x and y sample counts differ")
-    weights = np.full(xs.shape[0], 1.0 / xs.shape[0])
-    return _summary_from_arrays(xs, ys, weights)
 
 
 def floor_index(x, a: float) -> np.ndarray:

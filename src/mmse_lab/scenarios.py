@@ -72,7 +72,6 @@ from .probcore import (
     joint_from_atoms,
     product_joint,
     quantize_joint,
-    rng_stream,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -585,27 +584,6 @@ def bsc_prior_joint(flip: float) -> FiniteJoint:
     )
 
 
-def _garbled_scenario(name: str, base: FiniteJoint,
-                      witness: Callable[[int], Channel], source: str,
-                      notes: str) -> ScenarioSequence:
-    """Continuous scenario whose n-th law is compose(base, witness(n))."""
-    def realize(n: int) -> FiniteJoint:
-        return compose(base, witness(n))
-
-    value = mmse_exact(base).mmse
-    return ScenarioSequence(
-        name=name,
-        realize=realize,
-        limit=base,
-        expected=ExpectedOutcome(kind=OutcomeKind.CONTINUOUS,
-                                 limit_mmse=value, sequence_limit_mmse=value,
-                                 source=source),
-        markov_witness=witness,
-        x_deviation_prob=lambda n, eps: 0.0,
-        notes=notes,
-    )
-
-
 def make_markov_degraded_scenario(name: str, base: FiniteJoint,
                                   flip_of_n: Callable[[int], float],
                                   notes: str = "") -> ScenarioSequence:
@@ -622,11 +600,23 @@ def make_markov_degraded_scenario(name: str, base: FiniteJoint,
     def witness(n: int) -> Channel:
         return binary_symmetric_channel(flip_of_n(n), support=support.ravel())
 
-    return _garbled_scenario(
-        name, base, witness,
-        source="the garbling flip vanishes, so the degraded value falls "
-               "back to the base pair's exact MMSE",
-        notes=notes or "binary symmetric garbling with vanishing flip")
+    def realize(n: int) -> FiniteJoint:
+        return compose(base, witness(n))
+
+    value = mmse_exact(base).mmse
+    return ScenarioSequence(
+        name=name,
+        realize=realize,
+        limit=base,
+        expected=ExpectedOutcome(
+            kind=OutcomeKind.CONTINUOUS, limit_mmse=value,
+            sequence_limit_mmse=value,
+            source="the garbling flip vanishes, so the degraded value falls "
+                   "back to the base pair's exact MMSE"),
+        markov_witness=witness,
+        x_deviation_prob=lambda n, eps: 0.0,
+        notes=notes or "binary symmetric garbling with vanishing flip",
+    )
 
 
 def markov_degraded_scenario() -> ScenarioSequence:
@@ -637,37 +627,6 @@ def markov_degraded_scenario() -> ScenarioSequence:
         notes="base: uniform +-1 prior through a 0.1 symmetric flip "
               "(MMSE 0.36); garbling flip 0.1/n",
     )
-
-
-def make_random_degraded_scenario(seed: int) -> ScenarioSequence:
-    """Random base joint of 2 to 6 letters per coordinate, garbled by a
-    shrinking random stochastic kernel.
-
-    The witness is D_n = (1 - 2^-n) I + 2^-n R with R a fixed random
-    row-stochastic matrix, so realize(n) -> base geometrically and every
-    realization is degraded with respect to the base by construction.
-    """
-    rng = rng_stream(seed, "random_degraded")
-    nx = int(rng.integers(2, 7))
-    ny = int(rng.integers(2, 7))
-    grid = np.linspace(-2.0, 2.0, 33)
-    x_vals = np.sort(rng.choice(grid, size=nx, replace=False))[:, None]
-    y_vals = np.sort(rng.choice(grid, size=ny, replace=False))[:, None]
-    pmf = rng.exponential(1.0, (nx, ny))
-    pmf /= pmf.sum()
-    base = FiniteJoint(x_support=x_vals, y_support=y_vals, pmf=pmf)
-    mixer = rng.exponential(1.0, (ny, ny))
-    mixer /= mixer.sum(axis=1, keepdims=True)
-
-    def witness(n: int) -> Channel:
-        eps = 2.0 ** (-n)
-        mat = (1.0 - eps) * np.eye(ny) + eps * mixer
-        return Channel(input_support=y_vals, output_support=y_vals, matrix=mat)
-
-    return _garbled_scenario(
-        f"random_degraded_{seed}", base, witness,
-        source="geometrically vanishing random garbling of a random base",
-        notes="randomized degraded family used by the property suite")
 
 
 # ---------------------------------------------------------------------------

@@ -328,8 +328,15 @@ def test_selftest_passes_and_is_deterministic():
     assert "all suites passed" in a.getvalue()
 
 
-def test_selftest_negative_control_fails():
+def test_selftest_negative_control_fails(monkeypatch):
+    import functools
+
+    import mmse_lab.cli as cli_mod
+    from mmse_lab.selftest import run_selftest
+
+    monkeypatch.setattr(cli_mod, "run_selftest", functools.partial(
+        run_selftest, estimator_perturbation=0.05))
     buf = io.StringIO()
-    code = cmd_selftest(seed=0, stream=buf, estimator_perturbation=0.05)
+    code = cmd_selftest(seed=0, stream=buf)
     assert code == EXIT_VERDICT
     assert "FAIL" in buf.getvalue()

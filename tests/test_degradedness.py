@@ -904,7 +904,7 @@ ENTRIES = "matrix entries must be finite and nonnegative"
     (dict(matrix=[[np.inf, 0.1], [0.2, 0.8]]), ENTRIES),
     (dict(matrix=[[1.1, -0.1], [0.2, 0.8]]), ENTRIES),
     (dict(matrix=[[0.9, 0.1], [0.2, 0.8 + 1e-9]]),
-     "rows must sum to 1 within 1e-12; worst row sum np.float64(1.000000001"),
+     "rows must sum to 1 within 1e-12; worst row sum 1.000000001"),
     (dict(matrix=[[0.9, 0.1, 0.0], [0.2, 0.8, 0.0]]),
      "matrix shape (2, 3) does not match alphabets (2, 2)"),
     (dict(matrix=[0.9, 0.1]), "matrix shape (2,) does not match alphabets (2, 2)"),
@@ -918,6 +918,8 @@ ENTRIES = "matrix entries must be finite and nonnegative"
      "output_support must be a non-empty 1-D or 2-D array"),
     (dict(input_support=np.zeros((2, 1, 1))),
      "input_support must be a non-empty 1-D or 2-D array"),
+    (dict(output_support=np.zeros((2, 0))),
+     "output_support must be a non-empty 1-D or 2-D array"),
 ])
 def test_channel_refusals_name_their_cause(changes, message):
     with pytest.raises(InvalidDistribution, match=re.escape(message)):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,13 +13,33 @@ from mmse_lab import (
     builtin_scenarios,
     mc_mmse,
     mc_mmse_vs_exact,
-    sampler_from_joint,
 )
 from mmse_lab import mc
 from mmse_lab.mc import MIN_BIN_COUNT, _binned_value
+from mmse_lab.probcore import draw_atom_indices, rng_stream
 from mc_reference import binned_value
 from test_exact import bsc_joint
 from test_probcore import rademacher_sum_joint
+
+
+def sampler_from_joint(joint: FiniteJoint):
+    """Categorical draw function over the atoms of an exact joint.
+
+    It fills (n, k) and (n, m) arrays, k and m the dimensions of the joint.
+    """
+    def draw(rng, xs, ys):
+        idx = draw_atom_indices(joint, xs.shape[0], rng)
+        np.take(joint.x_support, joint.x_idx[idx], axis=0, out=xs)
+        np.take(joint.y_support, joint.y_idx[idx], axis=0, out=ys)
+
+    return draw
+
+
+def test_sampler_from_joint_matches_pmf():
+    xs, ys = np.empty((40_000, 1)), np.empty((40_000, 1))
+    sampler_from_joint(rademacher_sum_joint())(rng_stream(3, "freq"), xs, ys)
+    freq = np.mean((xs[:, 0] == 1.0) & (ys[:, 0] == 2.0))
+    assert freq == pytest.approx(0.25, abs=4.0 / math.sqrt(40_000))
 
 
 def uniform_pair_sampler(copy_y: bool = True):

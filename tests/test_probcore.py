@@ -7,20 +7,16 @@ from hypothesis import strategies as st
 
 from mmse_lab import (
     FiniteJoint,
-    InsufficientSamples,
     InvalidDistribution,
     NonPositiveStep,
     SufficientJoint,
     floor_quantize,
     joint_from_atoms,
     mmse_exact,
-    moments_empirical,
     moments_exact,
     product_joint,
     quantize_joint,
     rng_stream,
-    sample_pairs,
-    sampler_from_joint,
 )
 from mmse_lab.probcore import MomentSummary
 
@@ -88,6 +84,15 @@ def test_joint_rejects_duplicate_support_rows():
                     y_support=np.array([[1.0, 2.0], [2.0, 2.0], [1.0, 1.0]]),
                     pmf=np.array([[0.25, 0.25, 0.5]]))
     assert j.y_support.shape == (3, 2)
+
+
+@pytest.mark.parametrize("name", ["x_support", "y_support"])
+def test_joint_rejects_zero_column_supports(name):
+    fields = dict(x_support=np.array([[0.0], [1.0]]), y_support=np.array([[0.0]]))
+    fields[name] = np.zeros((fields[name].shape[0], 0))
+    with pytest.raises(InvalidDistribution,
+                       match=f"{name} must be a non-empty 1-D or 2-D array"):
+        FiniteJoint(pmf=np.array([[0.5], [0.5]]), **fields)
 
 
 def test_joint_rejects_shape_mismatch():
@@ -334,62 +339,19 @@ def test_independent_product_has_zero_cross_covariance():
 
 
 # --------------------------------------------------------------------------
-# moments_empirical
+# draw functions
 # --------------------------------------------------------------------------
-
-def test_empirical_two_symmetric_points():
-    pts = np.array([[1.0], [-1.0]])
-    ms = moments_empirical((pts, pts.copy()))
-    assert ms.eta_x == pytest.approx(np.zeros(1), abs=1e-15)
-    assert ms.c_x[0, 0] == pytest.approx(1.0, abs=1e-15)
-    assert ms.c_xy[0, 0] == pytest.approx(1.0, abs=1e-15)
-
-
-def test_empirical_requires_two_samples():
-    with pytest.raises(InsufficientSamples):
-        moments_empirical((np.array([[1.0]]), np.array([[1.0]])))
-
-
-def test_empirical_constant_samples_zero_covariance():
-    ms = moments_empirical((np.full((5, 1), 2.0), np.full((5, 1), -3.0)))
-    np.testing.assert_allclose(ms.c_x, 0.0, atol=1e-15)
-    np.testing.assert_allclose(ms.c_y, 0.0, atol=1e-15)
-    np.testing.assert_allclose(ms.c_xy, 0.0, atol=1e-15)
-
-
-def test_empirical_uses_population_denominator():
-    # {0, 1, 2}: population variance 2/3, not the n-1 value 1.
-    xs = np.array([[0.0], [1.0], [2.0]])
-    ms = moments_empirical((xs, xs.copy()))
-    assert ms.c_x[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-14)
-
 
 def test_empirical_measurement_second_moment_additive_noise():
     # Y = X + N/2 with unit-variance uniform parts: Var(Y) = 1 + 1/4.
     from mmse_lab.scenarios import builtin_scenarios
 
-    sampler = builtin_scenarios()["example4"].mc_sampler(2)
-    xs, ys = sample_pairs(sampler, 1_000_000, rng_stream(123, "emp-cy"))
-    ms = moments_empirical((xs, ys))
+    draw = builtin_scenarios()["example4"].mc_sampler(2)
+    xs, ys = np.empty((1_000_000, 1)), np.empty((1_000_000, 1))
+    draw(rng_stream(123, "emp-cy"), xs, ys)
     y2 = (ys[:, 0] - ys[:, 0].mean()) ** 2
     se = y2.std() / math.sqrt(len(y2))
-    assert abs(ms.c_y[0, 0] - 1.25) <= 3.0 * se
-
-
-def test_empirical_approaches_exact_on_rademacher_sum():
-    j = rademacher_sum_joint()
-    exact = moments_exact(j)
-    sampler = sampler_from_joint(j)
-    for n in (10**3, 10**4, 10**5):
-        xs, ys = sample_pairs(sampler, n, rng_stream(7, "emp-cvg", n))
-        emp = moments_empirical((xs, ys))
-        worst = max(
-            np.max(np.abs(emp.eta_x - exact.eta_x)),
-            np.max(np.abs(emp.c_x - exact.c_x)),
-            np.max(np.abs(emp.c_y - exact.c_y)),
-            np.max(np.abs(emp.c_xy - exact.c_xy)),
-        )
-        assert worst < 4.0 / math.sqrt(n)
+    assert abs(ys.var() - 1.25) <= 3.0 * se
 
 
 # --------------------------------------------------------------------------
@@ -431,7 +393,7 @@ def test_floor_quantize_idempotent_and_in_cell(x, a):
 
 
 # --------------------------------------------------------------------------
-# rng_stream / samplers
+# rng_stream
 # --------------------------------------------------------------------------
 
 def test_rng_stream_reproducible_and_tag_separated():
@@ -440,13 +402,6 @@ def test_rng_stream_reproducible_and_tag_separated():
     c = rng_stream(5, "beta").random(4)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_sampler_from_joint_matches_pmf():
-    j = rademacher_sum_joint()
-    xs, ys = sample_pairs(sampler_from_joint(j), 40_000, rng_stream(3, "freq"))
-    freq = np.mean((xs[:, 0] == 1.0) & (ys[:, 0] == 2.0))
-    assert freq == pytest.approx(0.25, abs=4.0 / math.sqrt(40_000))
 
 
 def test_quantize_joint_merges_cells():
