@@ -157,16 +157,16 @@ def cmd_run(config: RunConfig, stream=None, err_stream=None) -> int:
     if unknown:
         print(f"unknown scenario(s): {', '.join(unknown)}", file=err)
         return EXIT_USAGE
+    out_dir = Path(config.output_dir)
     try:
         grid = config.n_grid()
         if not (config.tol_abs > 0.0 and math.isfinite(config.tol_abs)):
             raise ValueError(f"bad tolerance: tol={config.tol_abs!r} is not "
                              "positive and finite")
-    except ValueError as exc:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (ValueError, OSError) as exc:  # OSError: --out is no directory
         print(str(exc), file=err)
         return EXIT_USAGE
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         reports = {name: run_scenario(catalog[name], grid,
                                       tol_abs=config.tol_abs, seed=config.seed)

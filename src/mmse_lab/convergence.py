@@ -22,9 +22,10 @@ says to watch:
   prior, a -> E[1{||X_n||^2 > a} ||X_n||^2], on a fixed grid of a.  A
   healthy (u.i.) squared family drives this to zero along the grid; the
   escaping-mass scenario keeps it pinned at 1.
-* ``markov_verified`` — whether compose(limit, witness(n)) reproduced
-  realize(n) atom-for-atom within 1e-9 at every grid index (None when the
-  scenario has no witness).
+* ``markov_verified`` — for a scenario that claims ``markovian``, whether
+  ``is_degraded`` finds P(Y_n | X) a garbling of the limit's P(Y | X),
+  X — Y — Y_n, on the same X law within PMF_TOL at every grid index (None
+  for the rest).  A SufficientJoint is decided on its (X, T) core.
 
 Memory: one index holds one realized law at a time.  The law is realized,
 checked, reduced to its second moments and its audited value (and, at the
@@ -47,12 +48,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degradedness import compose
+from .degradedness import Channel, _channel_of, is_degraded
 from .errors import MmseLabError, ScenarioRunError
 from .exact import mmse_exact, squared_norms
 from .linear import lmmse
 from .mc import RegressionConfig, mc_mmse
 from .probcore import (
+    PMF_TOL,
     FiniteJoint,
     SufficientJoint,
     _chunks,
@@ -64,7 +66,6 @@ from .scenarios import ExpectedOutcome, ScenarioSequence
 UI_GRID = (1.0, 2.0, 4.0, 8.0, 16.0)
 PROB_EPS = 0.05
 MC_BIN_SLACK = 1e-2
-WITNESS_TOL = 1e-9
 MC_SAMPLES = 100_000
 
 
@@ -155,7 +156,11 @@ def _tail_mean_within(tail: list[ReportRow] | list[McRow], target: float,
 def run_scenario(scenario: ScenarioSequence, n_grid, tol_abs: float = 0.02,
                  seed: int = 0) -> ConvergenceReport:
     """Evaluate a scenario on an increasing index grid and audit the tail."""
-    grid = [int(n) for n in n_grid]
+    entries = list(n_grid)
+    grid = [int(n) for n in entries]
+    for n, entry in zip(grid, entries):
+        if n != entry:
+            raise ScenarioRunError(f"n_grid entry {entry} is not an integer")
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
         raise ScenarioRunError(f"n_grid must be strictly increasing and >= 1, got {grid}")
     if not (tol_abs > 0.0 and math.isfinite(tol_abs)):
@@ -164,14 +169,14 @@ def run_scenario(scenario: ScenarioSequence, n_grid, tol_abs: float = 0.02,
 
     rows: list[ReportRow] = []
     mc_rows: list[McRow] = []
-    markov_verified = None if scenario.markov_witness is None else True
+    markov_verified = True if scenario.markovian else None
     try:
+        w = _channel_of(scenario.limit) if markov_verified else None
         for n in grid:
             joint = scenario.realize(n)
             _check_realized(scenario, n, joint)
-            if markov_verified is not None:
-                holds = _witness_holds(scenario, n, joint)
-                markov_verified = markov_verified and holds
+            if markov_verified:
+                markov_verified = _is_garbling(scenario.limit, w, joint)
             smx, smy = _second_moments(joint)
             rows.append(ReportRow(n=n, mmse=_audit_value(scenario, joint),
                                   std_err=0.0, second_moment_x=smx,
@@ -244,18 +249,15 @@ def _mc_rows(scenario: ScenarioSequence, grid: list[int],
 def _check_realized(scenario: ScenarioSequence, n: int, joint) -> None:
     """Raise ScenarioRunError unless ``joint`` is a law the audit can read.
 
-    The witness comparison and the LMMSE audit read every (X_n, Y_n) atom,
-    which a SufficientJoint does not hold.
+    The LMMSE audit reads every (X_n, Y_n) atom, which a SufficientJoint
+    does not hold.
     """
     where = f"scenario {scenario.name!r}: realize({n}) returned"
-    if isinstance(joint, SufficientJoint):
-        needs = ("witness check" if scenario.markov_witness is not None
-                 else "LMMSE audit" if scenario.audit == "lmmse" else None)
-        if needs is not None:
-            raise ScenarioRunError(
-                f"{where} a SufficientJoint; its {needs} needs the (X, Y) "
-                "atoms of a FiniteJoint")
-    elif not isinstance(joint, FiniteJoint):
+    if isinstance(joint, SufficientJoint) and scenario.audit == "lmmse":
+        raise ScenarioRunError(
+            f"{where} a SufficientJoint; its LMMSE audit needs the (X, Y) "
+            "atoms of a FiniteJoint")
+    if not isinstance(joint, (FiniteJoint, SufficientJoint)):
         raise ScenarioRunError(
             f"{where} {type(joint).__name__}, not a FiniteJoint or "
             "SufficientJoint")
@@ -265,14 +267,13 @@ def _derived_seed(seed: int, tag: str, n: int) -> int:
     return int(rng_stream(seed, tag, n).integers(0, 2 ** 63))
 
 
-def _witness_holds(scenario: ScenarioSequence, n: int,
-                   joint: FiniteJoint) -> bool:
-    """Does compose(limit, witness(n)) reproduce the realized joint?"""
-    composed = compose(scenario.limit, scenario.markov_witness(n))
-    if not (np.array_equal(composed.x_support, joint.x_support)
-            and np.array_equal(composed.y_support, joint.y_support)):
-        return False
-    return bool(np.max(np.abs(composed.pmf - joint.pmf)) <= WITNESS_TOL)
+def _is_garbling(limit: FiniteJoint, w: Channel, joint) -> bool:
+    """X — Y — Y_n for the limit's channel ``w`` (see the module docstring)?"""
+    joint = joint.core if isinstance(joint, SufficientJoint) else joint
+    px, px_n = limit.x_marginal(), joint.x_marginal()
+    return bool(np.array_equal(joint.x_support, limit.x_support)
+                and np.abs(px_n - px).max() <= PMF_TOL
+                and is_degraded(w, _channel_of(joint)).feasible)
 
 
 def usc_check(report: ConvergenceReport, slack: float = 0.05) -> bool:

@@ -399,6 +399,16 @@ def compose(joint: FiniteJoint, channel: Channel) -> FiniteJoint:
                        pmf=joint.pmf @ channel.matrix)
 
 
+def _channel_of(joint: FiniteJoint) -> Channel:
+    """P(Y | X) of a joint, on the X letters with mass (the others put no
+    constraint on a garbling of Y)."""
+    px = joint.x_marginal()
+    matrix = np.zeros((px.size, joint.y_support.shape[0]))
+    matrix[joint.x_idx, joint.y_idx] = joint.prob / px[joint.x_idx]
+    rows = px > 0.0
+    return Channel(joint.x_support[rows], joint.y_support, matrix[rows])
+
+
 def blackwell_verify(joint: FiniteJoint, channel: Channel) -> tuple[float, float, bool]:
     """Exact MMSE before and after garbling the measurement.
 

@@ -22,11 +22,11 @@ SelfCheckError instead of passing.
 Memory: besides the joint and its cached marginals, ``mmse_exact`` holds
 one atom-sized (nnz, k) array, the x value of each atom, which becomes its
 residual in place.  The column weights and the gathered estimates are made
-``ATOM_CHUNK`` atoms at a time, and the residual is squared, weighted and
-summed in its own buffer (for k > 1 the row sums take one more atom-sized
-array).  The rest is sized by the supports.  The joint's read-only index
-and mass arrays are read by slicing, fancy indexing and ``np.add.at``,
-which use them in place; ``np.bincount`` and ``np.take`` would copy them.
+``probcore.SAMPLE_CHUNK`` atoms at a time, and the residual is squared,
+weighted and summed in its own buffer (for k > 1 the row sums take one
+more atom-sized array).  The rest is sized by the supports.  The joint's
+read-only index and mass arrays are read by slicing, fancy indexing and
+``np.add.at``, which use them in place (``np.bincount``, ``np.take`` copy).
 """
 
 from __future__ import annotations
@@ -38,12 +38,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EmptySupport, SelfCheckError
-from .probcore import FiniteJoint, SufficientJoint
+from .probcore import FiniteJoint, SufficientJoint, _chunks
 
 CHECK_TOL = 1e-10
-# atoms per pass of an elementwise step whose temporaries need not be
-# atom-sized: 2^14 doubles (128 KiB) per column
-ATOM_CHUNK = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -59,11 +56,6 @@ class ConditionalExpectation:
     estimates: np.ndarray       # (ny', k)
     posterior_mass: np.ndarray  # (ny',)
     dropped_zero_mass: bool
-
-
-def _atom_chunks(nnz: int):
-    """Slices of ATOM_CHUNK consecutive atoms covering range(nnz) in order."""
-    return (slice(lo, lo + ATOM_CHUNK) for lo in range(0, nnz, ATOM_CHUNK))
 
 
 def conditional_expectation(joint: FiniteJoint) -> ConditionalExpectation:
@@ -83,12 +75,12 @@ def _conditional_expectation(joint: FiniteJoint) -> tuple[
         raise EmptySupport("every measurement atom has zero probability")
     xa = joint.x_support[joint.x_idx]  # (nnz, k)
     by_letter = np.zeros((py.size, joint.k))
-    for part in _atom_chunks(xa.shape[0]):
+    for yi, prob, x in zip(_chunks(joint.y_idx), _chunks(joint.prob),
+                           _chunks(xa)):
         for c in range(joint.k):
             # adds in atom order, as np.bincount does, but reads the
             # read-only y_idx in place, where np.bincount would copy it
-            np.add.at(by_letter[:, c], joint.y_idx[part],
-                      joint.prob[part] * xa[part, c])
+            np.add.at(by_letter[:, c], yi, prob * x[:, c])
     mass = py[keep]
     est = by_letter[keep]
     est /= mass[:, None]
@@ -149,8 +141,8 @@ def mmse_exact(joint: FiniteJoint | SufficientJoint) -> MmseResult:
         joint = joint.core
     ce, by_letter, resid = _conditional_expectation(joint)
     # the x value of each atom is no longer needed: make it the residual
-    for part in _atom_chunks(resid.shape[0]):
-        resid[part] -= by_letter[joint.y_idx[part]]
+    for r, yi in zip(_chunks(resid), _chunks(joint.y_idx)):
+        r -= by_letter[yi]
     resid *= resid
     sq = resid[:, 0] if joint.k == 1 else resid.sum(axis=1)
     sq *= joint.prob

@@ -8,8 +8,7 @@ The whole lab runs on four value types:
   reduction over those atoms, so its cost and memory follow the number of
   atoms, not the size of the dense (nx, ny) table.  The dense matrix
   ``pmf`` is built on first read; in the lab only channel composition
-  (``degradedness.compose``) and the witness comparison
-  (``convergence._witness_holds``) read it.
+  (``degradedness.compose``) reads it.
 * ``SufficientJoint`` — the same law given through a statistic T = T(Y)
   with X — T(Y) — Y: a ``FiniteJoint`` of (X, T) plus, per measurement
   atom, its letter of T and P(Y = y | T).  Since E[X | Y] = E[X | T(Y)],
@@ -302,10 +301,11 @@ class SufficientJoint:
 # draw to the next and the estimators may use them as scratch afterwards.
 Draw = Callable[["np.random.Generator", np.ndarray, np.ndarray], None]
 
-# Rows per chunk of a chunked pass over sample arrays.  8192 float64 or int64
-# values are 64 KiB, half of glibc's default mmap threshold: a chunk's
-# temporaries come from the heap, which keeps freed pages, so a loop of them
-# faults no fresh pages.  At 128 KiB they are mapped and unmapped each time.
+# Rows per chunk of a chunked pass over sample or atom arrays.  8192 float64
+# or int64 values are 64 KiB, half of glibc's default mmap threshold: a
+# chunk's temporaries come from the heap, which keeps freed pages, so a loop
+# of them faults no fresh pages.  At 128 KiB they are mapped and unmapped
+# each time.
 SAMPLE_CHUNK = 8192
 
 

@@ -59,7 +59,7 @@ from typing import Callable
 
 import numpy as np
 
-from .degradedness import Channel, binary_symmetric_channel, compose
+from .degradedness import binary_symmetric_channel, compose
 from .errors import InvalidDistribution
 from .exact import mmse_exact
 from .probcore import (
@@ -126,11 +126,11 @@ class ScenarioSequence:
     ``realize(n)`` produces the exact law of (X_n, Y_n) and ``limit`` is the
     exact law of (X, Y), a FiniteJoint.  ``realize(n)`` returns a
     FiniteJoint, or a SufficientJoint when a statistic T of Y_n with
-    X_n — T(Y_n) — Y_n carries all that Y_n says about X_n; the witness
-    check and the LMMSE audit read every (X_n, Y_n) atom, so a scenario
-    with either must return a FiniteJoint.  ``markov_witness(n)``,
-    when present, is a channel D_n with realize(n) = compose(limit, D_n),
-    i.e. an explicit degradedness coupling of the sequence to its limit.
+    X_n — T(Y_n) — Y_n carries all that Y_n says about X_n; the LMMSE
+    audit reads every (X_n, Y_n) atom, so a scenario with it must return a
+    FiniteJoint.  ``markovian`` claims that every Y_n is a garbling of the
+    limit's Y over the same X law, X — Y — Y_n; ``run_scenario`` decides
+    the claim at every grid index and reports it as ``markov_verified``.
     ``mc_sampler(n)`` is a draw function (``probcore.Draw``) of the
     un-quantized continuous law for the Monte Carlo cross-path: it fills
     the caller's (size, 1) sample arrays of X_n and Y_n, with no array of
@@ -147,7 +147,7 @@ class ScenarioSequence:
     limit: FiniteJoint
     expected: ExpectedOutcome
     x_deviation_prob: Callable[[int, float], float]
-    markov_witness: Callable[[int], Channel] | None = None
+    markovian: bool = False
     audit: str = "mmse"
     mc_sampler: Callable[[int], Draw] | None = None
     mc_bins: Callable[[int], int] | None = None
@@ -589,19 +589,15 @@ def make_markov_degraded_scenario(name: str, base: FiniteJoint,
                                   notes: str = "") -> ScenarioSequence:
     """Garble ``base`` by a symmetric binary flip of size flip_of_n(n).
 
-    The witness channel is the garbling itself, so the degradedness
-    coupling is exact by construction.  Requires a two-letter measurement
-    alphabet.
+    Every realization is a garbling of ``base``, so the scenario claims
+    ``markovian``.  Requires a two-letter measurement alphabet.
     """
     if base.y_support.shape[0] != 2:
         raise InvalidDistribution("symmetric flip needs a binary measurement")
-    support = base.y_support
-
-    def witness(n: int) -> Channel:
-        return binary_symmetric_channel(flip_of_n(n), support=support.ravel())
 
     def realize(n: int) -> FiniteJoint:
-        return compose(base, witness(n))
+        return compose(base, binary_symmetric_channel(
+            flip_of_n(n), support=base.y_support))
 
     value = mmse_exact(base).mmse
     return ScenarioSequence(
@@ -613,7 +609,7 @@ def make_markov_degraded_scenario(name: str, base: FiniteJoint,
             sequence_limit_mmse=value,
             source="the garbling flip vanishes, so the degraded value falls "
                    "back to the base pair's exact MMSE"),
-        markov_witness=witness,
+        markovian=True,
         x_deviation_prob=lambda n, eps: 0.0,
         notes=notes or "binary symmetric garbling with vanishing flip",
     )

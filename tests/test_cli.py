@@ -293,6 +293,17 @@ def test_main_rejects_a_tolerance_that_is_not_positive(tmp_path, capsys, tol):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out", ["taken", "taken/reports"])
+def test_main_refuses_an_out_path_that_is_no_directory(tmp_path, capsys, out):
+    (tmp_path / "taken").write_text("a file")
+    code = main(["run", "--scenarios", "example1",
+                 "--out", str(tmp_path / out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "taken" in err and "Traceback" not in err
+    assert (tmp_path / "taken").read_text() == "a file"
+
+
 def test_main_bad_flag_exits_two():
     assert main(["run", "--no-such-flag"]) == EXIT_USAGE
 

@@ -741,9 +741,7 @@ def markov_pair(name: str, n: int) -> tuple[Channel, Channel]:
     assert np.array_equal(limit.x_support, joint.x_support)
     np.testing.assert_allclose(joint.x_marginal(), limit.x_marginal(),
                                rtol=0.0, atol=1e-15)
-    return tuple(Channel(j.x_support, j.y_support,
-                         j.pmf / j.x_marginal()[:, None])
-                 for j in (limit, joint))
+    return degradedness._channel_of(limit), degradedness._channel_of(joint)
 
 
 def test_example2_is_not_markovian(lp_calls):

@@ -13,7 +13,7 @@ from mmse_lab import (
     product_joint,
     rng_stream,
 )
-from mmse_lab import convergence, exact
+from mmse_lab import convergence, probcore
 from mmse_lab.probcore import SufficientJoint
 from mmse_lab.scenarios import builtin_scenarios
 from mmse_lab.selftest import random_joint
@@ -259,13 +259,13 @@ def assert_matches_reference(joint):
 @settings(max_examples=150, deadline=None)
 @given(joint=reference_joints(), chunk=st.sampled_from([1, 3, None]))
 def test_in_place_engine_matches_the_allocating_reference(joint, chunk):
-    # a small ATOM_CHUNK puts chunk boundaries inside these joints
-    default = exact.ATOM_CHUNK
-    exact.ATOM_CHUNK = chunk or default
+    # a small SAMPLE_CHUNK puts chunk boundaries inside these joints
+    default = probcore.SAMPLE_CHUNK
+    probcore.SAMPLE_CHUNK = chunk or default
     try:
         assert_matches_reference(joint)
     finally:
-        exact.ATOM_CHUNK = default
+        probcore.SAMPLE_CHUNK = default
 
 
 @pytest.mark.parametrize("name, n", [

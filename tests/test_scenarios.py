@@ -15,9 +15,11 @@ from mmse_lab import (
     RegressionConfig,
     ScenarioRunError,
     ScenarioSequence,
+    binary_symmetric_channel,
     builtin_scenarios,
     compose,
     conditional_expectation,
+    is_degraded,
     lmmse,
     mc_mmse,
     mmse_exact,
@@ -26,6 +28,7 @@ from mmse_lab import (
     usc_check,
 )
 from mmse_lab import convergence
+from mmse_lab.degradedness import _channel_of
 from mmse_lab.probcore import (
     SAMPLE_CHUNK,
     FiniteJoint,
@@ -40,7 +43,6 @@ from mmse_lab.scenarios import (
     EXAMPLE4_STEP,
     bsc_prior_joint,
     example3_limit_joint,
-    make_markov_degraded_scenario,
     uniform_lattice_cells,
 )
 from atom_realizations import (
@@ -266,6 +268,17 @@ def test_closed_form_values_at_single_indices(catalog):
 # run_scenario mechanics
 # --------------------------------------------------------------------------
 
+def test_grid_entries_must_be_integers(catalog):
+    sc = catalog["example3"]
+    # np.geomspace(1, 1024, 11) holds 7.999999999999999 where 8 was meant,
+    # which int() would have run as n = 7
+    with pytest.raises(ScenarioRunError, match=r"entry 7\.999999999999999 "):
+        run_scenario(sc, np.geomspace(1, 1024, 11), seed=0)
+    want = run_scenario(sc, [1, 2, 4], seed=0)
+    for grid in (np.array([1.0, 2.0, 4.0]), np.array([1, 2, 4]), (1.0, 2, 4)):
+        assert run_scenario(sc, grid, seed=0) == want
+
+
 def test_grid_must_increase():
     sc = builtin_scenarios()["example3"]
     with pytest.raises(ScenarioRunError):
@@ -299,19 +312,39 @@ def test_realize_must_return_a_finite_joint(catalog):
         run_scenario(sampled, [1, 2], seed=0)
 
 
-@pytest.mark.parametrize("change, needs", [
-    ({"markov_witness": lambda n: None}, "witness check"),  # never called
-    ({"audit": "lmmse", "mc_sampler": None}, "LMMSE audit"),
-])
-def test_reduced_realization_is_refused_where_every_atom_is_read(
-        catalog, change, needs):
+def test_reduced_realization_is_refused_where_every_atom_is_read(catalog):
     import dataclasses
 
-    clone = dataclasses.replace(catalog["cor1_additive"],
-                                name="reduced-clone", **change)
+    clone = dataclasses.replace(catalog["cor1_additive"], name="reduced-clone",
+                                audit="lmmse", mc_sampler=None)
     with pytest.raises(ScenarioRunError,
-                       match=rf"reduced-clone.*realize\(1\).*{needs}"):
+                       match=r"reduced-clone.*realize\(1\).*LMMSE audit"):
         run_scenario(clone, [1, 2], seed=0)
+
+
+def test_markovian_claim_on_a_reduced_realization_is_decided(catalog):
+    # example2's X lattice matches its limit's at n = 16; the (X, T) core
+    # reveals the coarse cell of X, which no garbling of the limit's bit does
+    import dataclasses
+
+    clone = dataclasses.replace(catalog["example2"], name="markov-clone",
+                                markovian=True)
+    rep = run_scenario(clone, [16], seed=0)
+    assert rep.diagnostics.markov_verified is False
+    # at n = 8 the X lattices differ, which no garbling can mend
+    assert run_scenario(clone, [8], seed=0).diagnostics.markov_verified is False
+
+
+def test_markovian_claim_needs_the_limit_x_law(catalog):
+    # the limit's channel P(Y | X), a BSC(0.1), under a prior of (0.6, 0.4)
+    import dataclasses
+
+    sc = catalog["markov_degraded_family"]
+    tilted = FiniteJoint(x_support=sc.limit.x_support,
+                         y_support=sc.limit.y_support,
+                         pmf=np.array([[0.54, 0.06], [0.04, 0.36]]))
+    clone = dataclasses.replace(sc, name="tilted", realize=lambda n: tilted)
+    assert run_scenario(clone, [1], seed=0).diagnostics.markov_verified is False
 
 
 def test_lmmse_audit_takes_no_monte_carlo_sampler(catalog):
@@ -540,7 +573,7 @@ def test_monte_carlo_indices_reuse_the_sample_buffers(catalog, monkeypatch,
 def test_markov_witness_reconstructs_each_index(catalog):
     sc = catalog["markov_degraded_family"]
     for n in (1, 4, 64):
-        witnessed = compose(sc.limit, sc.markov_witness(n))
+        witnessed = compose(sc.limit, binary_symmetric_channel(0.1 / n))
         direct = sc.realize(n)
         assert np.max(np.abs(witnessed.pmf - direct.pmf)) <= 1e-9
     rep = run_scenario(sc, GRID, seed=0)
@@ -573,7 +606,7 @@ def make_random_degraded_scenario(seed: int) -> ScenarioSequence:
     """Random base joint of 2 to 6 letters per coordinate, garbled by a
     shrinking random stochastic kernel.
 
-    The witness is D_n = (1 - 2^-n) I + 2^-n R with R a fixed random
+    The garbling is D_n = (1 - 2^-n) I + 2^-n R with R a fixed random
     row-stochastic matrix, so realize(n) -> base geometrically and every
     realization is degraded with respect to the base by construction.
     """
@@ -589,7 +622,7 @@ def make_random_degraded_scenario(seed: int) -> ScenarioSequence:
     mixer = rng.exponential(1.0, (ny, ny))
     mixer /= mixer.sum(axis=1, keepdims=True)
 
-    def witness(n: int) -> Channel:
+    def garbling(n: int) -> Channel:
         eps = 2.0 ** (-n)
         mat = (1.0 - eps) * np.eye(ny) + eps * mixer
         return Channel(input_support=y_vals, output_support=y_vals, matrix=mat)
@@ -597,13 +630,13 @@ def make_random_degraded_scenario(seed: int) -> ScenarioSequence:
     value = mmse_exact(base).mmse
     return ScenarioSequence(
         name=f"random_degraded_{seed}",
-        realize=lambda n: compose(base, witness(n)),
+        realize=lambda n: compose(base, garbling(n)),
         limit=base,
         expected=ExpectedOutcome(
             kind=OutcomeKind.CONTINUOUS, limit_mmse=value,
             sequence_limit_mmse=value,
             source="geometrically vanishing random garbling of a random base"),
-        markov_witness=witness,
+        markovian=True,
         x_deviation_prob=lambda n, eps: 0.0,
         notes="randomized degraded family used by the property suite",
     )
@@ -632,21 +665,20 @@ ESTIMATOR_GAP_IDENTITY_64 = 0.0062402343750000006
 ESTIMATOR_GAP_BSC01_64 = 0.0039937500000000005
 
 
-def estimator_convergence_check(scenario: ScenarioSequence, n: int) -> float:
-    """Exact mean-square distance between the per-n and limit estimators.
+def estimator_convergence_check(limit: FiniteJoint, channel: Channel) -> float:
+    """Exact mean-square distance between the garbled and limit estimators.
 
-    Uses the scenario's degradedness witness to couple (Y, Y_n) exactly:
+    Y_n is the limit's Y sent through ``channel`` D_n, which couples
+    (Y, Y_n) exactly:
 
         E || g_n(Y_n) - g(Y) ||^2
           = sum_{y, z} P(Y = y) D_n(z | y) || g_n(z) - g(y) ||^2 .
 
-    Returns the value at index ``n``.  With an identity witness the value
-    is exactly 0; a witness that destroys the measurement entirely keeps it
-    pinned at the limit estimator's second moment.
+    With an identity channel the value is exactly 0; a channel that
+    destroys the measurement entirely keeps it pinned at the limit
+    estimator's second moment.
     """
-    limit = scenario.limit
     g = conditional_expectation(limit)
-    channel = scenario.markov_witness(n)
     composed = compose(limit, channel)
     gn = conditional_expectation(composed)
     # (y, z) table over the positive-mass atoms that index g.estimates and
@@ -660,31 +692,35 @@ def estimator_convergence_check(scenario: ScenarioSequence, n: int) -> float:
 
 
 def test_estimator_convergence_identity_base():
-    sc = make_markov_degraded_scenario("ident-base", IDENTITY_BASE,
-                                       lambda n: 0.1 / n)
-    value = estimator_convergence_check(sc, GRID[-1])
     q = 0.1 / 64
+    value = estimator_convergence_check(IDENTITY_BASE,
+                                        binary_symmetric_channel(q))
     assert value == pytest.approx(4 * q * (1 - q), abs=1e-15)
     assert value == pytest.approx(ESTIMATOR_GAP_IDENTITY_64, abs=1e-15)
     assert value <= 1e-2
 
 
 def test_estimator_convergence_bsc_base(catalog):
-    value = estimator_convergence_check(
-        catalog["markov_degraded_family"], GRID[-1])
+    sc = catalog["markov_degraded_family"]
+    channel = binary_symmetric_channel(0.1 / GRID[-1])
+    value = estimator_convergence_check(sc.limit, channel)
     assert value == pytest.approx(ESTIMATOR_GAP_BSC01_64, abs=1e-15)
+    # the BSC base has full rank, so the decision's G is that channel
+    cert = is_degraded(_channel_of(sc.limit),
+                       _channel_of(sc.realize(GRID[-1])))
+    assert cert.feasible
+    np.testing.assert_allclose(cert.garbling_matrix, channel.matrix,
+                               rtol=0.0, atol=1e-12)
 
 
 def test_estimator_convergence_identity_witness_is_exact_zero():
-    sc = make_markov_degraded_scenario("frozen", bsc_prior_joint(0.1),
-                                       lambda n: 0.0)
-    assert estimator_convergence_check(sc, GRID[-1]) == 0.0
+    assert estimator_convergence_check(
+        bsc_prior_joint(0.1), binary_symmetric_channel(0.0)) == 0.0
 
 
 def test_estimator_convergence_detects_non_converging_witness():
-    sc = make_markov_degraded_scenario("collapse", bsc_prior_joint(0.1),
-                                       lambda n: 0.5)
-    value = estimator_convergence_check(sc, GRID[-1])
+    value = estimator_convergence_check(bsc_prior_joint(0.1),
+                                        binary_symmetric_channel(0.5))
     assert value >= 0.1
 
 
@@ -958,18 +994,28 @@ def test_quantize_joint_matches_the_loop_reference():
 
 
 # --------------------------------------------------------------------------
-# the Markov witness is checked at every index as the grid streams
+# the Markov claim is decided at every index as the grid streams
 # --------------------------------------------------------------------------
 
-def test_witness_wrong_at_one_middle_index_fails_the_check(catalog):
+def test_witness_wrong_at_one_middle_index_fails_the_check(catalog,
+                                                           monkeypatch):
     import dataclasses
 
     sc = catalog["markov_degraded_family"]
 
-    def witness(n):
-        return sc.markov_witness(1 if n == 8 else n)
+    def realize(n):
+        # a flip of 0.05 is cleaner than the limit's 0.1: no garbling of it
+        return bsc_prior_joint(0.05) if n == 8 else sc.realize(n)
 
-    broken = dataclasses.replace(sc, name="wrong-at-8", markov_witness=witness)
+    calls = {"_channel_of": 0, "is_degraded": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(convergence, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(convergence, name, counted)
+    broken = dataclasses.replace(sc, name="wrong-at-8", realize=realize)
     rep = run_scenario(broken, GRID, seed=0)
     assert rep.diagnostics.markov_verified is False
+    # decided at n = 1, 2, 4, 8 and no further, on one limit channel
+    assert calls == {"_channel_of": 1 + 4, "is_degraded": 4}
     assert run_scenario(sc, GRID, seed=0).diagnostics.markov_verified is True
