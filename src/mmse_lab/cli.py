@@ -185,7 +185,11 @@ def cmd_run(config: RunConfig, stream=None, err_stream=None) -> int:
         report = reports[name]
         suffix = "csv" if config.format == "csv" else "json"
         path = out_dir / f"{name}.{suffix}"
-        path.write_text(texts[name])
+        try:
+            path.write_text(texts[name])
+        except OSError as exc:  # e.g. the report path is a directory
+            print(str(exc), file=err)
+            return EXIT_USAGE
         tail = report.rows[-1]
         status = "match" if report.verdict_matches else "MISMATCH"
         print(f"{name}: {status} (n={tail.n} value={tail.mmse:.6g} "

@@ -156,11 +156,15 @@ def _tail_mean_within(tail: list[ReportRow] | list[McRow], target: float,
 def run_scenario(scenario: ScenarioSequence, n_grid, tol_abs: float = 0.02,
                  seed: int = 0) -> ConvergenceReport:
     """Evaluate a scenario on an increasing index grid and audit the tail."""
-    entries = list(n_grid)
-    grid = [int(n) for n in entries]
-    for n, entry in zip(grid, entries):
+    grid = []
+    for entry in n_grid:
+        try:
+            n = int(entry)
+        except (ValueError, OverflowError):  # NaN, +-inf
+            n = None
         if n != entry:
             raise ScenarioRunError(f"n_grid entry {entry} is not an integer")
+        grid.append(n)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
         raise ScenarioRunError(f"n_grid must be strictly increasing and >= 1, got {grid}")
     if not (tol_abs > 0.0 and math.isfinite(tol_abs)):

@@ -18,11 +18,13 @@ it leave the pair open:
    when only the row sums fail, the rows projected onto the simplex are
    tried instead.
 2. *A closed-form "no"*: a refused candidate yields Blackwell's test
-   matrix (below) from its residual W2 - W1 G or, when W1 has full column
-   rank, from a row of W1^+ that exposes a negative entry of G, or from
-   the residual after a few projected gradient steps towards the best
-   row-stochastic fit (see ``_closed_form_witness``).  When that bound
-   reaches the tolerance, no row-stochastic G comes within it.
+   matrix (below) from its residual W2 - W1 G, formed only when
+   rank(W1) < n_in (with full row rank W1 W1^+ = I, so the residual is
+   rounding), or, when W1 has full column rank, from a row of W1^+ that
+   exposes a negative entry of G, or from the residual after a few
+   projected gradient steps towards the best row-stochastic fit (see
+   ``_closed_form_witness``).  When that bound reaches the tolerance, no
+   row-stochastic G comes within it.
 3. *The epigraph LP*, solved with HiGHS, which alone decides every pair:
 
        minimize t   s.t.   |(W1 G - W2)_ij| <= t,   G >= 0,   G 1 = 1.
@@ -112,7 +114,8 @@ class Channel:
             raise InvalidDistribution(
                 f"matrix shape {mat.shape} does not match alphabets "
                 f"({ins.shape[0]}, {outs.shape[0]})")
-        if not np.isfinite(mat).all() or (mat < 0.0).any():
+        # NaN fails both comparisons, -inf the first and +inf the second
+        if not (mat.min() >= 0.0 and mat.max() < np.inf):
             raise InvalidDistribution("matrix entries must be finite and nonnegative")
         rows = mat.sum(axis=1)
         off = np.abs(rows - 1.0)
@@ -173,8 +176,10 @@ def _row_sum_error(g: np.ndarray) -> float:
     return float(np.abs(g.sum(axis=1) - 1.0).max())
 
 
-def _shown_feasible(g: np.ndarray, residual: float) -> GarblingCertificate:
-    if _row_sum_error(g) > CERT_ROW_TOL:
+def _shown_feasible(g: np.ndarray, residual: float,
+                    row_error: float) -> GarblingCertificate:
+    """A "yes" for g, whose row sums miss one by ``row_error``."""
+    if row_error > CERT_ROW_TOL:
         raise SelfCheckError("feasible garbling matrix is not row-stochastic")
     return GarblingCertificate(feasible=True, garbling_matrix=g,
                                residual=residual, test_matrix=None,
@@ -234,7 +239,11 @@ def _closed_form_witness(m1: np.ndarray, m2: np.ndarray, g0: np.ndarray,
     bound wins:
 
     (a) Lambda ~ W2 - W1 G0, orthogonal to the columns of W1, so its bound
-        is ||R||_2^2 / ||R||_1 > 0 whenever W2 leaves W1's column span;
+        is ||R||_2^2 / ||R||_1 > 0 whenever W2 leaves W1's column span.
+        It is formed only when rank(W1) < n_in: with full row rank that
+        span is everything, W1 W1^+ = I and R is rounding, so the last
+        bits of G0, not the pair, would set its bound.  A square "no" then
+        has a negative entry of G0 for (b), and a wide W1 goes to the LP;
     (b) when W1 has full column rank, Lambda ~ -W1^{+T} e_k e_j^T, so that
         W1^T Lambda picks -G0_kj alone and the bound is
         -G0_kj / ||W1^{+T} e_k||_1, largest at some negative entry of G0.
@@ -266,8 +275,9 @@ def _closed_form_witness(m1: np.ndarray, m2: np.ndarray, g0: np.ndarray,
                 best = (lam, bound)
         return best is not None and best[1] >= FEASIBILITY_TOL
 
-    full_rank = rank == m1.shape[1]
-    proved = consider(m2 - m1 @ g0)
+    n_in, n_mid = m1.shape
+    full_rank = rank == n_mid
+    proved = rank < n_in and consider(m2 - m1 @ g0)
     if full_rank and g0.min() < 0.0:
         pinv_t = pinv.T
         k, j = np.unravel_index(
@@ -290,9 +300,9 @@ def _closed_form_witness(m1: np.ndarray, m2: np.ndarray, g0: np.ndarray,
 
 
 def _shown_infeasible(m1: np.ndarray, m2: np.ndarray, g: np.ndarray,
-                      lam: np.ndarray) -> GarblingCertificate:
+                      lam: np.ndarray, lower_bound: float) -> GarblingCertificate:
+    """A "no" for g, with ``lower_bound`` = _blackwell_bound(lam, m1, m2)."""
     residual = float(np.abs(m1 @ g - m2).max())
-    lower_bound = _blackwell_bound(lam, m1, m2)
     if not math.isfinite(lower_bound) or lower_bound > residual + BOUND_SLACK:
         raise SelfCheckError(
             f"Blackwell lower bound {lower_bound!r} is not a bound on the "
@@ -318,19 +328,23 @@ def is_degraded(w1: Channel, w2: Channel) -> GarblingCertificate:
     pinv, rank = _pseudo_inverse(m1)
     g0 = pinv @ m2
     g, residual = _garbling(g0.ravel(), m1, m2)
-    if residual < FEASIBILITY_TOL and _row_sum_error(g) <= CERT_ROW_TOL:
-        return _shown_feasible(g, residual)
+    if residual < FEASIBILITY_TOL:
+        row_error = _row_sum_error(g)
+        if row_error <= CERT_ROW_TOL:
+            return _shown_feasible(g, residual, row_error)
     # the one projection of G0 a decision makes: the fallback "yes" below,
     # the G of a closed-form "no" and the start of witness (c)
     projected = _simplex_rows(g0)
     if rank == m1.shape[1] and residual < FEASIBILITY_TOL:
         # the one solution, with row sums off by rounding (module docstring)
         g, residual = _garbling(projected.ravel(), m1, m2)
-        if residual < FEASIBILITY_TOL and _row_sum_error(g) <= CERT_ROW_TOL:
-            return _shown_feasible(g, residual)
+        if residual < FEASIBILITY_TOL:
+            row_error = _row_sum_error(g)
+            if row_error <= CERT_ROW_TOL:
+                return _shown_feasible(g, residual, row_error)
     witness = _closed_form_witness(m1, m2, g0, projected, pinv, rank)
     if witness is not None and witness[1] >= FEASIBILITY_TOL:
-        return _shown_infeasible(m1, m2, projected, witness[0])
+        return _shown_infeasible(m1, m2, projected, *witness)
     return _epigraph(m1, m2)
 
 
@@ -367,9 +381,10 @@ def _epigraph(m1: np.ndarray, m2: np.ndarray) -> GarblingCertificate:
         # a "yes" rests on the recomputed residual and row sums, never on
         # the status: HiGHS may call a feasible point's status unknown.
         # After a clean solve, rows that miss are a SelfCheckError.
-        if residual < FEASIBILITY_TOL and (
-                result.status == 0 or _row_sum_error(g) <= CERT_ROW_TOL):
-            return _shown_feasible(g, residual)
+        if residual < FEASIBILITY_TOL:
+            row_error = _row_sum_error(g)
+            if result.status == 0 or row_error <= CERT_ROW_TOL:
+                return _shown_feasible(g, residual, row_error)
     if result.status != 0 or result.x is None:
         raise SelfCheckError(
             f"garbling LP did not solve cleanly (status {result.status}): "
@@ -381,7 +396,8 @@ def _epigraph(m1: np.ndarray, m2: np.ndarray) -> GarblingCertificate:
     mass = float(np.abs(lam).sum())
     if not mass > 0.0:
         raise SelfCheckError("garbling LP returned no dual test matrix")
-    return _shown_infeasible(m1, m2, g, lam / mass)
+    lam = lam / mass
+    return _shown_infeasible(m1, m2, g, lam, _blackwell_bound(lam, m1, m2))
 
 
 def compose(joint: FiniteJoint, channel: Channel) -> FiniteJoint:

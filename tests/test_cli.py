@@ -304,6 +304,15 @@ def test_main_refuses_an_out_path_that_is_no_directory(tmp_path, capsys, out):
     assert (tmp_path / "taken").read_text() == "a file"
 
 
+def test_main_refuses_a_report_path_that_is_a_directory(tmp_path, capsys):
+    (tmp_path / "example1.csv").mkdir()
+    code = main(["run", "--scenarios", "example1", "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "example1.csv" in err
+    assert "Traceback" not in err
+
+
 def test_main_bad_flag_exits_two():
     assert main(["run", "--no-such-flag"]) == EXIT_USAGE
 

@@ -355,6 +355,42 @@ def test_rank_deficient_yes_goes_to_the_epigraph(lp_calls, n_in, n_mid, n_out):
     assert np.max(np.abs(g.sum(axis=1) - 1.0)) <= 1e-9
 
 
+def forms_residual_witness(monkeypatch, a: Channel, b: Channel) -> bool:
+    """Whether deciding (a, b) forms witness (a), W2 - W1 G0 normalized."""
+    m1, m2 = a.matrix, b.matrix
+    resid = m2 - m1 @ (degradedness._pseudo_inverse(m1)[0] @ m2)
+    resid /= np.abs(resid).sum()
+    seen = []
+    bound = degradedness._blackwell_bound
+
+    def spy(lam, w1, w2):
+        seen.append(np.array_equal(lam, resid))
+        return bound(lam, w1, w2)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(degradedness, "_blackwell_bound", spy)
+        is_degraded(a, b)
+    return any(seen)
+
+
+def test_full_row_rank_forms_no_residual_witness(monkeypatch, lp_calls):
+    # W1 W1^+ = I: the square "no" is (b)'s, the wide "yes" the LP's
+    w1, w2 = square_garbling_pair(32, 41)
+    assert not forms_residual_witness(monkeypatch, w2, w1)
+    assert lp_calls == []
+    assert not forms_residual_witness(monkeypatch,
+                                      *wide_garbling_pair(47, 3, 12, 11))
+    assert lp_calls == ["epigraph"]
+
+
+def test_rank_deficient_w1_forms_the_residual_witness(monkeypatch, lp_calls):
+    # W1 repeats a column, so rank(W1) = 3 < n_in = 4
+    w1, unrelated = verdict_pairs(0, 4, 4, 4, "repeated")[2]
+    assert forms_residual_witness(monkeypatch, w1, unrelated)
+    assert not is_degraded(w1, unrelated).feasible
+    assert lp_calls == []
+
+
 def test_refused_candidate_leaves_the_two_phases(monkeypatch, lp_calls):
     # a refused candidate with rank 0 leaves even a full-rank "yes" to the LP
     calls = []
@@ -604,6 +640,24 @@ def reference_pairs() -> list[tuple[Channel, Channel]]:
     return pairs + ill_conditioned_pairs() + [wide_garbling_pair(47, 3, 12, 11)]
 
 
+def garbling_lp_pairs() -> list[tuple[Channel, Channel]]:
+    """Pairs as perfbench's garbling_lp builds them, in both directions.
+
+    W2 = W1 G with dense random row-stochastic W1 and G of 8, 16, 24 and
+    32 letters, rows renormalized: the forward pair is a garbling, the
+    reversed one is not.
+    """
+    pairs = []
+    for seed in range(3):
+        rng = np.random.default_rng([seed, 23])
+        for k in (8, 16, 24, 32):
+            m1 = _stochastic(rng, k, k)
+            m2 = m1 @ _stochastic(rng, k, k)
+            w1, w2 = _channel(m1), _channel(m2 / m2.sum(axis=1, keepdims=True))
+            pairs += [(w1, w2), (w2, w1)]
+    return pairs
+
+
 def assert_same_certificate(got, want) -> None:
     assert got.feasible is want.feasible
     assert got.residual.hex() == want.residual.hex()
@@ -632,7 +686,7 @@ def test_decision_matches_its_unrewritten_copy_bit_for_bit(monkeypatch):
     counted(degradedness)
     counted(garbling_reference)
     routes = set()
-    for a, b in reference_pairs():
+    for a, b in reference_pairs() + garbling_lp_pairs():
         before = dict(calls)
         want = garbling_reference.decide(a, b)
         got = is_degraded(a, b)
@@ -752,6 +806,10 @@ def test_example2_is_not_markovian(lp_calls):
     assert lp_calls == []
     assert_certified_no(cert, w, w_n)
     assert cert.lower_bound >= 1e-7
+    # W1 has rank 2 of 1024 rows, and witness (a), the residual, decides
+    m1, m2 = w.matrix, w_n.matrix
+    resid = m2 - m1 @ (degradedness._pseudo_inverse(m1)[0] @ m2)
+    np.testing.assert_array_equal(cert.test_matrix, resid / np.abs(resid).sum())
 
 
 def test_example4_is_markovian():
@@ -799,6 +857,24 @@ def test_garbling_sweep_prints_the_promised_triangle(capsys):
             else:
                 assert not g
                 assert float(r) >= float(lb) > 0.0
+
+
+def test_route_counts_sort_every_decision(capsys):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "route_counts.py"
+    main = runpy.run_path(str(script))["main"]
+    assert main(["sweep", "garbling_lp", "--passes", "1"]) == 0
+    header, _, *rows = capsys.readouterr().out.splitlines()
+    columns = [c.strip() for c in header.strip("|").split("|")]
+    counts = {row.split("|")[1].strip(): dict(zip(columns, (
+        c.strip() for c in row.strip("|").split("|")))) for row in rows}
+    want = {"sweep": ("25", "15", "10"), "garbling_lp": ("8", "4", "4")}
+    for name, (decisions, yes, no) in want.items():
+        row = counts[name]
+        assert row["decisions"] == decisions
+        assert row['candidate "yes"'] == yes
+        assert row['witness (b) "no"'] == no
+        # every W1 here has full row rank, so witness (a) is never formed
+        assert row["(a) formed"] == "0"
 
 
 # --------------------------------------------------------------------------
@@ -918,6 +994,8 @@ ENTRIES = "matrix entries must be finite and nonnegative"
      "input_support must be a non-empty 1-D or 2-D array"),
     (dict(output_support=np.zeros((2, 0))),
      "output_support must be a non-empty 1-D or 2-D array"),
+    (dict(matrix=[[0.9, 0.1], [-np.inf, 0.8]]), ENTRIES),
+    (dict(matrix=[[0.9, 0.1], [0.2, np.nan]]), ENTRIES),
 ])
 def test_channel_refusals_name_their_cause(changes, message):
     with pytest.raises(InvalidDistribution, match=re.escape(message)):

@@ -279,6 +279,13 @@ def test_grid_entries_must_be_integers(catalog):
         assert run_scenario(sc, grid, seed=0) == want
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+def test_non_finite_grid_entries_are_refused(catalog, entry):
+    # int() would raise ValueError on NaN and OverflowError on +-inf
+    with pytest.raises(ScenarioRunError, match=rf"entry {entry!r} is not"):
+        run_scenario(catalog["example3"], [1, entry], seed=0)
+
+
 def test_grid_must_increase():
     sc = builtin_scenarios()["example3"]
     with pytest.raises(ScenarioRunError):
