@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
 """Count which route of the garbling decision settles each pair.
 
-``mmse_lab.degradedness.is_degraded`` settles a pair by its candidate
-W1^+ W2, by that candidate's rows projected onto the simplex, by one of the
-closed-form witnesses (a), (b) and (c), or by the epigraph LP (see the
-module docstring).  This script wraps the decision's private steps from
-outside the package, as ``perfbench/tracing.py`` wraps its public calls,
-runs each named input and prints one markdown row of the route table per
-input:
+``mmse_lab.degradedness.is_degraded`` names the step that settled a pair
+in ``GarblingCertificate.route``: its candidate W1^+ W2, that candidate's
+rows projected onto the simplex, one of the closed-form witnesses (a), (b)
+and (c), or the epigraph LP (see the module docstring).  This script wraps
+``is_degraded`` in each ``mmse_lab`` module that imported it, runs each
+named input and prints one markdown row of the route table per input:
 
     python scripts/route_counts.py garbling_lp --seeds 0 1 --passes 100
     python scripts/route_counts.py small_joints selftest sweep --seeds 0
@@ -19,12 +18,11 @@ input:
 that carry one; both check each answer against its construction.
 ``selftest`` runs ``mmse-lab selftest`` for each seed, ``sweep`` runs
 ``scripts/garbling_sweep.py``, ``catalog`` runs the whole catalog, and
-``tests`` runs the tier-1 suite in this process (where some tests force a
-route by monkeypatching, and "no certificate" counts the decisions that
-raised or whose step a test stubbed away).  The last two columns count the decisions that
-formed witness (a) and the "no"s that (a) settled on a W1 of full row rank.
-The exit status is 1 when a checked answer is wrong, a decision fits no
-route or the chosen input fails, 0 otherwise.
+``tests`` runs ``tests/`` in this process (where some tests force a route
+by monkeypatching, and "no certificate" counts the decisions that raised
+or returned something else).  The exit status is 1 when a checked
+answer is wrong, a certificate names no known route or the chosen input
+fails, 0 otherwise.
 """
 
 import argparse
@@ -38,158 +36,55 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from mmse_lab import degradedness
 
 ROOT = Path(__file__).resolve().parent.parent
-ROUTES = ('candidate "yes"', 'simplex fallback "yes"', 'witness (a) "no"',
-          'witness (b) "no"', 'witness (c) "no"', 'LP "yes"', 'LP "no"',
-          "no certificate")
-COLUMNS = ("decisions",) + ROUTES + ("(a) formed",
-                                     '(a) "no" at full row rank')
-
-
-class Decision:
-    """What the private steps of one ``is_degraded`` call did."""
-
-    def __init__(self):
-        self.full_row_rank = None
-        self.projections = 0
-        self.expected_a = None        # W2 - W1 G0 normalized, as (a) forms it
-        self.formed_a = False
-        self.in_witness = False
-        self.witness_steps = False
-        self.tagged = []              # (test matrix, witness) per bound
-        self.lp = False
-
-    def route(self, cert) -> str:
-        if not isinstance(cert, degradedness.GarblingCertificate):
-            return "no certificate"  # a test stubbed a step away
-        if self.lp:
-            return 'LP "yes"' if cert.feasible else 'LP "no"'
-        if cert.feasible:
-            return ('simplex fallback "yes"' if self.projections
-                    else 'candidate "yes"')
-        for lam, witness in self.tagged:
-            if lam is cert.test_matrix:
-                return f'witness ({witness}) "no"'
-        return "unclassified"
+# the column of each (GarblingCertificate.route, feasible)
+ROUTES = {("candidate", True): 'candidate "yes"',
+          ("simplex", True): 'simplex fallback "yes"',
+          ("witness_a", False): 'witness (a) "no"',
+          ("witness_b", False): 'witness (b) "no"',
+          ("witness_c", False): 'witness (c) "no"',
+          ("lp", True): 'LP "yes"', ("lp", False): 'LP "no"'}
+COLUMNS = ("decisions", *ROUTES.values(), "no certificate")
 
 
 class RouteCounter:
-    """Wraps ``is_degraded`` and its private steps; counts routes."""
+    """Wraps ``is_degraded`` where ``mmse_lab`` imported it; counts routes."""
 
     def __init__(self):
         self.counts = collections.Counter()
-        self.current = None
         self._restore = []
-
-    def _swap(self, owner, name, wrapper):
-        self._restore.append((owner, name, getattr(owner, name)))
-        setattr(owner, name, wrapper)
 
     def install(self) -> None:
         original = degradedness.is_degraded
-        wrapped = self._wrap_decision(original)
+
+        @functools.wraps(original)
+        def is_degraded(*args, **kwargs):
+            self.counts["decisions"] += 1
+            try:
+                cert = original(*args, **kwargs)
+            except Exception:
+                self.counts["no certificate"] += 1
+                raise
+            if isinstance(cert, degradedness.GarblingCertificate):
+                self.counts[ROUTES.get((cert.route, cert.feasible),
+                                       "unclassified")] += 1
+            else:
+                self.counts["no certificate"] += 1  # a test stubbed a step
+            return cert
+
         for mod_name, module in list(sys.modules.items()):
             if mod_name == "mmse_lab" or mod_name.startswith("mmse_lab."):
                 for name, obj in list(vars(module).items()):
                     if obj is original:
-                        self._swap(module, name, wrapped)
-        for name in ("_pseudo_inverse", "_simplex_rows", "_closed_form_witness",
-                     "_blackwell_bound", "_epigraph"):
-            step = getattr(degradedness, name)
-            self._swap(degradedness, name, getattr(self, name)(step))
+                        self._restore.append((module, name, obj))
+                        setattr(module, name, is_degraded)
 
     def uninstall(self) -> None:
-        for owner, name, original in reversed(self._restore):
-            setattr(owner, name, original)
+        for module, name, original in reversed(self._restore):
+            setattr(module, name, original)
         self._restore.clear()
-
-    def _wrap_decision(self, fn):
-        @functools.wraps(fn)
-        def is_degraded(*args, **kwargs):
-            outer, self.current = self.current, Decision()
-            try:
-                cert = fn(*args, **kwargs)
-            except Exception:
-                self.counts["no certificate"] += 1
-                raise
-            else:
-                decision = self.current
-                route = decision.route(cert)
-                self.counts[route] += 1
-                if decision.formed_a:
-                    self.counts["(a) formed"] += 1
-                    if decision.full_row_rank and route == 'witness (a) "no"':
-                        self.counts['(a) "no" at full row rank'] += 1
-                return cert
-            finally:
-                self.counts["decisions"] += 1
-                self.current = outer
-
-        return is_degraded
-
-    # each step wrapper records into the current decision, if any: tests
-    # also call the steps on their own
-
-    def _pseudo_inverse(self, fn):
-        def step(m1):
-            pinv, rank = fn(m1)
-            if self.current is not None:
-                self.current.full_row_rank = rank == m1.shape[0]
-            return pinv, rank
-        return step
-
-    def _simplex_rows(self, fn):
-        def step(g):
-            decision = self.current
-            if decision is not None:
-                if decision.in_witness:
-                    decision.witness_steps = True
-                else:
-                    decision.projections += 1
-            return fn(g)
-        return step
-
-    def _closed_form_witness(self, fn):
-        def step(m1, m2, g0, *args):
-            decision = self.current
-            if decision is None:
-                return fn(m1, m2, g0, *args)
-            decision.in_witness = True
-            resid = m2 - m1 @ g0
-            mass = float(np.abs(resid).sum())
-            decision.expected_a = resid / mass if mass > 0.0 else None
-            try:
-                return fn(m1, m2, g0, *args)
-            finally:
-                decision.in_witness = False
-        return step
-
-    def _blackwell_bound(self, fn):
-        def step(lam, m1, m2):
-            decision = self.current
-            if decision is not None and decision.in_witness:
-                if decision.witness_steps:
-                    witness = "c"
-                elif (decision.expected_a is not None
-                      and np.array_equal(lam, decision.expected_a)):
-                    witness = "a"
-                    decision.formed_a = True
-                else:
-                    witness = "b"
-                decision.tagged.append((lam, witness))
-            return fn(lam, m1, m2)
-        return step
-
-    def _epigraph(self, fn):
-        def step(m1, m2):
-            if self.current is not None:
-                self.current.lp = True
-            return fn(m1, m2)
-        return step
 
 
 def _workloads():

@@ -5,27 +5,28 @@ alphabet when W2 = W1 G for some row-stochastic G.  ``is_degraded``
 decides this in up to three steps, each tried only when the ones before
 it leave the pair open:
 
-1. *The candidate* G = W1^+ W2, clipped to [0, 1], answers "yes" when
-   its residual is below the tolerance and its rows sum to one within
-   CERT_ROW_TOL.  W1 is factorized once per decision: a square W1 by LU
-   (its explicit inverse), unless the inverse fails, has a non-finite
-   entry or ||W1||_1 ||W1^-1||_1 exceeds 1 / (n eps), the cutoff that
-   least squares puts on singular values; every other W1 by one SVD,
-   which gives the minimum-norm candidate and the rank at that cutoff.
-   When W1 has full column rank, W1 G = W2 has at most one solution, and
-   the candidate is that solution.  Its rows then sum to one up to the
-   rounding of W1's own row sums, which an ill-conditioned W1 magnifies;
-   when only the row sums fail, the rows projected onto the simplex are
-   tried instead.
-2. *A closed-form "no"*: a refused candidate yields Blackwell's test
-   matrix (below) from its residual W2 - W1 G, formed only when
-   rank(W1) < n_in (with full row rank W1 W1^+ = I, so the residual is
+1. *The candidate* (route "candidate") G = W1^+ W2, clipped to [0, 1],
+   answers "yes" when its residual is below the tolerance and its rows sum
+   to one within CERT_ROW_TOL.  W1 is factorized once per decision: a
+   square W1 by LU (its explicit inverse), unless the inverse fails, has a
+   non-finite entry or ||W1||_1 ||W1^-1||_1 exceeds 1 / (n eps), the cutoff
+   that least squares puts on singular values; every other W1 by one SVD,
+   which gives the minimum-norm candidate and the rank at that cutoff.  When
+   W1 has full column rank, W1 G = W2 has at most one solution, and the
+   candidate is that solution.  Its rows then sum to one up to the rounding
+   of W1's own row sums, which an ill-conditioned W1 magnifies; when only
+   the row sums fail, the rows projected onto the simplex are tried instead
+   (route "simplex").
+2. *A closed-form "no"*: a refused candidate yields Blackwell's test matrix
+   (below) from its residual W2 - W1 G (route "witness_a"), formed only
+   when rank(W1) < n_in (with full row rank W1 W1^+ = I, so the residual is
    rounding), or, when W1 has full column rank, from a row of W1^+ that
-   exposes a negative entry of G, or from the residual after a few
-   projected gradient steps towards the best row-stochastic fit (see
-   ``_closed_form_witness``).  When that bound reaches the tolerance, no
-   row-stochastic G comes within it.
-3. *The epigraph LP*, solved with HiGHS, which alone decides every pair:
+   exposes a negative entry of G ("witness_b"), or from the residual after
+   a few projected gradient steps towards the best row-stochastic fit
+   ("witness_c"; see ``_closed_form_witness``).  When that bound reaches
+   the tolerance, no row-stochastic G comes within it.
+3. *The epigraph LP* (route "lp"), solved with HiGHS, which alone
+   decides every pair:
 
        minimize t   s.t.   |(W1 G - W2)_ij| <= t,   G >= 0,   G 1 = 1.
 
@@ -156,6 +157,12 @@ class GarblingCertificate:
     achievable residual.  It is tight only when the epigraph LP decided
     the pair; a closed-form "no" pairs its witness with the candidate
     W1^+ W2 projected onto the simplex, whose residual may be far above.
+
+    ``route`` names the step of the module docstring that settled the
+    pair: "candidate" or "simplex" (a "yes" from W1^+ W2 or from its rows
+    projected onto the simplex), "witness_a", "witness_b" or "witness_c"
+    (a closed-form "no", see ``_closed_form_witness``) or "lp" (either
+    answer, from the epigraph LP).
     """
 
     feasible: bool
@@ -163,6 +170,7 @@ class GarblingCertificate:
     residual: float
     test_matrix: np.ndarray | None
     lower_bound: float
+    route: str
 
 
 def _garbling(x: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, float]:
@@ -177,13 +185,11 @@ def _row_sum_error(g: np.ndarray) -> float:
 
 
 def _shown_feasible(g: np.ndarray, residual: float,
-                    row_error: float) -> GarblingCertificate:
-    """A "yes" for g, whose row sums miss one by ``row_error``."""
-    if row_error > CERT_ROW_TOL:
-        raise SelfCheckError("feasible garbling matrix is not row-stochastic")
+                    route: str) -> GarblingCertificate:
+    """A "yes" for g, whose rows sum to one within CERT_ROW_TOL."""
     return GarblingCertificate(feasible=True, garbling_matrix=g,
                                residual=residual, test_matrix=None,
-                               lower_bound=0.0)
+                               lower_bound=0.0, route=route)
 
 
 def _simplex_rows(g: np.ndarray) -> np.ndarray:
@@ -260,11 +266,13 @@ def _closed_form_witness(m1: np.ndarray, m2: np.ndarray, g0: np.ndarray,
         bound ||R||_F^2 / ||R||_1 for R = W2 - W1 G, positive exactly when
         the pair is infeasible; the steps approach it.
 
-    None when no candidate is a usable matrix.
+    Returns (Lambda, bound, route) for the best, route naming its
+    candidate as ``GarblingCertificate.route`` does; None when no
+    candidate is a usable matrix.
     """
     best = None
 
-    def consider(lam: np.ndarray) -> bool:
+    def consider(lam: np.ndarray, route: str) -> bool:
         """Keep lam if its bound is the best yet; True once one is proved."""
         nonlocal best
         mass = float(np.abs(lam).sum())
@@ -272,19 +280,19 @@ def _closed_form_witness(m1: np.ndarray, m2: np.ndarray, g0: np.ndarray,
             lam = lam / mass
             bound = _blackwell_bound(lam, m1, m2)
             if best is None or bound > best[1]:
-                best = (lam, bound)
+                best = (lam, bound, route)
         return best is not None and best[1] >= FEASIBILITY_TOL
 
     n_in, n_mid = m1.shape
     full_rank = rank == n_mid
-    proved = rank < n_in and consider(m2 - m1 @ g0)
+    proved = rank < n_in and consider(m2 - m1 @ g0, "witness_a")
     if full_rank and g0.min() < 0.0:
         pinv_t = pinv.T
         k, j = np.unravel_index(
             (-g0 / np.abs(pinv_t).sum(axis=0)[:, None]).argmax(), g0.shape)
         lam = np.zeros(m2.shape)
         lam[:, j] = -pinv_t[:, k]
-        proved = consider(lam)
+        proved = consider(lam, "witness_b")
     if proved or not full_rank:
         return best
     # 1 / (||W1||_1 ||W1||_inf) <= 1 / ||W1||_2^2: a step that cannot overshoot
@@ -294,13 +302,14 @@ def _closed_form_witness(m1: np.ndarray, m2: np.ndarray, g0: np.ndarray,
     for _ in range(WITNESS_STEPS):
         g = _simplex_rows(g + step * (m1.T @ resid))
         resid = m2 - m1 @ g
-        if consider(resid):
+        if consider(resid, "witness_c"):
             break
     return best
 
 
 def _shown_infeasible(m1: np.ndarray, m2: np.ndarray, g: np.ndarray,
-                      lam: np.ndarray, lower_bound: float) -> GarblingCertificate:
+                      lam: np.ndarray, lower_bound: float,
+                      route: str) -> GarblingCertificate:
     """A "no" for g, with ``lower_bound`` = _blackwell_bound(lam, m1, m2)."""
     residual = float(np.abs(m1 @ g - m2).max())
     if not math.isfinite(lower_bound) or lower_bound > residual + BOUND_SLACK:
@@ -309,7 +318,7 @@ def _shown_infeasible(m1: np.ndarray, m2: np.ndarray, g: np.ndarray,
             f"residual {residual!r}")
     return GarblingCertificate(feasible=False, garbling_matrix=g,
                                residual=residual, test_matrix=lam,
-                               lower_bound=lower_bound)
+                               lower_bound=lower_bound, route=route)
 
 
 def is_degraded(w1: Channel, w2: Channel) -> GarblingCertificate:
@@ -328,20 +337,16 @@ def is_degraded(w1: Channel, w2: Channel) -> GarblingCertificate:
     pinv, rank = _pseudo_inverse(m1)
     g0 = pinv @ m2
     g, residual = _garbling(g0.ravel(), m1, m2)
-    if residual < FEASIBILITY_TOL:
-        row_error = _row_sum_error(g)
-        if row_error <= CERT_ROW_TOL:
-            return _shown_feasible(g, residual, row_error)
+    if residual < FEASIBILITY_TOL and _row_sum_error(g) <= CERT_ROW_TOL:
+        return _shown_feasible(g, residual, "candidate")
     # the one projection of G0 a decision makes: the fallback "yes" below,
     # the G of a closed-form "no" and the start of witness (c)
     projected = _simplex_rows(g0)
     if rank == m1.shape[1] and residual < FEASIBILITY_TOL:
         # the one solution, with row sums off by rounding (module docstring)
         g, residual = _garbling(projected.ravel(), m1, m2)
-        if residual < FEASIBILITY_TOL:
-            row_error = _row_sum_error(g)
-            if row_error <= CERT_ROW_TOL:
-                return _shown_feasible(g, residual, row_error)
+        if residual < FEASIBILITY_TOL and _row_sum_error(g) <= CERT_ROW_TOL:
+            return _shown_feasible(g, residual, "simplex")
     witness = _closed_form_witness(m1, m2, g0, projected, pinv, rank)
     if witness is not None and witness[1] >= FEASIBILITY_TOL:
         return _shown_infeasible(m1, m2, projected, *witness)
@@ -382,9 +387,11 @@ def _epigraph(m1: np.ndarray, m2: np.ndarray) -> GarblingCertificate:
         # the status: HiGHS may call a feasible point's status unknown.
         # After a clean solve, rows that miss are a SelfCheckError.
         if residual < FEASIBILITY_TOL:
-            row_error = _row_sum_error(g)
-            if result.status == 0 or row_error <= CERT_ROW_TOL:
-                return _shown_feasible(g, residual, row_error)
+            if _row_sum_error(g) <= CERT_ROW_TOL:
+                return _shown_feasible(g, residual, "lp")
+            if result.status == 0:
+                raise SelfCheckError(
+                    "feasible garbling matrix is not row-stochastic")
     if result.status != 0 or result.x is None:
         raise SelfCheckError(
             f"garbling LP did not solve cleanly (status {result.status}): "
@@ -397,7 +404,8 @@ def _epigraph(m1: np.ndarray, m2: np.ndarray) -> GarblingCertificate:
     if not mass > 0.0:
         raise SelfCheckError("garbling LP returned no dual test matrix")
     lam = lam / mass
-    return _shown_infeasible(m1, m2, g, lam, _blackwell_bound(lam, m1, m2))
+    return _shown_infeasible(m1, m2, g, lam, _blackwell_bound(lam, m1, m2),
+                             "lp")
 
 
 def compose(joint: FiniteJoint, channel: Channel) -> FiniteJoint:

@@ -43,12 +43,12 @@ def _row_sum_error(g):
     return float(np.max(np.abs(g.sum(axis=1) - 1.0)))
 
 
-def _shown_feasible(g, residual):
+def _shown_feasible(g, residual, route):
     if _row_sum_error(g) > CERT_ROW_TOL:
         raise SelfCheckError("feasible garbling matrix is not row-stochastic")
     return GarblingCertificate(feasible=True, garbling_matrix=g,
                                residual=residual, test_matrix=None,
-                               lower_bound=0.0)
+                               lower_bound=0.0, route=route)
 
 
 def _simplex_rows(g):
@@ -82,24 +82,24 @@ def _pseudo_inverse(m1):
 def _closed_form_witness(m1, m2, g0, pinv, rank):
     best = None
 
-    def consider(lam):
+    def consider(lam, route):
         nonlocal best
         mass = float(np.abs(lam).sum())
         if mass > 0.0:
             lam = lam / mass
             bound = _blackwell_bound(lam, m1, m2)
             if best is None or bound > best[1]:
-                best = (lam, bound)
+                best = (lam, bound, route)
 
     full_rank = rank == m1.shape[1]
-    consider(m2 - m1 @ g0)
+    consider(m2 - m1 @ g0, "witness_a")
     if full_rank and g0.min() < 0.0:
         pinv_t = pinv.T
         k, j = np.unravel_index(
             np.argmax(-g0 / np.abs(pinv_t).sum(axis=0)[:, None]), g0.shape)
         lam = np.zeros_like(m2)
         lam[:, j] = -pinv_t[:, k]
-        consider(lam)
+        consider(lam, "witness_b")
     if not full_rank:
         return best
     step = 1.0 / (m1.sum(axis=0).max() * m1.sum(axis=1).max())
@@ -110,11 +110,11 @@ def _closed_form_witness(m1, m2, g0, pinv, rank):
             break
         g = _simplex_rows(g + step * (m1.T @ resid))
         resid = m2 - m1 @ g
-        consider(resid)
+        consider(resid, "witness_c")
     return best
 
 
-def _shown_infeasible(m1, m2, g, lam):
+def _shown_infeasible(m1, m2, g, lam, route):
     residual = float(np.max(np.abs(m1 @ g - m2)))
     lower_bound = _blackwell_bound(lam, m1, m2)
     if not math.isfinite(lower_bound) or lower_bound > residual + BOUND_SLACK:
@@ -123,7 +123,7 @@ def _shown_infeasible(m1, m2, g, lam):
             f"residual {residual!r}")
     return GarblingCertificate(feasible=False, garbling_matrix=g,
                                residual=residual, test_matrix=lam,
-                               lower_bound=lower_bound)
+                               lower_bound=lower_bound, route=route)
 
 
 def _epigraph(m1, m2):
@@ -153,13 +153,13 @@ def _epigraph(m1, m2):
             f"{result.message}")
     g, residual = _garbling(result.x, m1, m2)
     if residual < FEASIBILITY_TOL:
-        return _shown_feasible(g, residual)
+        return _shown_feasible(g, residual, "lp")
     duals = result.ineqlin.marginals.reshape(n_in, n_out, 2)
     lam = duals[..., 0] - duals[..., 1]
     mass = float(np.abs(lam).sum())
     if not mass > 0.0:
         raise SelfCheckError("garbling LP returned no dual test matrix")
-    return _shown_infeasible(m1, m2, g, lam / mass)
+    return _shown_infeasible(m1, m2, g, lam / mass, "lp")
 
 
 def decide(w1: Channel, w2: Channel) -> GarblingCertificate:
@@ -168,14 +168,17 @@ def decide(w1: Channel, w2: Channel) -> GarblingCertificate:
     pinv, rank = _pseudo_inverse(m1)
     g0 = pinv @ m2
     g, residual = _garbling(g0.ravel(), m1, m2)
+    route = "candidate"
     if (rank == m1.shape[1] and residual < FEASIBILITY_TOL
             and _row_sum_error(g) > CERT_ROW_TOL):
         g, residual = _garbling(_simplex_rows(g0).ravel(), m1, m2)
+        route = "simplex"
     if residual < FEASIBILITY_TOL and _row_sum_error(g) <= CERT_ROW_TOL:
-        return _shown_feasible(g, residual)
+        return _shown_feasible(g, residual, route)
     witness = _closed_form_witness(m1, m2, g0, pinv, rank)
     if witness is not None and witness[1] >= FEASIBILITY_TOL:
-        return _shown_infeasible(m1, m2, _simplex_rows(g0), witness[0])
+        lam, _, route = witness
+        return _shown_infeasible(m1, m2, _simplex_rows(g0), lam, route)
     return _epigraph(m1, m2)
 
 
@@ -185,8 +188,9 @@ def is_degraded(w1: Channel, w2: Channel) -> GarblingCertificate:
     g0, _, rank, _ = np.linalg.lstsq(m1, m2, rcond=None)
     g, residual = _garbling(g0.ravel(), m1, m2)
     if residual < FEASIBILITY_TOL and _row_sum_error(g) <= CERT_ROW_TOL:
-        return _shown_feasible(g, residual)
+        return _shown_feasible(g, residual, "candidate")
     witness = _closed_form_witness(m1, m2, g0, np.linalg.pinv(m1), rank)
     if witness is not None and witness[1] >= FEASIBILITY_TOL:
-        return _shown_infeasible(m1, m2, _simplex_rows(g0), witness[0])
+        lam, _, route = witness
+        return _shown_infeasible(m1, m2, _simplex_rows(g0), lam, route)
     return degradedness._epigraph(m1, m2)

@@ -660,6 +660,7 @@ def garbling_lp_pairs() -> list[tuple[Channel, Channel]]:
 
 def assert_same_certificate(got, want) -> None:
     assert got.feasible is want.feasible
+    assert got.route == want.route
     assert got.residual.hex() == want.residual.hex()
     assert got.lower_bound.hex() == want.lower_bound.hex()
     for a, b in ((got.garbling_matrix, want.garbling_matrix),
@@ -694,8 +695,11 @@ def test_decision_matches_its_unrewritten_copy_bit_for_bit(monkeypatch):
         lp = calls.get(degradedness, 0) - before.get(degradedness, 0)
         assert lp == (calls.get(garbling_reference, 0)
                       - before.get(garbling_reference, 0))
-        routes.add((got.feasible, lp))
-    assert routes == {(True, 0), (False, 0), (True, 1), (False, 1)}
+        assert (got.route == "lp") == (lp == 1)
+        routes.add((got.route, got.feasible))
+    assert routes == {("candidate", True), ("simplex", True), ("lp", True),
+                      ("witness_a", False), ("witness_b", False),
+                      ("witness_c", False), ("lp", False)}
 
 
 def projections(monkeypatch, a: Channel, b: Channel) -> tuple[int, int]:
@@ -864,17 +868,13 @@ def test_route_counts_sort_every_decision(capsys):
     main = runpy.run_path(str(script))["main"]
     assert main(["sweep", "garbling_lp", "--passes", "1"]) == 0
     header, _, *rows = capsys.readouterr().out.splitlines()
-    columns = [c.strip() for c in header.strip("|").split("|")]
-    counts = {row.split("|")[1].strip(): dict(zip(columns, (
-        c.strip() for c in row.strip("|").split("|")))) for row in rows}
-    want = {"sweep": ("25", "15", "10"), "garbling_lp": ("8", "4", "4")}
-    for name, (decisions, yes, no) in want.items():
-        row = counts[name]
-        assert row["decisions"] == decisions
-        assert row['candidate "yes"'] == yes
-        assert row['witness (b) "no"'] == no
-        # every W1 here has full row rank, so witness (a) is never formed
-        assert row["(a) formed"] == "0"
+    assert [c.strip() for c in header.strip("|").split("|")] == [
+        "input", "decisions", 'candidate "yes"', 'simplex fallback "yes"',
+        'witness (a) "no"', 'witness (b) "no"', 'witness (c) "no"',
+        'LP "yes"', 'LP "no"', "no certificate"]
+    counts = [[c.strip() for c in row.strip("|").split("|")] for row in rows]
+    assert counts == [["sweep", "25", "15", "0", "0", "10", "0", "0", "0", "0"],
+                      ["garbling_lp", "8", "4", "0", "0", "4", "0", "0", "0", "0"]]
 
 
 # --------------------------------------------------------------------------
