@@ -39,7 +39,8 @@ from pathlib import Path
 from mmse_lab import degradedness
 
 ROOT = Path(__file__).resolve().parent.parent
-# the column of each (GarblingCertificate.route, feasible)
+# the column of each (GarblingCertificate.route, feasible); each label names
+# its answer, so a route that gives the other one fits no column and exits 1
 ROUTES = {("candidate", True): 'candidate "yes"',
           ("simplex", True): 'simplex fallback "yes"',
           ("witness_a", False): 'witness (a) "no"',

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import runpy
@@ -875,6 +876,24 @@ def test_route_counts_sort_every_decision(capsys):
     counts = [[c.strip() for c in row.strip("|").split("|")] for row in rows]
     assert counts == [["sweep", "25", "15", "0", "0", "10", "0", "0", "0", "0"],
                       ["garbling_lp", "8", "4", "0", "0", "4", "0", "0", "0", "0"]]
+
+
+def test_route_counts_exit_one_on_an_answer_the_route_cannot_give(
+        monkeypatch, capsys):
+    real = degradedness.is_degraded
+
+    def all_candidate(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), route="candidate")
+
+    monkeypatch.setattr(degradedness, "is_degraded", all_candidate)
+    monkeypatch.setattr(mmse_lab, "is_degraded", all_candidate)
+    script = Path(__file__).resolve().parent.parent / "scripts" / "route_counts.py"
+    main = runpy.run_path(str(script))["main"]
+    assert main(["garbling_lp", "--passes", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == (
+        "| garbling_lp | 8 | 4 | 0 | 0 | 0 | 0 | 0 | 0 | 0 |")
+    assert "garbling_lp: 4 decision(s) fit no route" in err
 
 
 # --------------------------------------------------------------------------
