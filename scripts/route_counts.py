@@ -2,8 +2,8 @@
 """Count which route of the garbling decision settles each pair.
 
 ``mmse_lab.degradedness.is_degraded`` names the step that settled a pair
-in ``GarblingCertificate.route``: its candidate W1^+ W2, that candidate's
-rows projected onto the simplex, one of the closed-form witnesses (a), (b)
+in ``GarblingCertificate.route``: its candidate W1^+ W2, the alternating
+projections that start from it, one of the closed-form witnesses (a), (b)
 and (c), or the epigraph LP (see the module docstring).  This script wraps
 ``is_degraded`` in each ``mmse_lab`` module that imported it, runs each
 named input and prints one markdown row of the route table per input:
@@ -42,7 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # the column of each (GarblingCertificate.route, feasible); each label names
 # its answer, so a route that gives the other one fits no column and exits 1
 ROUTES = {("candidate", True): 'candidate "yes"',
-          ("simplex", True): 'simplex fallback "yes"',
+          ("projection", True): 'projection "yes"',
           ("witness_a", False): 'witness (a) "no"',
           ("witness_b", False): 'witness (b) "no"',
           ("witness_c", False): 'witness (c) "no"',

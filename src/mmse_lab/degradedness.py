@@ -2,7 +2,7 @@
 
 A channel W2 is a garbling (degraded version) of W1 over the same input
 alphabet when W2 = W1 G for some row-stochastic G.  ``is_degraded``
-decides this in up to three steps, each tried only when the ones before
+decides this in up to four steps, each tried only when the ones before
 it leave the pair open:
 
 1. *The candidate* (route "candidate") G = W1^+ W2, clipped to [0, 1],
@@ -11,12 +11,7 @@ it leave the pair open:
    square W1 by LU (its explicit inverse), unless the inverse fails, has a
    non-finite entry or ||W1||_1 ||W1^-1||_1 exceeds 1 / (n eps), the cutoff
    that least squares puts on singular values; every other W1 by one SVD,
-   which gives the minimum-norm candidate and the rank at that cutoff.  When
-   W1 has full column rank, W1 G = W2 has at most one solution, and the
-   candidate is that solution.  Its rows then sum to one up to the rounding
-   of W1's own row sums, which an ill-conditioned W1 magnifies; when only
-   the row sums fail, the rows projected onto the simplex are tried instead
-   (route "simplex").
+   which gives the minimum-norm candidate and the rank at that cutoff.
 2. *A closed-form "no"*: a refused candidate yields Blackwell's test matrix
    (below) from its residual W2 - W1 G (route "witness_a"), formed only
    when rank(W1) < n_in (with full row rank W1 W1^+ = I, so the residual is
@@ -25,7 +20,16 @@ it leave the pair open:
    a few projected gradient steps towards the best row-stochastic fit
    ("witness_c"; see ``_closed_form_witness``).  When that bound reaches
    the tolerance, no row-stochastic G comes within it.
-3. *The epigraph LP* (route "lp"), solved with HiGHS, which alone
+3. *Alternating projections* (route "projection"; von Neumann's method,
+   Bauschke & Borwein 1996, *SIAM Review* 38): from the candidate's rows
+   projected onto the simplex, each step maps G to its projection
+   G - W1^+ (W1 G - W2) onto {G : W1 G = W2}, then projects each row onto
+   the simplex.  Each iterate is checked as the candidate is, and the loop
+   never answers "no".  A W1 of full column rank makes the candidate the
+   one solution of W1 G = W2, whose rows miss their sum only by rounding
+   that an ill-conditioned W1 magnifies, so it gets one check; any other
+   W1 gets up to PROJECTION_STEPS, ending early at a non-finite iterate.
+4. *The epigraph LP* (route "lp"), solved with HiGHS, which alone
    decides every pair:
 
        minimize t   s.t.   |(W1 G - W2)_ij| <= t,   G >= 0,   G 1 = 1.
@@ -36,10 +40,11 @@ it leave the pair open:
 Every certificate reports the recomputed max-entry residual of the
 returned G (never the solver's own objective value).  Feasibility means
 the residual is strictly below the tolerance, so a tie at the boundary
-reads as "not shown feasible".  The candidate only ever answers "yes" with
-such a residual, and the epigraph optimum is at most that residual, so
-the epigraph form would have answered "yes" as well.  Likewise a
-closed-form "no" is one the epigraph form would have given.
+reads as "not shown feasible".  The candidate and the projections only
+ever answer "yes" with such a residual, and the epigraph optimum is at
+most that residual, so the epigraph form would have answered "yes" as
+well.  Likewise a closed-form "no" is one the epigraph form would have
+given.
 
 A "no" carries Blackwell's dual witness (Blackwell 1953, *Equivalent
 comparisons of experiments*): a test matrix Lambda with ||Lambda||_1 = 1
@@ -84,6 +89,7 @@ ORDER_TOL = 1e-10             # garbling may lower the exact MMSE by this much
 CERT_ROW_TOL = 1e-9
 BOUND_SLACK = 1e-12           # a dual lower bound may exceed the residual by this
 WITNESS_STEPS = 16            # projected gradient steps of witness (c)
+PROJECTION_STEPS = 500        # alternating projections without full column rank
 EPS = np.finfo(float).eps
 HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
                  "dual_feasibility_tolerance": 1e-10}
@@ -144,9 +150,9 @@ def binary_symmetric_channel(flip: float, support=(-1.0, 1.0)) -> Channel:
 class GarblingCertificate:
     """Outcome of the garbling feasibility program.
 
-    ``garbling_matrix`` is the candidate W1^+ W2 or the LP argmin,
-    clipped to [0, 1] (or the candidate's rows projected onto the simplex,
-    see the module docstring); when ``feasible`` it is row-stochastic within
+    ``garbling_matrix`` is the candidate W1^+ W2, an iterate of the
+    alternating projections or the LP argmin, clipped to [0, 1] (see the
+    module docstring); when ``feasible`` it is row-stochastic within
     CERT_ROW_TOL and achieves ``residual`` = max-entry |W1 G - W2| below
     FEASIBILITY_TOL.  When not ``feasible``, ``test_matrix`` is
     Blackwell's witness Lambda (n_in, n_out) with ||Lambda||_1 = 1, and
@@ -159,10 +165,11 @@ class GarblingCertificate:
     W1^+ W2 projected onto the simplex, whose residual may be far above.
 
     ``route`` names the step of the module docstring that settled the
-    pair: "candidate" or "simplex" (a "yes" from W1^+ W2 or from its rows
-    projected onto the simplex), "witness_a", "witness_b" or "witness_c"
-    (a closed-form "no", see ``_closed_form_witness``) or "lp" (either
-    answer, from the epigraph LP).
+    pair: "candidate" or "projection" (a "yes" from W1^+ W2 or from the
+    alternating projections that start at its rows projected onto the
+    simplex), "witness_a", "witness_b" or "witness_c" (a closed-form "no",
+    see ``_closed_form_witness``) or "lp" (either answer, from the epigraph
+    LP).
     """
 
     feasible: bool
@@ -249,7 +256,8 @@ def _closed_form_witness(m1: np.ndarray, m2: np.ndarray, g0: np.ndarray,
         It is formed only when rank(W1) < n_in: with full row rank that
         span is everything, W1 W1^+ = I and R is rounding, so the last
         bits of G0, not the pair, would set its bound.  A square "no" then
-        has a negative entry of G0 for (b), and a wide W1 goes to the LP;
+        has a negative entry of G0 for (b), and a wide W1 goes on to the
+        alternating projections and the LP;
     (b) when W1 has full column rank, Lambda ~ -W1^{+T} e_k e_j^T, so that
         W1^T Lambda picks -G0_kj alone and the bound is
         -G0_kj / ||W1^{+T} e_k||_1, largest at some negative entry of G0.
@@ -339,17 +347,23 @@ def is_degraded(w1: Channel, w2: Channel) -> GarblingCertificate:
     g, residual = _garbling(g0.ravel(), m1, m2)
     if residual < FEASIBILITY_TOL and _row_sum_error(g) <= CERT_ROW_TOL:
         return _shown_feasible(g, residual, "candidate")
-    # the one projection of G0 a decision makes: the fallback "yes" below,
-    # the G of a closed-form "no" and the start of witness (c)
+    # the one projection of G0 a decision makes: the G of a closed-form
+    # "no" and the start of witness (c) and of the alternating projections
     projected = _simplex_rows(g0)
-    if rank == m1.shape[1] and residual < FEASIBILITY_TOL:
-        # the one solution, with row sums off by rounding (module docstring)
-        g, residual = _garbling(projected.ravel(), m1, m2)
-        if residual < FEASIBILITY_TOL and _row_sum_error(g) <= CERT_ROW_TOL:
-            return _shown_feasible(g, residual, "simplex")
     witness = _closed_form_witness(m1, m2, g0, projected, pinv, rank)
     if witness is not None and witness[1] >= FEASIBILITY_TOL:
         return _shown_infeasible(m1, m2, projected, *witness)
+    # the alternating projections of the module docstring, from G0 projected
+    g = projected
+    for _ in range(1 if rank == m1.shape[1] else PROJECTION_STEPS):
+        g = g.clip(0.0, 1.0)
+        excess = m1 @ g - m2
+        residual = float(np.abs(excess).max())
+        if not math.isfinite(residual):
+            break
+        if residual < FEASIBILITY_TOL and _row_sum_error(g) <= CERT_ROW_TOL:
+            return _shown_feasible(g, residual, "projection")
+        g = _simplex_rows(g - pinv @ excess)
     return _epigraph(m1, m2)
 
 

@@ -120,6 +120,12 @@ def squared_norms(points: np.ndarray) -> np.ndarray:
     return sq[:, 0] if sq.shape[1] == 1 else sq.sum(axis=1)
 
 
+def _squared_norms_in_place(resid: np.ndarray) -> np.ndarray:
+    """Squared row norms of the (n, k) residual, squared in its buffer."""
+    resid *= resid
+    return resid[:, 0] if resid.shape[1] == 1 else resid.sum(axis=1)
+
+
 def _require_finite(check: str, *values) -> None:
     """Raise SelfCheckError unless every compared value is finite: a NaN
     or infinite operand would make ``gap > tol`` False and pass silently."""
@@ -143,11 +149,11 @@ def mmse_exact(joint: FiniteJoint | SufficientJoint) -> MmseResult:
     # the x value of each atom is no longer needed: make it the residual
     for r, yi in zip(_chunks(resid), _chunks(joint.y_idx)):
         r -= by_letter[yi]
-    resid *= resid
-    sq = resid[:, 0] if joint.k == 1 else resid.sum(axis=1)
+    sq = _squared_norms_in_place(resid)
     sq *= joint.prob
     direct = float(sq.sum())
-    del resid, sq
+    # r, the last chunk, is a view that would keep the residual alive
+    del resid, sq, r
     xs = joint.x_support
     px = joint.x_marginal()
     sm_x = float(px @ squared_norms(xs))

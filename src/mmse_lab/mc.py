@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamples, InvalidDistribution
-from .exact import mmse_exact
+from .exact import _squared_norms_in_place, mmse_exact
 from .probcore import Draw, FiniteJoint, _chunks, draw_atom_indices, rng_stream
 
 MIN_BIN_COUNT = 5
@@ -106,12 +106,6 @@ def _binned_value(xs: np.ndarray, bin_idx: np.ndarray,
             kept += keep.size
         sq = sq[:kept]
     return _estimate(sq)
-
-
-def _squared_norms_in_place(resid: np.ndarray) -> np.ndarray:
-    """Squared row norms of the (n, k) residual, squared in its buffer."""
-    resid *= resid
-    return resid[:, 0] if resid.shape[1] == 1 else resid.sum(axis=1)
 
 
 def _estimate(sq: np.ndarray, degenerate_range: bool = False

@@ -92,6 +92,16 @@ def assert_certified_no(cert, w1: Channel, w2: Channel) -> None:
         assert np.max(np.abs(m1 @ g - m2)) >= cert.lower_bound - 1e-12
 
 
+def assert_checked_yes(cert, w1: Channel, w2: Channel) -> None:
+    """A "yes" whose G is row-stochastic and fits W2, checked afresh."""
+    assert cert.feasible
+    assert cert.residual < 1e-7
+    g = cert.garbling_matrix
+    assert np.max(np.abs(w1.matrix @ g - w2.matrix)) < 1e-7
+    assert g.min() >= 0.0
+    assert np.max(np.abs(g.sum(axis=1) - 1.0)) <= 1e-9
+
+
 def test_noisier_bsc_cannot_reach_cleaner_one():
     w1 = binary_symmetric_channel(0.2)
     w2 = binary_symmetric_channel(0.1)
@@ -102,13 +112,15 @@ def test_noisier_bsc_cannot_reach_cleaner_one():
     assert cert.lower_bound == pytest.approx(cert.residual, rel=1e-9)
 
 
-def test_every_channel_degrades_to_itself():
-    rng = rng_stream(17, "self-degraded")
-    for _ in range(10):
-        w = random_channel(rng, np.arange(4, dtype=float)[:, None], 4)
-        cert = is_degraded(w, w)
-        assert cert.feasible
-        assert cert.residual <= 1e-7
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       n_in=st.integers(min_value=1, max_value=6),
+       extra=st.integers(min_value=0, max_value=6),
+       column=st.sampled_from(["distinct", "repeated", "perturbed", "zero"]))
+def test_every_channel_degrades_to_itself(seed, n_in, extra, column):
+    # reflexivity, W = W I, on square, wide and rank-deficient W
+    w = verdict_pairs(seed, n_in, n_in + extra, 1, column)[0][0]
+    assert_checked_yes(is_degraded(w, w), w, w)
 
 
 def test_input_alphabet_mismatch_rejected():
@@ -199,9 +211,12 @@ def test_garbling_lp_matches_the_loop_reference(monkeypatch, n_in, n_mid, n_out)
         return solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, **kwargs)
 
     monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    # without projection steps only the LP can settle the spanned pair
+    monkeypatch.setattr(degradedness, "PROJECTION_STEPS", 0)
     w1, w2 = spanned_pair(rng_stream(29, "lp-build", n_in, n_mid, n_out),
                           n_in, n_mid, n_out)
     is_degraded(w1, w2)
+    assert len(seen) == 1
     for got, want in zip(seen[0], _ref_garbling_lp(w1.matrix, w2.matrix)):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -230,8 +245,8 @@ def wide_garbling_pair(seed: int, n_in: int, n_mid: int,
                        n_out: int) -> tuple[Channel, Channel]:
     """A feasible pair whose W1 (n_in x n_mid, n_in < n_mid) has rank n_in.
 
-    Least squares in general leaves such a pair open, and then only the
-    epigraph LP can say "yes".
+    Least squares in general leaves such a pair open, and then the
+    alternating projections or the epigraph LP say "yes".
     """
     return garbling_pair(rng_stream(seed, "wide-garbling-pair"),
                          n_in, n_mid, n_out)
@@ -344,16 +359,38 @@ def test_full_rank_no_goes_straight_to_the_epigraph(lp_calls):
 
 
 @pytest.mark.parametrize("n_in, n_mid, n_out", [(3, 12, 11), (16, 32, 32)])
-def test_rank_deficient_yes_goes_to_the_epigraph(lp_calls, n_in, n_mid, n_out):
-    # the epigraph optimum t = 0 is highly degenerate on these pairs
+def test_rank_deficient_yes_needs_no_lp(lp_calls, n_in, n_mid, n_out):
+    w1, w2 = wide_garbling_pair(47, n_in, n_mid, n_out)
+    cert = is_degraded(w1, w2)
+    assert lp_calls == []
+    assert cert.route == "projection"
+    assert_checked_yes(cert, w1, w2)
+
+
+@pytest.mark.parametrize("n_in, n_mid, n_out", [(3, 12, 11), (16, 32, 32)])
+def test_rank_deficient_yes_goes_to_the_epigraph(monkeypatch, lp_calls, n_in,
+                                                 n_mid, n_out):
+    # without projection steps; the epigraph optimum t = 0 is highly
+    # degenerate on these pairs
+    monkeypatch.setattr(degradedness, "PROJECTION_STEPS", 0)
     w1, w2 = wide_garbling_pair(47, n_in, n_mid, n_out)
     cert = is_degraded(w1, w2)
     assert lp_calls == ["epigraph"]
-    assert cert.feasible
-    assert cert.residual < 1e-7
-    g = cert.garbling_matrix
-    assert g.min() >= 0.0
-    assert np.max(np.abs(g.sum(axis=1) - 1.0)) <= 1e-9
+    assert cert.route == "lp"
+    assert_checked_yes(cert, w1, w2)
+
+
+def test_every_limit_channel_degrades_to_itself_without_lp(lp_calls):
+    # the 2 x 3 limit channels have no full column rank, so W^+ W is no
+    # garbling matrix and the candidate is refused
+    routes = set()
+    for name, scenario in builtin_scenarios().items():
+        w = degradedness._channel_of(scenario.limit)
+        cert = is_degraded(w, w)
+        assert_checked_yes(cert, w, w)
+        routes.add(cert.route)
+    assert lp_calls == []
+    assert routes == {"candidate", "projection"}
 
 
 def forms_residual_witness(monkeypatch, a: Channel, b: Channel) -> bool:
@@ -375,13 +412,12 @@ def forms_residual_witness(monkeypatch, a: Channel, b: Channel) -> bool:
 
 
 def test_full_row_rank_forms_no_residual_witness(monkeypatch, lp_calls):
-    # W1 W1^+ = I: the square "no" is (b)'s, the wide "yes" the LP's
+    # W1 W1^+ = I: the square "no" is (b)'s, the wide "yes" the projections'
     w1, w2 = square_garbling_pair(32, 41)
     assert not forms_residual_witness(monkeypatch, w2, w1)
-    assert lp_calls == []
     assert not forms_residual_witness(monkeypatch,
                                       *wide_garbling_pair(47, 3, 12, 11))
-    assert lp_calls == ["epigraph"]
+    assert lp_calls == []
 
 
 def test_rank_deficient_w1_forms_the_residual_witness(monkeypatch, lp_calls):
@@ -516,10 +552,11 @@ def agrees_with_the_reference(a: Channel, b: Channel, solve: bool = True):
     """Decide (a, b) with the least-squares front end and the package's.
 
     Both must reach the same verdict, and make the same epigraph calls
-    except where one side settles the pair in closed form by a route whose
-    outcome the other's rounding decides (see below).  With ``solve``
-    False an epigraph call is recorded and answers None: it is one LP on
-    the same two matrices whichever front end makes it.
+    except where the package's alternating projections settle a "yes" or
+    one side settles the pair in closed form by a route whose outcome the
+    other's rounding decides (see below).  With ``solve`` False an epigraph
+    call is recorded and answers None: it is one LP on the same two
+    matrices whichever front end makes it.
     Returns both certificates and the factorizations the package applied
     to W1, by name.
     """
@@ -552,11 +589,10 @@ def agrees_with_the_reference(a: Channel, b: Channel, solve: bool = True):
         # LP is not solved
         closed, lp_side = (cert, ref) if ref_calls else (ref, cert)
         if closed.feasible:
-            # a W1 of full column rank makes G0 the one solution; its rows
-            # projected onto the simplex fit W2 where the clipped ones
-            # missed CERT_ROW_TOL, and the LP optimum is at most that fit
+            # the reference has no alternating projections; the LP optimum
+            # is at most the fit of the iterate they accept
             assert closed is cert
-            assert np.linalg.matrix_rank(m1) == m1.shape[1]
+            assert cert.route == "projection"
         else:
             # W2 lies in the span of a W1 without full column rank, so the
             # residual W2 - W1 G0 that witness (a) reads is rounding noise,
@@ -692,13 +728,25 @@ def test_decision_matches_its_unrewritten_copy_bit_for_bit(monkeypatch):
         before = dict(calls)
         want = garbling_reference.decide(a, b)
         got = is_degraded(a, b)
-        assert_same_certificate(got, want)
         lp = calls.get(degradedness, 0) - before.get(degradedness, 0)
-        assert lp == (calls.get(garbling_reference, 0)
-                      - before.get(garbling_reference, 0))
+        ref_lp = (calls.get(garbling_reference, 0)
+                  - before.get(garbling_reference, 0))
         assert (got.route == "lp") == (lp == 1)
         routes.add((got.route, got.feasible))
-    assert routes == {("candidate", True), ("simplex", True), ("lp", True),
+        if got.route == "projection" and want.route == "lp":
+            # where W1 lacks full column rank, the copy leaves to the LP a
+            # "yes" that the alternating projections settle; with full rank
+            # their one check is the copy's route "simplex"
+            assert (lp, ref_lp) == (0, 1)
+            assert np.linalg.matrix_rank(a.matrix) < a.matrix.shape[1]
+            assert want.feasible
+            assert_checked_yes(got, a, b)
+            continue
+        if want.route == "simplex":
+            want = dataclasses.replace(want, route="projection")
+        assert_same_certificate(got, want)
+        assert lp == ref_lp
+    assert routes == {("candidate", True), ("projection", True), ("lp", True),
                       ("witness_a", False), ("witness_b", False),
                       ("witness_c", False), ("lp", False)}
 
@@ -726,7 +774,9 @@ def test_a_decision_projects_its_candidate_at_most_once(monkeypatch):
     # (a) or (b) settles the reverse, so witness (c) takes no step
     assert projections(monkeypatch, w2, w1) == (1, 1)
     ill_yes, ill_no = ill_conditioned_pairs()
-    assert projections(monkeypatch, *ill_yes) == (1, 1)
+    # no witness proves the "yes" wrong, so (c) takes all its steps before
+    # the one check of the projected G0
+    assert projections(monkeypatch, *ill_yes) == (1, 1 + degradedness.WITNESS_STEPS)
     once, steps = projections(monkeypatch, *ill_no)
     assert once == 1 and 1 < steps <= 1 + degradedness.WITNESS_STEPS
 
@@ -751,30 +801,33 @@ def report_lp_status(monkeypatch, status: int, scale: float = 1.0) -> None:
 
 
 @pytest.mark.parametrize("n_in, n_mid, n_out", [(3, 12, 11), (16, 32, 32)])
-def test_unknown_lp_status_keeps_a_checked_yes(monkeypatch, n_in, n_mid, n_out):
-    # the pairs of test_rank_deficient_yes_goes_to_the_epigraph
+def test_unknown_lp_status_keeps_a_checked_yes(monkeypatch, lp_calls, n_in,
+                                               n_mid, n_out):
+    # the pairs of test_rank_deficient_yes_goes_to_the_epigraph, which only
+    # the LP settles without projection steps
+    monkeypatch.setattr(degradedness, "PROJECTION_STEPS", 0)
     report_lp_status(monkeypatch, 4)
     w1, w2 = wide_garbling_pair(47, n_in, n_mid, n_out)
     cert = is_degraded(w1, w2)
-    assert cert.feasible
-    g = cert.garbling_matrix
-    assert np.max(np.abs(w1.matrix @ g - w2.matrix)) < 1e-7
-    assert g.min() >= 0.0
-    assert np.max(np.abs(g.sum(axis=1) - 1.0)) <= 1e-9
+    assert lp_calls == ["epigraph"]
+    assert_checked_yes(cert, w1, w2)
 
 
 @pytest.mark.parametrize("status, message", [
     (4, "did not solve cleanly (status 4)"),
     (0, "feasible garbling matrix is not row-stochastic"),
 ])
-def test_lp_rows_off_their_sum_are_no_yes(monkeypatch, status, message):
+def test_lp_rows_off_their_sum_are_no_yes(monkeypatch, lp_calls, status,
+                                         message):
     # scaled by 1 + 1e-8, G still fits W2 within FEASIBILITY_TOL, but its
     # rows miss CERT_ROW_TOL: an unclean solve says so, a clean one fails
     # its self-check
+    monkeypatch.setattr(degradedness, "PROJECTION_STEPS", 0)
     report_lp_status(monkeypatch, status, scale=1.0 + 1e-8)
     w1, w2 = wide_garbling_pair(47, 3, 12, 11)
     with pytest.raises(SelfCheckError, match=re.escape(message)):
         is_degraded(w1, w2)
+    assert lp_calls == ["epigraph"]
 
 
 def test_unknown_lp_status_never_passes_a_no(monkeypatch):
@@ -870,7 +923,7 @@ def test_route_counts_sort_every_decision(capsys):
     assert main(["sweep", "garbling_lp", "--passes", "1"]) == 0
     header, _, *rows = capsys.readouterr().out.splitlines()
     assert [c.strip() for c in header.strip("|").split("|")] == [
-        "input", "decisions", 'candidate "yes"', 'simplex fallback "yes"',
+        "input", "decisions", 'candidate "yes"', 'projection "yes"',
         'witness (a) "no"', 'witness (b) "no"', 'witness (c) "no"',
         'LP "yes"', 'LP "no"', "no certificate"]
     counts = [[c.strip() for c in row.strip("|").split("|")] for row in rows]
@@ -1090,12 +1143,15 @@ def test_import_does_not_load_the_lp_solver():
 
 
 def test_closed_form_decisions_do_not_load_the_lp_solver():
-    # the candidate W1^-1 W2 settles the "yes" and the closed form the "no"
+    # the candidate W1^-1 W2 settles the "yes", the closed form the "no" and
+    # the alternating projections W >= W for the catalog's 2 x 3 limit W
     run_after_import(
         "import sys\n"
-        "from mmse_lab import binary_symmetric_channel as bsc, is_degraded\n"
+        "from mmse_lab import Channel, binary_symmetric_channel as bsc, is_degraded\n"
         "assert is_degraded(bsc(0.1), bsc(0.2)).feasible\n"
         "assert not is_degraded(bsc(0.2), bsc(0.1)).feasible\n"
+        "w = Channel([-1.0, 1.0], [-2.0, 0.0, 2.0], [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])\n"
+        "assert is_degraded(w, w).route == 'projection'\n"
         "assert 'scipy.optimize' not in sys.modules")
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -276,3 +278,20 @@ def test_in_place_engine_matches_the_allocating_reference(joint, chunk):
 ])
 def test_in_place_engine_matches_the_reference_on_realizations(name, n):
     assert_matches_reference(builtin_scenarios()[name].realize(n))
+
+
+def test_mmse_exact_holds_one_atom_sized_array():
+    # the memory contract of the module docstring, as a ratio to one (nnz, k)
+    # array of floats; example2's core has one x letter per atom, so an
+    # atom-sized residual kept alive beside squared_norms(x_support) reads 2
+    joint = builtin_scenarios()["example2"].realize(4096)
+    core = joint.core
+    core.x_marginal(), core.y_marginal()  # cached with the joint
+    atom_array = core.prob.size * core.k * 8
+    tracemalloc.start()
+    try:
+        mmse_exact(joint)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * atom_array
