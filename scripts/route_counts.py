@@ -3,8 +3,8 @@
 
 ``mmse_lab.degradedness.is_degraded`` names the step that settled a pair
 in ``GarblingCertificate.route``: its candidate W1^+ W2, the alternating
-projections that start from it, one of the closed-form witnesses (a), (b)
-and (c), or the epigraph LP (see the module docstring).  This script wraps
+projections that start from it, one of the closed-form witnesses (b) and
+(a), or the epigraph LP (see the module docstring).  This script wraps
 ``is_degraded`` in each ``mmse_lab`` module that imported it, runs each
 named input and prints one markdown row of the route table per input:
 
@@ -45,7 +45,6 @@ ROUTES = {("candidate", True): 'candidate "yes"',
           ("projection", True): 'projection "yes"',
           ("witness_a", False): 'witness (a) "no"',
           ("witness_b", False): 'witness (b) "no"',
-          ("witness_c", False): 'witness (c) "no"',
           ("lp", True): 'LP "yes"', ("lp", False): 'LP "no"'}
 COLUMNS = ("decisions", *ROUTES.values(), "no certificate")
 

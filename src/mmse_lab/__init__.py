@@ -65,7 +65,6 @@ from .scenarios import (
     bsc_prior_joint,
     builtin_scenarios,
     example3_limit_joint,
-    make_markov_degraded_scenario,
 )
 
 __version__ = "0.1.0"

@@ -12,14 +12,13 @@ it leave the pair open:
    non-finite entry or ||W1||_1 ||W1^-1||_1 exceeds 1 / (n eps), the cutoff
    that least squares puts on singular values; every other W1 by one SVD,
    which gives the minimum-norm candidate and the rank at that cutoff.
-2. *A closed-form "no"*: a refused candidate yields Blackwell's test matrix
-   (below) from its residual W2 - W1 G (route "witness_a"), formed only
-   when rank(W1) < n_in (with full row rank W1 W1^+ = I, so the residual is
-   rounding), or, when W1 has full column rank, from a row of W1^+ that
-   exposes a negative entry of G ("witness_b"), or from the residual after
-   a few projected gradient steps towards the best row-stochastic fit
-   ("witness_c"; see ``_closed_form_witness``).  When that bound reaches
-   the tolerance, no row-stochastic G comes within it.
+2. *A closed-form "no"*: a refused candidate yields Blackwell's test
+   matrix (below), when W1 has full column rank, from a row of W1^+ that
+   exposes a negative entry of G0 (route "witness_b"), and otherwise, or
+   when that proves too little, from the KKT multiplier of the fit that
+   the alternating projections seek, at G0's rows projected onto the
+   simplex ("witness_a"; see ``_closed_form_witness``).  When that bound
+   reaches the tolerance, no row-stochastic G comes within it.
 3. *Alternating projections* (route "projection"; von Neumann's method,
    Bauschke & Borwein 1996, *SIAM Review* 38): from the candidate's rows
    projected onto the simplex, each step maps G to its projection
@@ -29,6 +28,11 @@ it leave the pair open:
    one solution of W1 G = W2, whose rows miss their sum only by rounding
    that an ill-conditioned W1 magnifies, so it gets one check; any other
    W1 gets up to PROJECTION_STEPS, ending early at a non-finite iterate.
+   When that one check leaves a W1 of full column rank open, witness (a)
+   is formed once more, for W1 without its singular values at or below
+   FEASIBILITY_TOL * s_max and at its own projected candidate: an
+   ill-conditioned W1 can make W1^+ long enough to swamp the bounds of
+   step 2.
 4. *The epigraph LP* (route "lp"), solved with HiGHS, which alone
    decides every pair:
 
@@ -88,7 +92,6 @@ FEASIBILITY_TOL = 1e-7
 ORDER_TOL = 1e-10             # garbling may lower the exact MMSE by this much
 CERT_ROW_TOL = 1e-9
 BOUND_SLACK = 1e-12           # a dual lower bound may exceed the residual by this
-WITNESS_STEPS = 16            # projected gradient steps of witness (c)
 PROJECTION_STEPS = 500        # alternating projections without full column rank
 EPS = np.finfo(float).eps
 HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
@@ -167,8 +170,8 @@ class GarblingCertificate:
     ``route`` names the step of the module docstring that settled the
     pair: "candidate" or "projection" (a "yes" from W1^+ W2 or from the
     alternating projections that start at its rows projected onto the
-    simplex), "witness_a", "witness_b" or "witness_c" (a closed-form "no",
-    see ``_closed_form_witness``) or "lp" (either answer, from the epigraph
+    simplex), "witness_b" or "witness_a" (a closed-form "no", see
+    ``_closed_form_witness``) or "lp" (either answer, from the epigraph
     LP).
     """
 
@@ -237,82 +240,73 @@ def _pseudo_inverse(m1: np.ndarray) -> tuple[np.ndarray, int]:
             if (np.abs(m1).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
                     <= 1.0 / (n_in * EPS)):
                 return inv, n_in
+    return _svd_pseudo_inverse(m1, EPS * max(n_in, n_mid))
+
+
+def _svd_pseudo_inverse(m1: np.ndarray, cutoff: float) -> tuple[np.ndarray, int]:
+    """W1^+ from one SVD, with singular values at or below cutoff * s_max
+    counted as zero, and the rank that leaves."""
     u, s, vt = np.linalg.svd(m1, full_matrices=False)
-    rank = int(np.count_nonzero(s > EPS * max(n_in, n_mid) * s[0]))
+    rank = int(np.count_nonzero(s > cutoff * s[0]))
     return (vt[:rank].T / s[:rank]) @ u[:, :rank].T, rank
 
 
 def _closed_form_witness(m1: np.ndarray, m2: np.ndarray, g0: np.ndarray,
                          projected: np.ndarray, pinv: np.ndarray,
-                         rank: int) -> tuple[np.ndarray, float] | None:
+                         rank: int) -> tuple[np.ndarray, float, str] | None:
     """Blackwell's test matrix from a refused candidate G0 = W1^+ W2.
 
     ``projected`` is G0 with each row projected onto the simplex.  Two
-    candidates, each with ||Lambda||_1 = 1, and the larger recomputed
-    bound wins:
+    test matrices are tried in turn, each with ||Lambda||_1 = 1:
 
-    (a) Lambda ~ W2 - W1 G0, orthogonal to the columns of W1, so its bound
-        is ||R||_2^2 / ||R||_1 > 0 whenever W2 leaves W1's column span.
-        It is formed only when rank(W1) < n_in: with full row rank that
-        span is everything, W1 W1^+ = I and R is rounding, so the last
-        bits of G0, not the pair, would set its bound.  A square "no" then
-        has a negative entry of G0 for (b), and a wide W1 goes on to the
-        alternating projections and the LP;
-    (b) when W1 has full column rank, Lambda ~ -W1^{+T} e_k e_j^T, so that
-        W1^T Lambda picks -G0_kj alone and the bound is
-        -G0_kj / ||W1^{+T} e_k||_1, largest at some negative entry of G0.
+    (b) when W1 has full column rank and G0 a negative entry,
+        Lambda ~ -W1^{+T} e_k e_j^T, so that W1^T Lambda picks -G0_kj
+        alone and the bound is -G0_kj / ||W1^{+T} e_k||_1, largest at some
+        negative entry of G0;
+    (a) Lambda ~ (I - W1 W1^+) R + (W1 W1^T)^+ R for R = W2 - W1 G at
+        G = ``projected``: the KKT multiplier of
+        min ||W1^+ (W1 G - W2)||_F^2 over row-stochastic G, with
+        W1^T Lambda = W1^+ R.  At that minimizer the bound is
+        (||(I - W1 W1^+) R||_F^2 + ||W1^+ R||_F^2) / ||Lambda||_1, positive
+        exactly when the pair is infeasible.  With full column rank the
+        minimizer is ``projected`` itself; otherwise it is where the
+        alternating projections head, and the bound at their start may
+        fall short.
 
-    When W1 has full column rank but is ill-conditioned, the rows of W1^+
-    are long and (b) proves little although the pair may be far from
-    feasible.  Then, and only when neither proves FEASIBILITY_TOL, is (c)
-    set up:
-
-    (c) Lambda ~ W2 - W1 G after each of up to WITNESS_STEPS projected
-        gradient steps on ||W1 G - W2||_F^2 / 2 over row-stochastic G,
-        from ``projected``, until one proves FEASIBILITY_TOL.  At that
-        least-squares problem's optimum, its optimality conditions make the
-        bound ||R||_F^2 / ||R||_1 for R = W2 - W1 G, positive exactly when
-        the pair is infeasible; the steps approach it.
-
-    Returns (Lambda, bound, route) for the best, route naming its
-    candidate as ``GarblingCertificate.route`` does; None when no
-    candidate is a usable matrix.
+    Returns (Lambda, bound, route) for the first that proves
+    FEASIBILITY_TOL, route naming it as ``GarblingCertificate.route``
+    does; None when neither does.
     """
-    best = None
-
-    def consider(lam: np.ndarray, route: str) -> bool:
-        """Keep lam if its bound is the best yet; True once one is proved."""
-        nonlocal best
-        mass = float(np.abs(lam).sum())
-        if mass > 0.0:
-            lam = lam / mass
-            bound = _blackwell_bound(lam, m1, m2)
-            if best is None or bound > best[1]:
-                best = (lam, bound, route)
-        return best is not None and best[1] >= FEASIBILITY_TOL
-
-    n_in, n_mid = m1.shape
-    full_rank = rank == n_mid
-    proved = rank < n_in and consider(m2 - m1 @ g0, "witness_a")
-    if full_rank and g0.min() < 0.0:
+    if rank == m1.shape[1] and g0.min() < 0.0:
         pinv_t = pinv.T
         k, j = np.unravel_index(
             (-g0 / np.abs(pinv_t).sum(axis=0)[:, None]).argmax(), g0.shape)
         lam = np.zeros(m2.shape)
         lam[:, j] = -pinv_t[:, k]
-        proved = consider(lam, "witness_b")
-    if proved or not full_rank:
-        return best
-    # 1 / (||W1||_1 ||W1||_inf) <= 1 / ||W1||_2^2: a step that cannot overshoot
-    step = 1.0 / (m1.sum(axis=0).max() * m1.sum(axis=1).max())
-    g = projected
+        witness = _proof(lam, m1, m2, "witness_b")
+        if witness is not None:
+            return witness
+    return _kkt_witness(m1, m2, projected, pinv)
+
+
+def _kkt_witness(m1: np.ndarray, m2: np.ndarray, g: np.ndarray,
+                 pinv: np.ndarray) -> tuple[np.ndarray, float, str] | None:
+    """Witness (a) at g for the pseudo-inverse ``pinv`` of W1."""
     resid = m2 - m1 @ g
-    for _ in range(WITNESS_STEPS):
-        g = _simplex_rows(g + step * (m1.T @ resid))
-        resid = m2 - m1 @ g
-        if consider(resid, "witness_c"):
-            break
-    return best
+    back = pinv @ resid
+    return _proof(resid - m1 @ back + pinv.T @ back, m1, m2, "witness_a")
+
+
+def _proof(lam: np.ndarray, m1: np.ndarray, m2: np.ndarray,
+           route: str) -> tuple[np.ndarray, float, str] | None:
+    """(Lambda / ||Lambda||_1, its bound, route) if the bound proves
+    FEASIBILITY_TOL; None otherwise, or for a zero or NaN lam."""
+    mass = float(np.abs(lam).sum())
+    if not mass > 0.0:
+        return None
+    lam = lam / mass
+    bound = _blackwell_bound(lam, m1, m2)
+    return (lam, bound, route) if bound >= FEASIBILITY_TOL else None
 
 
 def _shown_infeasible(m1: np.ndarray, m2: np.ndarray, g: np.ndarray,
@@ -348,10 +342,10 @@ def is_degraded(w1: Channel, w2: Channel) -> GarblingCertificate:
     if residual < FEASIBILITY_TOL and _row_sum_error(g) <= CERT_ROW_TOL:
         return _shown_feasible(g, residual, "candidate")
     # the one projection of G0 a decision makes: the G of a closed-form
-    # "no" and the start of witness (c) and of the alternating projections
+    # "no" and of witness (a), and the start of the alternating projections
     projected = _simplex_rows(g0)
     witness = _closed_form_witness(m1, m2, g0, projected, pinv, rank)
-    if witness is not None and witness[1] >= FEASIBILITY_TOL:
+    if witness is not None:
         return _shown_infeasible(m1, m2, projected, *witness)
     # the alternating projections of the module docstring, from G0 projected
     g = projected
@@ -364,6 +358,16 @@ def is_degraded(w1: Channel, w2: Channel) -> GarblingCertificate:
         if residual < FEASIBILITY_TOL and _row_sum_error(g) <= CERT_ROW_TOL:
             return _shown_feasible(g, residual, "projection")
         g = _simplex_rows(g - pinv @ excess)
+    if rank == m1.shape[1]:
+        # an ill-conditioned W1 makes W1^+ long, which swamps the bounds of
+        # (b) and (a): form (a) once more without the singular values at or
+        # below FEASIBILITY_TOL * s_max, along which W1 moves a G by less
+        # than the tolerance
+        pinv, kept = _svd_pseudo_inverse(m1, FEASIBILITY_TOL)
+        if kept < rank:
+            witness = _kkt_witness(m1, m2, _simplex_rows(pinv @ m2), pinv)
+            if witness is not None:
+                return _shown_infeasible(m1, m2, projected, *witness)
     return _epigraph(m1, m2)
 
 

@@ -584,24 +584,21 @@ def bsc_prior_joint(flip: float) -> FiniteJoint:
     )
 
 
-def make_markov_degraded_scenario(name: str, base: FiniteJoint,
-                                  flip_of_n: Callable[[int], float],
-                                  notes: str = "") -> ScenarioSequence:
-    """Garble ``base`` by a symmetric binary flip of size flip_of_n(n).
+def markov_degraded_scenario() -> ScenarioSequence:
+    """The uniform +-1 prior through a 0.1 flip, garbled by a flip of 0.1/n.
 
-    Every realization is a garbling of ``base``, so the scenario claims
-    ``markovian``.  Requires a two-letter measurement alphabet.
+    Every realization is a garbling of the base pair, so the scenario
+    claims ``markovian``.
     """
-    if base.y_support.shape[0] != 2:
-        raise InvalidDistribution("symmetric flip needs a binary measurement")
+    base = bsc_prior_joint(0.1)
 
     def realize(n: int) -> FiniteJoint:
         return compose(base, binary_symmetric_channel(
-            flip_of_n(n), support=base.y_support))
+            0.1 / n, support=base.y_support))
 
     value = mmse_exact(base).mmse
     return ScenarioSequence(
-        name=name,
+        name="markov_degraded_family",
         realize=realize,
         limit=base,
         expected=ExpectedOutcome(
@@ -611,15 +608,6 @@ def make_markov_degraded_scenario(name: str, base: FiniteJoint,
                    "back to the base pair's exact MMSE"),
         markovian=True,
         x_deviation_prob=lambda n, eps: 0.0,
-        notes=notes or "binary symmetric garbling with vanishing flip",
-    )
-
-
-def markov_degraded_scenario() -> ScenarioSequence:
-    return make_markov_degraded_scenario(
-        "markov_degraded_family",
-        bsc_prior_joint(0.1),
-        lambda n: 0.1 / n,
         notes="base: uniform +-1 prior through a 0.1 symmetric flip "
               "(MMSE 0.36); garbling flip 0.1/n",
     )

@@ -1,18 +1,20 @@
 """Two references for the garbling decision, in copies that share no helper.
 
 ``decide`` is ``degradedness.is_degraded`` as written before its reductions
-called the ndarray methods directly and before witness (c) was set up only
-when needed: every helper it uses, the epigraph LP included, is a copy
-below, with numpy's ``np.max``, ``np.clip``, ``np.linalg.norm`` and friends
-and the projection of G0 recomputed wherever it is used.  It must produce
-bitwise-equal certificates through the same epigraph calls.
+called the ndarray methods directly, before witness (c) was set up only
+when needed and before one KKT witness replaced the witnesses (a) and (c):
+every helper it uses, the epigraph LP included, is a copy below, with
+numpy's ``np.max``, ``np.clip``, ``np.linalg.norm`` and friends and the
+projection of G0 recomputed wherever it is used.  Where it settles a pair
+by the same route as the package, it must produce a bitwise-equal
+certificate through the same epigraph calls.
 
 ``is_degraded`` is the earlier least-squares front end, in which
 ``np.linalg.lstsq`` gave G0 and its rank and ``np.linalg.pinv`` gave W1^+,
 each by its own SVD.  It shares the helpers below with ``decide`` and the
 epigraph LP with the package (``degradedness._epigraph``), so it differs
-from the package only in how G0 and W1^+ are computed.  The two must reach
-the same verdicts through the same LP calls.
+from ``decide`` only in how G0 and W1^+ are computed, and it has no
+alternating projections.  It must reach the package's verdicts.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from mmse_lab.degradedness import (
     GarblingCertificate,
 )
 from mmse_lab.errors import SelfCheckError
+
+WITNESS_STEPS = 16            # projected gradient steps of witness (c)
 
 
 def _garbling(x, m1, m2):
@@ -105,7 +109,7 @@ def _closed_form_witness(m1, m2, g0, pinv, rank):
     step = 1.0 / (m1.sum(axis=0).max() * m1.sum(axis=1).max())
     g = _simplex_rows(g0)
     resid = m2 - m1 @ g
-    for _ in range(degradedness.WITNESS_STEPS):
+    for _ in range(WITNESS_STEPS):
         if best is not None and best[1] >= FEASIBILITY_TOL:
             break
         g = _simplex_rows(g + step * (m1.T @ resid))

@@ -186,8 +186,7 @@ def spanned_pair(rng, n_in: int, n_mid: int, n_out: int) -> tuple[Channel, Chann
     """(W1, W2) with W2 in the column span of W1, which has rank < n_mid.
 
     Input letter i reads row i mod k of both, k = min(n_in, n_mid - 1),
-    so least squares leaves no residual to build a witness from and W1
-    has no full column rank: no closed form settles the pair.
+    so least squares leaves no residual and W1 has no full column rank.
     """
     k = min(n_in, n_mid - 1)
     support = np.arange(n_in, dtype=float)[:, None]
@@ -211,7 +210,9 @@ def test_garbling_lp_matches_the_loop_reference(monkeypatch, n_in, n_mid, n_out)
         return solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, **kwargs)
 
     monkeypatch.setattr(scipy.optimize, "linprog", spy)
-    # without projection steps only the LP can settle the spanned pair
+    # without the closed-form witness and the projection steps only the LP
+    # can settle the spanned pair
+    monkeypatch.setattr(degradedness, "_closed_form_witness", lambda *args: None)
     monkeypatch.setattr(degradedness, "PROJECTION_STEPS", 0)
     w1, w2 = spanned_pair(rng_stream(29, "lp-build", n_in, n_mid, n_out),
                           n_in, n_mid, n_out)
@@ -329,29 +330,42 @@ def test_full_rank_no_needs_no_lp(lp_calls):
 
 def test_ill_conditioned_no_needs_no_lp(monkeypatch, lp_calls):
     # two rows of W1 = A G differ by 1e-8, so its condition number is about
-    # 4e10 and the row of W1^-1 that witness (b) reads proves less than
-    # 1e-7; the epigraph's dual bound is 0.1, and the projected gradient
-    # steps of witness (c) prove 5e-3
+    # 4e10: the row of W1^-1 that witness (b) reads and the KKT multiplier
+    # of witness (a), both long, prove less than 1e-7; witness (a) formed
+    # again for W1 without its smallest singular value proves 5e-3, and the
+    # epigraph's dual bound is 0.1
     rng = np.random.default_rng([0, 24])
     a, g = (_stochastic(rng, 24, 24) for _ in range(2))
     a[1] = (1.0 - 1e-8) * a[0] + 1e-8 * a[1]
     w1, w2 = _channel(a @ g), _channel(a)
     cert = is_degraded(w1, w2)
     assert lp_calls == []
+    assert cert.route == "witness_a"
     assert_certified_no(cert, w1, w2)
     assert cert.lower_bound >= 1e-3
-    monkeypatch.setattr(degradedness, "WITNESS_STEPS", 0)
-    assert not is_degraded(w1, w2).feasible
+    monkeypatch.setattr(degradedness, "_kkt_witness", lambda *args: None)
+    cert = is_degraded(w1, w2)
     assert lp_calls == ["epigraph"]
+    assert cert.route == "lp"
+    assert_certified_no(cert, w1, w2)
+    assert cert.lower_bound >= 1e-3
+
+
+def near_garbling_pair() -> tuple[Channel, Channel]:
+    """(W2, a step of 5e-6 from W2 towards W1) for square_garbling_pair(32, 41).
+
+    The step leaves the garblings of W2 by about 3e-7, while the
+    closed-form witnesses only prove about 4e-8: a full-rank "no" that
+    only the epigraph LP settles.
+    """
+    w1, w2 = square_garbling_pair(32, 41)
+    t = 5e-6
+    return w2, Channel(w1.input_support, w1.output_support,
+                       (1.0 - t) * w2.matrix + t * w1.matrix)
 
 
 def test_full_rank_no_goes_straight_to_the_epigraph(lp_calls):
-    # a step of 5e-6 from W2 towards W1 leaves the garblings of W2 by
-    # about 3e-7, while the closed-form witness only proves about 4e-8
-    w1, w2 = square_garbling_pair(32, 41)
-    t = 5e-6
-    near = Channel(w1.input_support, w1.output_support,
-                   (1.0 - t) * w2.matrix + t * w1.matrix)
+    w2, near = near_garbling_pair()
     cert = is_degraded(w2, near)
     assert lp_calls == ["epigraph"]
     assert_certified_no(cert, w2, near)
@@ -393,38 +407,70 @@ def test_every_limit_channel_degrades_to_itself_without_lp(lp_calls):
     assert routes == {"candidate", "projection"}
 
 
-def forms_residual_witness(monkeypatch, a: Channel, b: Channel) -> bool:
-    """Whether deciding (a, b) forms witness (a), W2 - W1 G0 normalized."""
-    m1, m2 = a.matrix, b.matrix
-    resid = m2 - m1 @ (degradedness._pseudo_inverse(m1)[0] @ m2)
-    resid /= np.abs(resid).sum()
+def witnesses_formed(monkeypatch, a: Channel, b: Channel):
+    """Decide (a, b); return the certificate and every Lambda bounded."""
     seen = []
     bound = degradedness._blackwell_bound
 
     def spy(lam, w1, w2):
-        seen.append(np.array_equal(lam, resid))
+        seen.append(lam)
         return bound(lam, w1, w2)
 
     with monkeypatch.context() as mp:
         mp.setattr(degradedness, "_blackwell_bound", spy)
-        is_degraded(a, b)
-    return any(seen)
+        cert = is_degraded(a, b)
+    return cert, seen
+
+
+def kkt_terms(a: Channel, b: Channel) -> tuple[np.ndarray, np.ndarray]:
+    """The two terms of witness (a), (I - W1 W1^+) R and (W1 W1^T)^+ R.
+
+    R = W2 - W1 G at the candidate's rows projected onto the simplex; the
+    projector I - W1 W1^+ is formed explicitly and (W1 W1^T)^+ by numpy's
+    pinv, not as the package applies them.
+    """
+    m1, m2 = a.matrix, b.matrix
+    pinv = degradedness._pseudo_inverse(m1)[0]
+    resid = m2 - m1 @ degradedness._simplex_rows(pinv @ m2)
+    return ((np.eye(m1.shape[0]) - m1 @ pinv) @ resid,
+            np.linalg.pinv(m1 @ m1.T) @ resid)
 
 
 def test_full_row_rank_forms_no_residual_witness(monkeypatch, lp_calls):
-    # W1 W1^+ = I: the square "no" is (b)'s, the wide "yes" the projections'
+    # W1 W1^+ = I, so witness (a) has no residual term: the square "no" is
+    # settled by (b) before (a) is formed, and the wide "no" by (a) from
+    # (W1 W1^T)^-1 R alone
     w1, w2 = square_garbling_pair(32, 41)
-    assert not forms_residual_witness(monkeypatch, w2, w1)
-    assert not forms_residual_witness(monkeypatch,
-                                      *wide_garbling_pair(47, 3, 12, 11))
+    cert, seen = witnesses_formed(monkeypatch, w2, w1)
+    assert cert.route == "witness_b" and len(seen) == 1
+    wide = _channel(np.array([[0.7, 0.2, 0.1], [0.2, 0.7, 0.1]]))
+    target = _channel(binary_symmetric_channel(0.1).matrix)
+    resid_term, dual_term = kkt_terms(wide, target)
+    assert np.abs(resid_term).max() < 1e-15
+    cert, seen = witnesses_formed(monkeypatch, wide, target)
+    assert cert.route == "witness_a" and len(seen) == 1
+    np.testing.assert_allclose(cert.test_matrix,
+                               dual_term / np.abs(dual_term).sum(),
+                               rtol=0.0, atol=1e-12)
+    assert_certified_no(cert, wide, target)
+    # the projected candidate is the best fit here: the interval is tight
+    assert cert.lower_bound == pytest.approx(cert.residual, rel=1e-9)
     assert lp_calls == []
 
 
 def test_rank_deficient_w1_forms_the_residual_witness(monkeypatch, lp_calls):
-    # W1 repeats a column, so rank(W1) = 3 < n_in = 4
+    # W1 repeats a column, so rank(W1) = 3 < n_in = 4 and both terms of
+    # witness (a) count
     w1, unrelated = verdict_pairs(0, 4, 4, 4, "repeated")[2]
-    assert forms_residual_witness(monkeypatch, w1, unrelated)
-    assert not is_degraded(w1, unrelated).feasible
+    resid_term, dual_term = kkt_terms(w1, unrelated)
+    assert np.abs(resid_term).max() > 1e-3
+    assert np.abs(dual_term).max() > 1e-3
+    lam = resid_term + dual_term
+    cert, seen = witnesses_formed(monkeypatch, w1, unrelated)
+    assert cert.route == "witness_a" and len(seen) == 1
+    np.testing.assert_allclose(cert.test_matrix, lam / np.abs(lam).sum(),
+                               rtol=0.0, atol=1e-12)
+    assert_certified_no(cert, w1, unrelated)
     assert lp_calls == []
 
 
@@ -454,7 +500,9 @@ def test_unusable_duals_raise(monkeypatch, corrupt):
         return result
 
     monkeypatch.setattr(scipy.optimize, "linprog", spy)
-    # W1 spans every target, so only the epigraph's duals can say "no"
+    # W1 spans every target; with witness (a), which settles this pair,
+    # stubbed out only the epigraph's duals can say "no"
+    monkeypatch.setattr(degradedness, "_closed_form_witness", lambda *args: None)
     w1 = _channel(np.array([[0.7, 0.2, 0.1], [0.2, 0.7, 0.1]]))
     with pytest.raises(SelfCheckError):
         is_degraded(w1, _channel(binary_symmetric_channel(0.1).matrix))
@@ -543,8 +591,10 @@ def test_closed_form_no_never_changes_a_verdict(seed, n_in, n_mid, n_out,
             assert_certified_no(cert, a, b)
             assert cert.lower_bound >= 1e-7
         with pytest.MonkeyPatch.context() as mp:
+            # and witness (a) where it is formed again after the projections
             mp.setattr(degradedness, "_closed_form_witness",
                        lambda *args: None)
+            mp.setattr(degradedness, "_kkt_witness", lambda *args: None)
             assert is_degraded(a, b).feasible == cert.feasible
 
 
@@ -553,12 +603,14 @@ def agrees_with_the_reference(a: Channel, b: Channel, solve: bool = True):
 
     Both must reach the same verdict, and make the same epigraph calls
     except where the package's alternating projections settle a "yes" or
-    one side settles the pair in closed form by a route whose outcome the
-    other's rounding decides (see below).  With ``solve`` False an epigraph
-    call is recorded and answers None: it is one LP on the same two
-    matrices whichever front end makes it.
+    one side settles a "no" in closed form that the other leaves to the
+    LP: the reference keeps the witnesses (a), (b) and (c) of an earlier
+    package, whose (a) and (c) the package's KKT witness (a) replaced.
+    Such a certificate must hold when checked anew.  With
+    ``solve`` False an epigraph call is recorded and answers None: it is
+    one LP on the same two matrices whichever front end makes it.
     Returns both certificates and the factorizations the package applied
-    to W1, by name.
+    to W1 for its candidate, by name.
     """
     lp = degradedness._epigraph
     m1 = a.matrix
@@ -582,6 +634,8 @@ def agrees_with_the_reference(a: Channel, b: Channel, solve: bool = True):
             if decide is is_degraded:
                 mp.setattr(np.linalg, "inv", spy("lu", np.linalg.inv))
                 mp.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
+                mp.setattr(degradedness, "_closed_form_witness",
+                           spy("witness", degradedness._closed_form_witness))
             found.append((decide(a, b), calls, factorized))
     (ref, ref_calls, _), (cert, calls, factorized) = found
     if calls != ref_calls:
@@ -594,11 +648,6 @@ def agrees_with_the_reference(a: Channel, b: Channel, solve: bool = True):
             assert closed is cert
             assert cert.route == "projection"
         else:
-            # W2 lies in the span of a W1 without full column rank, so the
-            # residual W2 - W1 G0 that witness (a) reads is rounding noise,
-            # and the last bits of G0 decide whether it proves the "no"
-            # without the LP
-            assert np.linalg.matrix_rank(m1) < m1.shape[1]
             assert_certified_no(closed, a, b)
             assert closed.lower_bound >= 1e-7
         assert lp_side is None or lp_side.feasible == closed.feasible
@@ -606,10 +655,14 @@ def agrees_with_the_reference(a: Channel, b: Channel, solve: bool = True):
         assert (cert is None) == (ref is None)
         if ref is not None:
             assert cert.feasible == ref.feasible
-    # one factorization, or a refused LU followed by the SVD
-    assert factorized in (["lu"], ["svd"], ["lu", "svd"])
-    assert factorized[0] == ("lu" if m1.shape[0] == m1.shape[1] else "svd")
-    return ref, cert, factorized
+    # one factorization, or a refused LU followed by the SVD, for the
+    # candidate; then at most the SVD of witness (a) formed again
+    candidate = (factorized[:factorized.index("witness")]
+                 if "witness" in factorized else factorized)
+    assert candidate in (["lu"], ["svd"], ["lu", "svd"])
+    assert candidate[0] == ("lu" if m1.shape[0] == m1.shape[1] else "svd")
+    assert factorized[len(candidate):] in ([], ["witness"], ["witness", "svd"])
+    return ref, cert, candidate
 
 
 @over_pair_shapes
@@ -623,14 +676,17 @@ def test_front_end_matches_the_least_squares_reference(seed, n_in, n_mid,
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
        k=st.integers(min_value=8, max_value=64))
 def test_square_front_end_matches_the_reference_certificates(seed, k):
-    # full rank: the LU route alone, and each "no" certificate within 1e-9
-    # of the least-squares one (a "yes" residual is rounding error)
+    # full rank: the LU route alone, and each closed-form "no" within 1e-9
+    # of the least-squares one, its bound where both take the same witness
+    # (a "yes" residual is rounding error)
     for a, b in verdict_pairs(seed, k, k, k, "distinct"):
         ref, cert, factorized = agrees_with_the_reference(a, b, solve=False)
         assert factorized == ["lu"]
-        if ref is not None and not ref.feasible:
+        if ref is not None and cert is not None and not ref.feasible:
             assert cert.residual == pytest.approx(ref.residual, rel=1e-9)
-            assert cert.lower_bound == pytest.approx(ref.lower_bound, rel=1e-9)
+            if cert.route == ref.route:
+                assert cert.lower_bound == pytest.approx(ref.lower_bound,
+                                                         rel=1e-9)
 
 
 @settings(max_examples=30, deadline=None)
@@ -645,7 +701,8 @@ def test_singular_square_w1_takes_the_svd(seed, k, column):
 
 
 def ill_conditioned_pairs() -> list[tuple[Channel, Channel]]:
-    """A "yes" that needs the simplex fallback and a "no" that needs (c).
+    """A "yes" that needs the projected candidate and a "no" that needs
+    witness (a) for W1 without its smallest singular value.
 
     The pairs of ``test_ill_conditioned_yes_needs_no_lp`` and
     ``test_ill_conditioned_no_needs_no_lp``.
@@ -663,8 +720,9 @@ def reference_pairs() -> list[tuple[Channel, Channel]]:
 
     Square, tall and wide W1 with distinct, repeated, nearly repeated and
     empty columns (``verdict_pairs``; on the large square W1 only distinct
-    ones, as the others take the LP there), the two ill-conditioned pairs
-    and a rank-deficient "yes" that only the epigraph LP decides.
+    ones, as the others take the LP there), the two ill-conditioned pairs,
+    a rank-deficient "yes" that only the epigraph LP decides and a
+    full-rank "no" that only it settles.
     """
     pairs = []
     shapes = [(2, 2, 2), (3, 3, 2), (4, 4, 4), (6, 3, 4), (3, 6, 5),
@@ -674,7 +732,8 @@ def reference_pairs() -> list[tuple[Channel, Channel]]:
         for column in ("distinct", "repeated", "perturbed", "zero"):
             if column == "distinct" or n_mid < 24 or n_in != n_mid:
                 pairs += verdict_pairs(seed, n_in, n_mid, n_out, column)
-    return pairs + ill_conditioned_pairs() + [wide_garbling_pair(47, 3, 12, 11)]
+    return pairs + ill_conditioned_pairs() + [wide_garbling_pair(47, 3, 12, 11),
+                                              near_garbling_pair()]
 
 
 def garbling_lp_pairs() -> list[tuple[Channel, Channel]]:
@@ -733,22 +792,26 @@ def test_decision_matches_its_unrewritten_copy_bit_for_bit(monkeypatch):
                   - before.get(garbling_reference, 0))
         assert (got.route == "lp") == (lp == 1)
         routes.add((got.route, got.feasible))
-        if got.route == "projection" and want.route == "lp":
-            # where W1 lacks full column rank, the copy leaves to the LP a
-            # "yes" that the alternating projections settle; with full rank
-            # their one check is the copy's route "simplex"
-            assert (lp, ref_lp) == (0, 1)
-            assert np.linalg.matrix_rank(a.matrix) < a.matrix.shape[1]
-            assert want.feasible
-            assert_checked_yes(got, a, b)
-            continue
         if want.route == "simplex":
             want = dataclasses.replace(want, route="projection")
+        if got.route != want.route or got.route == "witness_a":
+            # where W1 lacks full column rank, the copy leaves to the LP a
+            # "yes" that the alternating projections settle (with full rank
+            # their one check is the copy's route "simplex"); the copy's
+            # witness (a), the residual at G0, and its witness (c) are not
+            # the package's KKT witness (a), and settle other "no"s
+            assert got.feasible == want.feasible
+            if got.feasible:
+                assert_checked_yes(got, a, b)
+            else:
+                assert_certified_no(got, a, b)
+                assert got.lower_bound >= 1e-7
+            continue
         assert_same_certificate(got, want)
         assert lp == ref_lp
     assert routes == {("candidate", True), ("projection", True), ("lp", True),
                       ("witness_a", False), ("witness_b", False),
-                      ("witness_c", False), ("lp", False)}
+                      ("lp", False)}
 
 
 def projections(monkeypatch, a: Channel, b: Channel) -> tuple[int, int]:
@@ -771,14 +834,15 @@ def test_a_decision_projects_its_candidate_at_most_once(monkeypatch):
     w1, w2 = square_garbling_pair(32, 41)
     # a candidate that fits needs no projection
     assert projections(monkeypatch, w1, w2) == (0, 0)
-    # (a) or (b) settles the reverse, so witness (c) takes no step
+    # (b) settles the reverse at the projected G0
     assert projections(monkeypatch, w2, w1) == (1, 1)
     ill_yes, ill_no = ill_conditioned_pairs()
-    # no witness proves the "yes" wrong, so (c) takes all its steps before
-    # the one check of the projected G0
-    assert projections(monkeypatch, *ill_yes) == (1, 1 + degradedness.WITNESS_STEPS)
-    once, steps = projections(monkeypatch, *ill_no)
-    assert once == 1 and 1 < steps <= 1 + degradedness.WITNESS_STEPS
+    # the one check of the alternating projections accepts the projected G0
+    assert projections(monkeypatch, *ill_yes) == (1, 1)
+    # the check fails, and its step projects once more; then witness (a),
+    # formed again for W1 without its smallest singular value, projects
+    # its own candidate and settles the "no"
+    assert projections(monkeypatch, *ill_no) == (1, 3)
 
 
 def report_lp_status(monkeypatch, status: int, scale: float = 1.0) -> None:
@@ -831,8 +895,9 @@ def test_lp_rows_off_their_sum_are_no_yes(monkeypatch, lp_calls, status,
 
 
 def test_unknown_lp_status_never_passes_a_no(monkeypatch):
-    # the pair of test_unusable_duals_raise: its duals are fine, its status
-    # is not
+    # the pair of test_unusable_duals_raise, which only the LP decides
+    # without the closed-form witness: its duals are fine, its status is not
+    monkeypatch.setattr(degradedness, "_closed_form_witness", lambda *args: None)
     report_lp_status(monkeypatch, 4)
     w1 = _channel(np.array([[0.7, 0.2, 0.1], [0.2, 0.7, 0.1]]))
     with pytest.raises(SelfCheckError, match=re.escape("status 4")):
@@ -924,11 +989,11 @@ def test_route_counts_sort_every_decision(capsys):
     header, _, *rows = capsys.readouterr().out.splitlines()
     assert [c.strip() for c in header.strip("|").split("|")] == [
         "input", "decisions", 'candidate "yes"', 'projection "yes"',
-        'witness (a) "no"', 'witness (b) "no"', 'witness (c) "no"',
-        'LP "yes"', 'LP "no"', "no certificate"]
+        'witness (a) "no"', 'witness (b) "no"', 'LP "yes"', 'LP "no"',
+        "no certificate"]
     counts = [[c.strip() for c in row.strip("|").split("|")] for row in rows]
-    assert counts == [["sweep", "25", "15", "0", "0", "10", "0", "0", "0", "0"],
-                      ["garbling_lp", "8", "4", "0", "0", "4", "0", "0", "0", "0"]]
+    assert counts == [["sweep", "25", "15", "0", "0", "10", "0", "0", "0"],
+                      ["garbling_lp", "8", "4", "0", "0", "4", "0", "0", "0"]]
 
 
 def test_route_counts_exit_one_on_an_answer_the_route_cannot_give(
@@ -945,7 +1010,7 @@ def test_route_counts_exit_one_on_an_answer_the_route_cannot_give(
     assert main(["garbling_lp", "--passes", "1"]) == 1
     out, err = capsys.readouterr()
     assert out.splitlines()[-1] == (
-        "| garbling_lp | 8 | 4 | 0 | 0 | 0 | 0 | 0 | 0 | 0 |")
+        "| garbling_lp | 8 | 4 | 0 | 0 | 0 | 0 | 0 | 0 |")
     assert "garbling_lp: 4 decision(s) fit no route" in err
 
 
@@ -1144,14 +1209,24 @@ def test_import_does_not_load_the_lp_solver():
 
 def test_closed_form_decisions_do_not_load_the_lp_solver():
     # the candidate W1^-1 W2 settles the "yes", the closed form the "no" and
-    # the alternating projections W >= W for the catalog's 2 x 3 limit W
+    # the alternating projections W >= W for the catalog's 2 x 3 limit W;
+    # witness (a) settles a "no" for a wide W1, and the garbling decisions
+    # of cor2_quantization, claimed Markovian, on the grid 1, 2, 4, ..., 1024
     run_after_import(
-        "import sys\n"
+        "import dataclasses, sys\n"
         "from mmse_lab import Channel, binary_symmetric_channel as bsc, is_degraded\n"
+        "from mmse_lab import builtin_scenarios, run_scenario\n"
         "assert is_degraded(bsc(0.1), bsc(0.2)).feasible\n"
         "assert not is_degraded(bsc(0.2), bsc(0.1)).feasible\n"
         "w = Channel([-1.0, 1.0], [-2.0, 0.0, 2.0], [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])\n"
         "assert is_degraded(w, w).route == 'projection'\n"
+        "wide = Channel([-1.0, 1.0], [0.0, 1.0, 2.0], [[0.7, 0.2, 0.1], [0.2, 0.7, 0.1]])\n"
+        "cert = is_degraded(wide, bsc(0.1))\n"
+        "assert not cert.feasible and cert.route == 'witness_a'\n"
+        "cor2 = dataclasses.replace(builtin_scenarios()['cor2_quantization'],\n"
+        "                           markovian=True)\n"
+        "report = run_scenario(cor2, [2 ** k for k in range(11)])\n"
+        "assert report.diagnostics.markov_verified is True\n"
         "assert 'scipy.optimize' not in sys.modules")
 
 
