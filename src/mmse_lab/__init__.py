@@ -54,7 +54,6 @@ from .probcore import (
     floor_quantize,
     joint_from_atoms,
     moments_exact,
-    product_joint,
     quantize_joint,
     rng_stream,
 )

@@ -126,6 +126,9 @@ def report_to_json(report: ConvergenceReport) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+RENDERERS = {"csv": report_to_csv, "json": report_to_json}
+
+
 def cmd_list(name_filter: str | None = None, stream=None) -> int:
     """Print the scenario table, optionally filtered by substring."""
     out = stream if stream is not None else sys.stdout
@@ -157,9 +160,17 @@ def cmd_run(config: RunConfig, stream=None, err_stream=None) -> int:
     if unknown:
         print(f"unknown scenario(s): {', '.join(unknown)}", file=err)
         return EXIT_USAGE
+    repeated = [n for i, n in enumerate(config.scenario_names)
+                if n in config.scenario_names[:i]]
+    if repeated:
+        print("scenario(s) named more than once: "
+              f"{', '.join(dict.fromkeys(repeated))}", file=err)
+        return EXIT_USAGE
     out_dir = Path(config.output_dir)
     try:
         grid = config.n_grid()
+        if config.format not in RENDERERS:
+            raise ValueError(f"unknown format {config.format!r}")
         if not (config.tol_abs > 0.0 and math.isfinite(config.tol_abs)):
             raise ValueError(f"bad tolerance: tol={config.tol_abs!r} is not "
                              "positive and finite")
@@ -174,7 +185,7 @@ def cmd_run(config: RunConfig, stream=None, err_stream=None) -> int:
     except MmseLabError as exc:
         print(f"engine error: {exc}", file=err)
         return EXIT_ENGINE
-    render = report_to_csv if config.format == "csv" else report_to_json
+    render = RENDERERS[config.format]
     try:
         texts = {name: render(report) for name, report in reports.items()}
     except ValueError as exc:  # a non-finite value has no JSON form
@@ -183,8 +194,7 @@ def cmd_run(config: RunConfig, stream=None, err_stream=None) -> int:
     all_match = True
     for name in config.scenario_names:
         report = reports[name]
-        suffix = "csv" if config.format == "csv" else "json"
-        path = out_dir / f"{name}.{suffix}"
+        path = out_dir / f"{name}.{config.format}"
         try:
             path.write_text(texts[name])
         except OSError as exc:  # e.g. the report path is a directory
@@ -227,16 +237,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run scenarios and write reports")
     p_run.add_argument("--scenarios", nargs="+", default=[],
                        metavar="NAME", help="scenario names (see `list`)")
-    p_run.add_argument("--n-start", type=int, default=1)
-    p_run.add_argument("--n-stop", type=int, default=64)
+    p_run.add_argument("--n-start", type=int, default=RunConfig.n_start)
+    p_run.add_argument("--n-stop", type=int, default=RunConfig.n_stop)
     p_run.add_argument("--n-spacing", choices=("linear", "geometric"),
-                       default="geometric")
+                       default=RunConfig.n_spacing)
     p_run.add_argument("--seed", type=int, default=None,
-                       help=f"RNG seed (falls back to ${SEED_ENV_VAR}, then 0)")
-    p_run.add_argument("--tol", type=float, default=0.02,
+                       help=f"RNG seed (falls back to ${SEED_ENV_VAR}, "
+                            f"then {RunConfig.seed})")
+    p_run.add_argument("--tol", type=float, default=RunConfig.tol_abs,
                        help="absolute tolerance for the tail audit")
-    p_run.add_argument("--out", default="reports", help="report directory")
-    p_run.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_run.add_argument("--out", default=RunConfig.output_dir,
+                       help="report directory")
+    p_run.add_argument("--format", choices=tuple(RENDERERS),
+                       default=RunConfig.format)
 
     p_self = sub.add_parser("selftest", help="run randomized property suites")
     p_self.add_argument("--seed", type=int, default=None)
@@ -252,7 +265,7 @@ def _resolve_seed(cli_seed: int | None) -> int:
             return int(env)
         except ValueError as exc:
             raise ValueError(f"${SEED_ENV_VAR}={env!r} is not an integer") from exc
-    return 0
+    return RunConfig.seed
 
 
 def main(argv=None) -> int:

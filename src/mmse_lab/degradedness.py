@@ -140,11 +140,11 @@ class Channel:
             object.__setattr__(self, fname, arr)
 
 
-def binary_symmetric_channel(flip: float, support=(-1.0, 1.0)) -> Channel:
-    """Symmetric binary channel on a two-letter alphabet."""
+def binary_symmetric_channel(flip: float) -> Channel:
+    """Symmetric binary channel on the alphabet {-1, 1}."""
     if not 0.0 <= flip <= 1.0:
         raise InvalidDistribution(f"flip probability {flip!r} outside [0, 1]")
-    alphabet = np.asarray(support, dtype=float)
+    alphabet = np.array([-1.0, 1.0])
     return Channel(input_support=alphabet, output_support=alphabet,
                    matrix=np.array([[1.0 - flip, flip], [flip, 1.0 - flip]]))
 

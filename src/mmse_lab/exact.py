@@ -177,17 +177,16 @@ def mmse_exact(joint: FiniteJoint | SufficientJoint) -> MmseResult:
 def orthogonality_check(
     joint: FiniteJoint,
     test_functions: Sequence[Callable[[np.ndarray], np.ndarray]],
-    estimator: ConditionalExpectation | None = None,
 ) -> float:
-    """Largest |E[(X - g(Y))^T h(Y)]| over the given test functions.
+    """Largest |E[(X - g(Y))^T h(Y)]| over the given test functions, where
+    g is the joint's ``conditional_expectation`` table.
 
-    With the true conditional mean this is zero up to rounding for every
-    bounded h; feeding a perturbed ``estimator`` makes the residual
-    correlation visible, which the self-test suite uses as a negative
-    control.  Each test function maps a measurement atom (1-D array of
-    length m) to a vector of length k.
+    This is zero up to rounding for every bounded h; the tests shift g off
+    the conditional mean to show that the check can fail.  Each test
+    function maps a measurement atom (1-D array of length m) to a vector
+    of length k.
     """
-    ce = estimator if estimator is not None else conditional_expectation(joint)
+    ce = conditional_expectation(joint)
     # the table row of each atom: the table lists the positive-mass
     # measurement columns in order, and every atom sits in one of them
     rows = (np.cumsum(joint.y_marginal() > 0.0) - 1)[joint.y_idx]

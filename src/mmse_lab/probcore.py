@@ -186,10 +186,6 @@ class FiniteJoint:
         return self.x_support.shape[1]
 
     @property
-    def m(self) -> int:
-        return self.y_support.shape[1]
-
-    @property
     def pmf(self) -> np.ndarray:
         """Dense (nx, ny) probability matrix, built on first read."""
         def dense():
@@ -421,15 +417,6 @@ def floor_index(x, a: float) -> np.ndarray:
 def floor_quantize(x, a: float) -> np.ndarray:
     """Grid operator x -> floor(x / a) * a, entrywise (see floor_index)."""
     return floor_index(x, a) * a
-
-
-def product_joint(x_values, x_probs, y_values, y_probs) -> FiniteJoint:
-    """Independent product of two finite marginals."""
-    px = np.asarray(x_probs, dtype=float)
-    py = np.asarray(y_probs, dtype=float)
-    return FiniteJoint(x_support=_as_support(x_values, "x_support"),
-                       y_support=_as_support(y_values, "y_support"),
-                       pmf=np.outer(px / px.sum(), py / py.sum()))
 
 
 def _accumulate(x_support, y_support, xi, yi, weights) -> FiniteJoint:

@@ -70,7 +70,6 @@ from .probcore import (
     _chunks,
     floor_index,
     joint_from_atoms,
-    product_joint,
     quantize_joint,
 )
 
@@ -88,35 +87,31 @@ class ExpectedOutcome:
     """Declared target of a scenario.
 
     ``limit_mmse`` is the audited value at the limit pair;
-    ``sequence_limit_mmse`` is the limit of the per-n values.  CONTINUOUS
-    requires the two to be equal; the DISCONTINUOUS kinds record which
-    side the sequence limit falls on (LSC: above the limit value, USC:
-    below).  ``source`` says how the numbers were derived.
+    ``sequence_limit_mmse`` is the limit of the per-n values.  The two fix
+    ``kind``: CONTINUOUS when they are equal, otherwise the DISCONTINUOUS
+    kind of the side the sequence limit falls on (LSC: above the limit
+    value, USC: below).  ``source`` says how the numbers were derived.
     """
 
-    kind: OutcomeKind
     limit_mmse: float
     sequence_limit_mmse: float
     source: str
 
     def __post_init__(self):
-        # checked first: every comparison below reads False on nan
+        # ``kind`` compares the two values, and a comparison reads False on nan
         if not (math.isfinite(self.limit_mmse)
                 and math.isfinite(self.sequence_limit_mmse)):
             raise InvalidDistribution(
                 "expected values must be finite, got limit "
                 f"{self.limit_mmse!r} and sequence {self.sequence_limit_mmse!r}")
-        equal = self.limit_mmse == self.sequence_limit_mmse
-        if (self.kind is OutcomeKind.CONTINUOUS) != equal:
-            raise InvalidDistribution(
-                f"kind {self.kind.value} inconsistent with limit "
-                f"{self.limit_mmse!r} vs sequence {self.sequence_limit_mmse!r}")
-        if self.kind is OutcomeKind.DISCONTINUOUS_LSC \
-                and self.sequence_limit_mmse < self.limit_mmse:
-            raise InvalidDistribution("LSC kind needs sequence limit above limit value")
-        if self.kind is OutcomeKind.DISCONTINUOUS_USC \
-                and self.sequence_limit_mmse > self.limit_mmse:
-            raise InvalidDistribution("USC kind needs sequence limit below limit value")
+
+    @property
+    def kind(self) -> OutcomeKind:
+        if self.sequence_limit_mmse == self.limit_mmse:
+            return OutcomeKind.CONTINUOUS
+        if self.sequence_limit_mmse > self.limit_mmse:
+            return OutcomeKind.DISCONTINUOUS_LSC
+        return OutcomeKind.DISCONTINUOUS_USC
 
 
 @dataclass(frozen=True)
@@ -223,7 +218,6 @@ def example1_scenario() -> ScenarioSequence:
                         y_support=np.array([[0.0]]),
                         pmf=np.array([[1.0]]))
     expected = ExpectedOutcome(
-        kind=OutcomeKind.DISCONTINUOUS_LSC,
         limit_mmse=0.0,
         sequence_limit_mmse=1.0,
         source="E[X_n^2] = n * (1/n) = 1 at every n with a blind measurement; "
@@ -270,8 +264,8 @@ def _example2_realize(n: int) -> SufficientJoint:
 def _example2_limit() -> FiniteJoint:
     steps = int(round(1.0 / EXAMPLE2_LIMIT_STEP))
     values = np.arange(steps)[:, None] * EXAMPLE2_LIMIT_STEP
-    return product_joint(values, np.full(steps, 1.0 / steps),
-                         np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+    return FiniteJoint(values, np.array([[0.0], [1.0]]),
+                       np.full((steps, 2), 0.5 / steps))
 
 
 def _example2_sampler(n: int) -> Draw:
@@ -292,7 +286,6 @@ def example2_scenario() -> ScenarioSequence:
     limit = _example2_limit()
     limit_value = mmse_exact(limit).mmse  # quantized uniform variance
     expected = ExpectedOutcome(
-        kind=OutcomeKind.DISCONTINUOUS_USC,
         limit_mmse=limit_value,
         sequence_limit_mmse=0.0,
         source="the fractional part of B + X/n determines X at every n; "
@@ -342,7 +335,6 @@ def example3_limit_joint() -> FiniteJoint:
 
 def example3_scenario() -> ScenarioSequence:
     expected = ExpectedOutcome(
-        kind=OutcomeKind.DISCONTINUOUS_USC,
         limit_mmse=0.5,
         sequence_limit_mmse=0.0,
         source="Y_n = X_n + N with X_n = n/(n+1) X determines X_n (the four "
@@ -411,7 +403,6 @@ def _example4_sampler(n: int) -> Draw:
 
 def example4_scenario() -> ScenarioSequence:
     expected = ExpectedOutcome(
-        kind=OutcomeKind.CONTINUOUS,
         limit_mmse=0.0,
         sequence_limit_mmse=0.0,
         source="unit-variance uniform prior plus independent uniform noise "
@@ -503,7 +494,6 @@ def _cor1_scenario(name: str, gamma_of_n, lambda_of_n, path_note: str) -> Scenar
         return draw
 
     expected = ExpectedOutcome(
-        kind=OutcomeKind.CONTINUOUS,
         limit_mmse=0.5,
         sequence_limit_mmse=0.5,
         source="independent centered uniform perturbations vanish in mean "
@@ -553,7 +543,6 @@ def cor2_scenario() -> ScenarioSequence:
         return quantize_joint(base, step, step)
 
     expected = ExpectedOutcome(
-        kind=OutcomeKind.CONTINUOUS,
         limit_mmse=0.5,
         sequence_limit_mmse=0.5,
         source="the base supports {-1,1} and {-2,0,2} sit on every 1/n "
@@ -593,8 +582,7 @@ def markov_degraded_scenario() -> ScenarioSequence:
     base = bsc_prior_joint(0.1)
 
     def realize(n: int) -> FiniteJoint:
-        return compose(base, binary_symmetric_channel(
-            0.1 / n, support=base.y_support))
+        return compose(base, binary_symmetric_channel(0.1 / n))
 
     value = mmse_exact(base).mmse
     return ScenarioSequence(
@@ -602,8 +590,7 @@ def markov_degraded_scenario() -> ScenarioSequence:
         realize=realize,
         limit=base,
         expected=ExpectedOutcome(
-            kind=OutcomeKind.CONTINUOUS, limit_mmse=value,
-            sequence_limit_mmse=value,
+            limit_mmse=value, sequence_limit_mmse=value,
             source="the garbling flip vanishes, so the degraded value falls "
                    "back to the base pair's exact MMSE"),
         markovian=True,
@@ -630,13 +617,7 @@ def _lmmse_mixture_realize(n: int) -> FiniteJoint:
 
 
 def lmmse_mixture_scenario() -> ScenarioSequence:
-    limit = FiniteJoint(
-        x_support=np.array([[-1.0], [1.0]]),
-        y_support=np.array([[-1.0], [1.0]]),
-        pmf=np.array([[0.5, 0.0], [0.0, 0.5]]),
-    )
     expected = ExpectedOutcome(
-        kind=OutcomeKind.DISCONTINUOUS_LSC,
         limit_mmse=0.0,
         sequence_limit_mmse=0.5,
         source="linear audit: with C_Y = 2 - 1/n and C_XY = 1 - 1/n the "
@@ -646,7 +627,7 @@ def lmmse_mixture_scenario() -> ScenarioSequence:
     return ScenarioSequence(
         name="lmmse_mixture",
         realize=_lmmse_mixture_realize,
-        limit=limit,
+        limit=bsc_prior_joint(0.0),  # Y = X
         expected=expected,
         audit="lmmse",
         x_deviation_prob=lambda n, eps: 0.0,  # X_n = X throughout

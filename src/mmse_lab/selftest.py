@@ -1,27 +1,17 @@
 """Randomized property suites, re-runnable from the CLI.
 
 Each suite draws its own deterministic stream from the given seed, so the
-whole report is reproducible byte-for-byte.  The ``estimator_perturbation``
-hook exists purely as a negative control: shifting every conditional mean
-by a constant must break the orthogonality suite, proving the suite can
-fail at all.
+whole report is reproducible byte-for-byte.  That a suite can fail at all
+is shown in the tests, not here: shifting every conditional mean by a
+constant must break the orthogonality suite.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .degradedness import (
-    Channel,
-    blackwell_verify,
-    is_degraded,
-)
-from .exact import (
-    ConditionalExpectation,
-    conditional_expectation,
-    mmse_exact,
-    orthogonality_check,
-)
+from .degradedness import Channel, blackwell_verify, is_degraded
+from .exact import mmse_exact, orthogonality_check
 from .linear import lmmse
 from .mc import RegressionConfig, mc_mmse_vs_exact
 from .probcore import (
@@ -73,22 +63,12 @@ def _suite_mmse_forms(seed: int, trials: int) -> tuple[bool, str]:
     return ok, f"mmse residual vs second-moment form, worst gap {worst:.3e}"
 
 
-def _suite_orthogonality(seed: int, trials: int,
-                         estimator_perturbation: float) -> tuple[bool, str]:
+def _suite_orthogonality(seed: int, trials: int) -> tuple[bool, str]:
     rng = rng_stream(seed, "orthogonality")
     fns = [lambda y: np.ones(1), lambda y: y, lambda y: y * y]
     worst = 0.0
     for _ in range(trials):
-        joint = random_joint(rng)
-        ce = conditional_expectation(joint)
-        if estimator_perturbation != 0.0:
-            ce = ConditionalExpectation(
-                y_support=ce.y_support,
-                estimates=ce.estimates + estimator_perturbation,
-                posterior_mass=ce.posterior_mass,
-                dropped_zero_mass=ce.dropped_zero_mass,
-            )
-        worst = max(worst, orthogonality_check(joint, fns, estimator=ce))
+        worst = max(worst, orthogonality_check(random_joint(rng), fns))
     ok = worst <= ORTHOGONALITY_TOL
     return ok, f"residual-vs-measurement correlation, worst {worst:.3e}"
 
@@ -160,13 +140,11 @@ def _suite_mc_agreement(seed: int) -> tuple[bool, str]:
     return ok, f"regressogram reproducible and within 5 sigma (z = {z1:.2f})"
 
 
-def run_selftest(seed: int = 0, estimator_perturbation: float = 0.0
-                 ) -> tuple[bool, list[str]]:
+def run_selftest(seed: int = 0) -> tuple[bool, list[str]]:
     """Run all property suites; returns (all_passed, report_lines)."""
     suites = [
         ("mmse_forms", lambda: _suite_mmse_forms(seed, 200)),
-        ("orthogonality", lambda: _suite_orthogonality(
-            seed, 50, estimator_perturbation)),
+        ("orthogonality", lambda: _suite_orthogonality(seed, 50)),
         ("lmmse_dominates_mmse", lambda: _suite_lmmse_dominates(seed, 100)),
         ("blackwell_ordering", lambda: _suite_blackwell(seed, 100)),
         ("garbling_transitivity", lambda: _suite_garbling_transitivity(seed, 20)),

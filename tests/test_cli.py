@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -213,9 +214,33 @@ def test_run_empty_selection_exits_two(tmp_path):
                    err_stream=io.StringIO()) == EXIT_USAGE
 
 
-def test_run_engine_error_exits_three(tmp_path, monkeypatch):
-    import dataclasses
+def test_run_unknown_format_exits_two_before_writing(tmp_path):
+    out = tmp_path / "reports"
+    cfg = make_config(out, ["example3"], format="xml")
+    err = io.StringIO()
+    assert cmd_run(cfg, stream=io.StringIO(), err_stream=err) == EXIT_USAGE
+    assert "unknown format 'xml'" in err.getvalue()
+    assert not out.exists()
 
+
+@pytest.mark.parametrize("names, repeated", [
+    (["example3", "example3"], "example3"),
+    (["example1,example3", "example1"], "example1"),
+    (["example3,example3"], "example3"),
+], ids=["spaced", "mixed", "comma"])
+def test_main_refuses_a_scenario_named_twice(tmp_path, capsys, names,
+                                             repeated):
+    out = tmp_path / "reports"
+    code = main(["run", "--scenarios", *names, "--n-stop", "4",
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err == f"scenario(s) named more than once: {repeated}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_run_engine_error_exits_three(tmp_path, monkeypatch):
     import mmse_lab.cli as cli_mod
 
     catalog = builtin_scenarios()
@@ -233,8 +258,6 @@ def test_run_engine_error_exits_three(tmp_path, monkeypatch):
 
 
 def test_run_refuses_to_write_a_non_finite_json_report(tmp_path, monkeypatch):
-    import dataclasses
-
     import mmse_lab.cli as cli_mod
 
     def nan_report(*args, **kwargs):
@@ -349,14 +372,17 @@ def test_selftest_passes_and_is_deterministic():
 
 
 def test_selftest_negative_control_fails(monkeypatch):
-    import functools
+    # every conditional mean shifted by 0.05 must break the orthogonality
+    # suite: the suite can fail at all
+    from mmse_lab import exact
+    from mmse_lab.exact import conditional_expectation
 
-    import mmse_lab.cli as cli_mod
-    from mmse_lab.selftest import run_selftest
+    def shifted(joint):
+        ce = conditional_expectation(joint)
+        return dataclasses.replace(ce, estimates=ce.estimates + 0.05)
 
-    monkeypatch.setattr(cli_mod, "run_selftest", functools.partial(
-        run_selftest, estimator_perturbation=0.05))
+    monkeypatch.setattr(exact, "conditional_expectation", shifted)
     buf = io.StringIO()
     code = cmd_selftest(seed=0, stream=buf)
     assert code == EXIT_VERDICT
-    assert "FAIL" in buf.getvalue()
+    assert "FAIL orthogonality" in buf.getvalue()

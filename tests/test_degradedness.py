@@ -125,7 +125,8 @@ def test_every_channel_degrades_to_itself(seed, n_in, extra, column):
 
 def test_input_alphabet_mismatch_rejected():
     w1 = binary_symmetric_channel(0.1)
-    w2 = binary_symmetric_channel(0.2, support=(-2.0, 2.0))
+    w2 = Channel(input_support=[-2.0, 2.0], output_support=[-2.0, 2.0],
+                 matrix=binary_symmetric_channel(0.2).matrix)
     with pytest.raises(AlphabetMismatch):
         is_degraded(w1, w2)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,6 @@ from mmse_lab import (
     mmse_exact,
     moments_exact,
     orthogonality_check,
-    product_joint,
     rng_stream,
 )
 from mmse_lab import convergence, probcore
@@ -54,8 +54,8 @@ def test_estimator_is_identity_on_diagonal_joint():
 
 
 def test_estimator_collapses_to_prior_mean_under_independence():
-    j = product_joint(np.array([[-1.0], [3.0]]), np.array([0.75, 0.25]),
-                      np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+    j = FiniteJoint(np.array([[-1.0], [3.0]]), np.array([[0.0], [1.0]]),
+                    np.outer([0.75, 0.25], [0.5, 0.5]))
     ce = conditional_expectation(j)
     assert ce.y_support.tolist() == [[0.0], [1.0]]
     assert ce.estimates.shape == (2, 1)
@@ -166,19 +166,16 @@ def test_orthogonality_linear_and_quadratic_test_functions():
     assert worst <= 1e-10
 
 
-def test_orthogonality_flags_perturbed_estimator():
-    from mmse_lab.exact import ConditionalExpectation
+def test_orthogonality_flags_perturbed_estimator(monkeypatch):
+    from mmse_lab import exact
 
-    j = diagonal_pm1_joint()
-    ce = conditional_expectation(j)
-    shifted = ConditionalExpectation(
-        y_support=ce.y_support,
-        estimates=ce.estimates + 0.1,
-        posterior_mass=ce.posterior_mass,
-        dropped_zero_mass=ce.dropped_zero_mass,
-    )
+    def shifted(joint):
+        ce = conditional_expectation(joint)
+        return dataclasses.replace(ce, estimates=ce.estimates + 0.1)
+
+    monkeypatch.setattr(exact, "conditional_expectation", shifted)
     # E[(X - Xhat) * 1] = -0.1 by hand
-    worst = orthogonality_check(j, [lambda y: np.ones(1)], estimator=shifted)
+    worst = orthogonality_check(diagonal_pm1_joint(), [lambda y: np.ones(1)])
     assert worst >= 0.09
 
 

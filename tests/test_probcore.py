@@ -14,7 +14,6 @@ from mmse_lab import (
     joint_from_atoms,
     mmse_exact,
     moments_exact,
-    product_joint,
     quantize_joint,
     rng_stream,
 )
@@ -331,9 +330,8 @@ def test_moments_exact_point_mass():
 
 
 def test_independent_product_has_zero_cross_covariance():
-    j = product_joint(np.array([[-1.0], [2.0]]), np.array([0.25, 0.75]),
-                      np.array([[0.0], [1.0], [5.0]]),
-                      np.array([0.5, 0.25, 0.25]))
+    j = FiniteJoint(np.array([[-1.0], [2.0]]), np.array([[0.0], [1.0], [5.0]]),
+                    np.outer([0.25, 0.75], [0.5, 0.25, 0.25]))
     ms = moments_exact(j)
     np.testing.assert_allclose(ms.c_xy, np.zeros((1, 1)), atol=1e-10)
 

@@ -101,21 +101,51 @@ def test_expected_outcomes_carry_the_target_values(catalog):
     assert (ex.sequence_limit_mmse, ex.limit_mmse) == (0.5, 0.0)
 
 
-def test_expected_outcome_rejects_inconsistent_continuity():
-    with pytest.raises(InvalidDistribution):
-        ExpectedOutcome(kind=OutcomeKind.CONTINUOUS, limit_mmse=0.0,
-                        sequence_limit_mmse=0.5, source="broken on purpose")
+@pytest.mark.parametrize("limit, sequence, kind", [
+    (0.5, 0.5, OutcomeKind.CONTINUOUS),
+    (0.0, -0.0, OutcomeKind.CONTINUOUS),
+    (-0.0, 0.0, OutcomeKind.CONTINUOUS),
+    (0.0, 1.0, OutcomeKind.DISCONTINUOUS_LSC),
+    (0.0, 5e-324, OutcomeKind.DISCONTINUOUS_LSC),
+    (0.5, 0.0, OutcomeKind.DISCONTINUOUS_USC),
+    (-0.0, -5e-324, OutcomeKind.DISCONTINUOUS_USC),
+])
+def test_expected_outcome_kind_follows_the_two_values(limit, sequence, kind):
+    # equal values are continuous (-0.0 == 0.0); otherwise the sequence
+    # limit above the limit value is LSC and below it USC
+    outcome = ExpectedOutcome(limit_mmse=limit, sequence_limit_mmse=sequence,
+                              source="derivation under test")
+    assert outcome.kind is kind
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        outcome.kind = OutcomeKind.CONTINUOUS
 
 
 @pytest.mark.parametrize("kind, limit, sequence", [
-    (OutcomeKind.DISCONTINUOUS_LSC, math.nan, 1.0),
-    (OutcomeKind.DISCONTINUOUS_USC, 0.5, -math.inf),
+    (OutcomeKind.DISCONTINUOUS_LSC, -math.inf, 1.0),
+    (OutcomeKind.DISCONTINUOUS_USC, math.nan, 0.5),
     (OutcomeKind.CONTINUOUS, math.inf, math.inf),
 ])
 def test_expected_outcome_rejects_non_finite_values(kind, limit, sequence):
+    # without the finiteness check these values would read as ``kind``
+    # (nan compares False both ways, so it reads as USC): each branch of
+    # the derivation needs the check
+    unchecked = object.__new__(ExpectedOutcome)
+    object.__setattr__(unchecked, "limit_mmse", limit)
+    object.__setattr__(unchecked, "sequence_limit_mmse", sequence)
+    assert unchecked.kind is kind
     with pytest.raises(InvalidDistribution, match="finite"):
-        ExpectedOutcome(kind=kind, limit_mmse=limit,
-                        sequence_limit_mmse=sequence, source="broken on purpose")
+        ExpectedOutcome(limit_mmse=limit, sequence_limit_mmse=sequence,
+                        source="broken on purpose")
+
+
+def test_declared_limit_values_match_the_engine(catalog):
+    # every scenario's declared limit value is the engine's value at its
+    # limit pair (the grid does not enter the limit value)
+    assert len(catalog) == 10
+    for name, scenario in catalog.items():
+        got = run_scenario(scenario, [1], seed=0).limit_value
+        assert got == pytest.approx(scenario.expected.limit_mmse,
+                                    rel=1e-12, abs=0.0), name
 
 
 def test_every_builtin_verdict_matches_expected(catalog):
@@ -640,8 +670,7 @@ def make_random_degraded_scenario(seed: int) -> ScenarioSequence:
         realize=lambda n: compose(base, garbling(n)),
         limit=base,
         expected=ExpectedOutcome(
-            kind=OutcomeKind.CONTINUOUS, limit_mmse=value,
-            sequence_limit_mmse=value,
+            limit_mmse=value, sequence_limit_mmse=value,
             source="geometrically vanishing random garbling of a random base"),
         markovian=True,
         x_deviation_prob=lambda n, eps: 0.0,
@@ -751,7 +780,7 @@ def test_mixture_audit_rejects_an_undeclared_gap(catalog):
     # as a mismatch (the test above checks that the declared gap matches)
     sc = catalog["lmmse_mixture"]
     wrong = dataclasses.replace(sc, expected=ExpectedOutcome(
-        kind=OutcomeKind.CONTINUOUS, limit_mmse=0.0, sequence_limit_mmse=0.0,
+        limit_mmse=0.0, sequence_limit_mmse=0.0,
         source="gap left undeclared on purpose"))
     assert run_scenario(wrong, GRID, seed=0).verdict_matches is False
 
