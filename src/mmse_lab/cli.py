@@ -212,7 +212,7 @@ def cmd_run(config: RunConfig, stream=None, err_stream=None) -> int:
     return EXIT_OK if all_match else EXIT_VERDICT
 
 
-def cmd_selftest(seed: int = 0, stream=None) -> int:
+def cmd_selftest(seed: int, stream=None) -> int:
     """Run the randomized property suites; 0 iff all pass."""
     out = stream if stream is not None else sys.stdout
     ok, lines = run_selftest(seed)
@@ -256,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(cli_seed: int | None) -> int:
+def _resolve_seed(cli_seed: int | None, default: int) -> int:
     if cli_seed is not None:
         return cli_seed
     env = os.environ.get(SEED_ENV_VAR)
@@ -265,7 +265,7 @@ def _resolve_seed(cli_seed: int | None) -> int:
             return int(env)
         except ValueError as exc:
             raise ValueError(f"${SEED_ENV_VAR}={env!r} is not an integer") from exc
-    return RunConfig.seed
+    return default
 
 
 def main(argv=None) -> int:
@@ -286,14 +286,14 @@ def main(argv=None) -> int:
                 n_start=args.n_start,
                 n_stop=args.n_stop,
                 n_spacing=args.n_spacing,
-                seed=_resolve_seed(args.seed),
+                seed=_resolve_seed(args.seed, RunConfig.seed),
                 tol_abs=args.tol,
                 output_dir=args.out,
                 format=args.format,
             )
             return cmd_run(config)
         if args.command == "selftest":
-            return cmd_selftest(_resolve_seed(args.seed))
+            return cmd_selftest(_resolve_seed(args.seed, 0))
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

@@ -140,7 +140,7 @@ def _suite_mc_agreement(seed: int) -> tuple[bool, str]:
     return ok, f"regressogram reproducible and within 5 sigma (z = {z1:.2f})"
 
 
-def run_selftest(seed: int = 0) -> tuple[bool, list[str]]:
+def run_selftest(seed: int) -> tuple[bool, list[str]]:
     """Run all property suites; returns (all_passed, report_lines)."""
     suites = [
         ("mmse_forms", lambda: _suite_mmse_forms(seed, 200)),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -122,17 +123,29 @@ def test_expected_outcome_kind_follows_the_two_values(limit, sequence, kind):
 
 @pytest.mark.parametrize("kind, limit, sequence", [
     (OutcomeKind.DISCONTINUOUS_LSC, -math.inf, 1.0),
-    (OutcomeKind.DISCONTINUOUS_USC, math.nan, 0.5),
+    (OutcomeKind.DISCONTINUOUS_USC, 0.5, -math.inf),
+    (OutcomeKind.DISCONTINUOUS_LSC, 0.5, math.inf),
     (OutcomeKind.CONTINUOUS, math.inf, math.inf),
 ])
 def test_expected_outcome_rejects_non_finite_values(kind, limit, sequence):
-    # without the finiteness check these values would read as ``kind``
-    # (nan compares False both ways, so it reads as USC): each branch of
-    # the derivation needs the check
-    unchecked = object.__new__(ExpectedOutcome)
-    object.__setattr__(unchecked, "limit_mmse", limit)
-    object.__setattr__(unchecked, "sequence_limit_mmse", sequence)
-    assert unchecked.kind is kind
+    with pytest.raises(InvalidDistribution, match="finite"):
+        ExpectedOutcome(limit_mmse=limit, sequence_limit_mmse=sequence,
+                        source="broken on purpose")
+    # the largest finite values in the same order are accepted
+    largest = [v if math.isfinite(v) else math.copysign(sys.float_info.max, v)
+               for v in (limit, sequence)]
+    outcome = ExpectedOutcome(limit_mmse=largest[0],
+                              sequence_limit_mmse=largest[1],
+                              source="largest finite values")
+    assert outcome.kind is kind
+
+
+@pytest.mark.parametrize("limit, sequence", [
+    (math.nan, 0.5),
+    (0.5, math.nan),
+    (math.nan, math.nan),
+])
+def test_expected_outcome_rejects_nan(limit, sequence):
     with pytest.raises(InvalidDistribution, match="finite"):
         ExpectedOutcome(limit_mmse=limit, sequence_limit_mmse=sequence,
                         source="broken on purpose")
