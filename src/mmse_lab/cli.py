@@ -156,7 +156,7 @@ def cmd_run(config: RunConfig, stream=None, err_stream=None) -> int:
     if not config.scenario_names:
         print("no scenarios requested; use `list` to see the catalog", file=err)
         return EXIT_USAGE
-    unknown = [n for n in config.scenario_names if n not in catalog]
+    unknown = dict.fromkeys(n for n in config.scenario_names if n not in catalog)
     if unknown:
         print(f"unknown scenario(s): {', '.join(unknown)}", file=err)
         return EXIT_USAGE

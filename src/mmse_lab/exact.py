@@ -9,8 +9,9 @@ and the minimum mean square error admits two algebraically equal forms,
     direct     = sum_ij pmf[i, j] ||x_i - g(y_j)||^2
     difference = E||X||^2 - E||g(Y)||^2.
 
-Both are computed on every call and must agree to CHECK_TOL; the direct
-form is returned.  The conditional means and the direct form are sums over
+Both are computed on the first call for a joint and must agree to
+CHECK_TOL; the direct form is returned, and kept on the joint for every
+later call.  The conditional means and the direct form are sums over
 the joint's positive-mass atoms (``x_idx, y_idx, prob``), so their cost
 follows the number of atoms rather than the dense (nx, ny) table; a
 ``SufficientJoint`` is reduced to its (X, T) core first.  The
@@ -24,9 +25,12 @@ one atom-sized (nnz, k) array, the x value of each atom, which becomes its
 residual in place.  The column weights and the gathered estimates are made
 ``probcore.SAMPLE_CHUNK`` atoms at a time, and the residual is squared,
 weighted and summed in its own buffer (for k > 1 the row sums take one
-more atom-sized array).  The rest is sized by the supports.  The joint's
-read-only index and mass arrays are read by slicing, fancy indexing and
-``np.add.at``, which use them in place (``np.bincount``, ``np.take`` copy).
+more atom-sized array).  The rest is sized by the supports, and so is the
+result that stays with the joint: the estimator table over the
+measurement letters with mass, and three numbers.  It lives as long as the
+joint does, and holds no atom-sized array.  The joint's read-only index
+and mass arrays are read by slicing, fancy indexing and ``np.add.at``,
+which use them in place (``np.bincount``, ``np.take`` copy).
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EmptySupport, SelfCheckError
-from .probcore import FiniteJoint, SufficientJoint, _chunks
+from .probcore import FiniteJoint, SufficientJoint, _cached, _chunks
 
 CHECK_TOL = 1e-10
 
@@ -142,9 +146,20 @@ def mmse_exact(joint: FiniteJoint | SufficientJoint) -> MmseResult:
     nonnegative by construction.  Vector X contributes the trace.  A
     SufficientJoint is evaluated on its (X, T) core, since E[X | Y] =
     E[X | T(Y)]; its estimator is then tabulated over the letters of T.
+
+    A joint cannot change, so it has one result: the first call computes
+    and checks it and keeps it on the joint (a SufficientJoint on its
+    core), with its arrays read-only, and every later call returns that
+    same object.
     """
     if isinstance(joint, SufficientJoint):
         joint = joint.core
+    return _cached(joint, "_mmse", lambda: _mmse_exact(joint))
+
+
+def _mmse_exact(joint: FiniteJoint) -> MmseResult:
+    """``mmse_exact`` of a FiniteJoint, computed afresh; the result's
+    arrays are read-only, since every later call shares them."""
     ce, by_letter, resid = _conditional_expectation(joint)
     # the x value of each atom is no longer needed: make it the residual
     for r, yi in zip(_chunks(resid), _chunks(joint.y_idx)):
@@ -170,6 +185,8 @@ def mmse_exact(joint: FiniteJoint | SufficientJoint) -> MmseResult:
     if direct > trace_cx + CHECK_TOL * scale:
         raise SelfCheckError(
             f"MMSE {direct!r} exceeds prior variance {trace_cx!r}")
+    for arr in (ce.y_support, ce.estimates, ce.posterior_mass):
+        arr.setflags(write=False)
     return MmseResult(mmse=direct, estimator=ce, second_moment_x=sm_x,
                       estimator_second_moment=est_sm)
 

@@ -213,12 +213,15 @@ def _mass_by_row(idx: np.ndarray, prob: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-def _cached(owner, name: str, build) -> np.ndarray:
-    """``build()`` on first use, kept read-only on the frozen ``owner``."""
+def _cached(owner, name: str, build):
+    """``build()`` on first use, kept on the frozen ``owner`` and shared by
+    every later call.  An array is kept read-only; any other value must
+    come from ``build`` with its arrays read-only already."""
     value = owner.__dict__.get(name)
     if value is None:
         value = build()
-        value.setflags(write=False)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
         owner.__dict__[name] = value
     return value
 
@@ -406,17 +409,29 @@ def floor_index(x, a: float) -> np.ndarray:
     exact lattice points fixed; without it, values like -1/(1/3) land just
     above -3 and would floor to the wrong cell.
     """
+    return _snapped_floor(np.asarray(x, dtype=float), a)[0]
+
+
+def _snapped_floor(x: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """``floor_index(x, a)`` and where its ratio snapped to an integer."""
     if not np.isfinite(a) or a <= 0.0:
         raise NonPositiveStep(f"step must be positive, got {a!r}")
-    r = np.asarray(x, dtype=float) / a
+    r = x / a
     nearest = np.rint(r)
     snap = np.abs(r - nearest) <= 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(r))
-    return np.where(snap, nearest, np.floor(r))
+    return np.where(snap, nearest, np.floor(r)), snap
 
 
 def floor_quantize(x, a: float) -> np.ndarray:
-    """Grid operator x -> floor(x / a) * a, entrywise (see floor_index)."""
-    return floor_index(x, a) * a
+    """Grid operator x -> floor(x / a) * a, entrywise (see floor_index).
+
+    Lattice points are fixed exactly: a value whose ratio x / a snaps to an
+    integer is a lattice point up to rounding and is its own image.  The
+    product k * a need not give it back; 49 * (1/49) is 0.9999999999999999.
+    """
+    x = np.asarray(x, dtype=float)
+    index, snapped = _snapped_floor(x, a)
+    return np.where(snapped, x, index * a)
 
 
 def _accumulate(x_support, y_support, xi, yi, weights) -> FiniteJoint:

@@ -208,6 +208,17 @@ def test_run_unknown_scenario_exits_two(tmp_path):
     assert "no-such-family" in err.getvalue()
 
 
+@pytest.mark.parametrize("names", [
+    ["foo", "foo", "bar"],
+    ["foo,example3", "bar,foo"],
+], ids=["spaced", "comma"])
+def test_main_names_each_unknown_scenario_once(tmp_path, capsys, names):
+    code = main(["run", "--scenarios", *names, "--n-stop", "4",
+                 "--out", str(tmp_path / "reports")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "unknown scenario(s): foo, bar\n"
+
+
 def test_run_empty_selection_exits_two(tmp_path):
     cfg = make_config(tmp_path, [])
     assert cmd_run(cfg, stream=io.StringIO(),

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -288,7 +289,65 @@ def test_mmse_exact_holds_one_atom_sized_array():
     tracemalloc.start()
     try:
         mmse_exact(joint)
-        peak = tracemalloc.get_traced_memory()[1]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * atom_array
+    # what stays with the core is sized by its 64 statistic letters
+    assert kept <= 0.01 * atom_array
+
+
+# --------------------------------------------------------------------------
+# one result per joint
+# --------------------------------------------------------------------------
+
+def test_mmse_exact_computes_once_per_joint(monkeypatch):
+    from mmse_lab import exact
+
+    real, tables = exact._conditional_expectation, []
+
+    def counted(joint):
+        tables.append(joint)
+        return real(joint)
+
+    monkeypatch.setattr(exact, "_conditional_expectation", counted)
+    joint = bsc_joint(0.1)
+    first = mmse_exact(joint)
+    assert mmse_exact(joint) is first
+    assert tables == [joint]
+
+
+def test_sufficient_joint_shares_the_result_of_its_core():
+    joint = builtin_scenarios()["example2"].realize(16)
+    assert mmse_exact(joint.core) is mmse_exact(joint)
+
+
+def test_kept_result_refuses_writes():
+    estimator = mmse_exact(bsc_joint(0.1)).estimator
+    for field in ("y_support", "estimates", "posterior_mass"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(estimator, field)[0] = 0.0
+
+
+def test_kept_result_dies_with_its_joint():
+    joint = bsc_joint(0.1)
+    result = weakref.ref(mmse_exact(joint))
+    del joint
+    assert result() is None
+
+
+def rebuilt(joint):
+    """A new joint object on the same arrays."""
+    if isinstance(joint, SufficientJoint):
+        return SufficientJoint(rebuilt(joint.core), joint.y_support,
+                               joint.y_stat, joint.y_given_stat)
+    return FiniteJoint(joint.x_support, joint.y_support, x_idx=joint.x_idx,
+                       y_idx=joint.y_idx, prob=joint.prob)
+
+
+@settings(max_examples=60, deadline=None)
+@given(joint=reference_joints())
+def test_kept_result_has_the_bits_of_a_fresh_joint(joint):
+    first = mmse_exact(joint)
+    assert mmse_exact(joint) is first
+    assert_same_bits(first, mmse_exact(rebuilt(joint)))

@@ -30,6 +30,7 @@ from mmse_lab import (
 )
 from mmse_lab import convergence
 from mmse_lab.degradedness import _channel_of
+from mmse_lab.mc import cube_root_bins
 from mmse_lab.probcore import (
     SAMPLE_CHUNK,
     FiniteJoint,
@@ -229,6 +230,19 @@ def test_quantization_family_hits_half_exactly(catalog):
     values = [mmse_exact(catalog["cor2_quantization"].realize(n)).mmse
               for n in range(1, 65)]
     assert max(abs(v - 0.5) for v in values) <= 1e-12
+
+
+def test_quantization_keeps_the_limit_letters_on_the_linear_grid(catalog):
+    # k * (1/n) need not give a lattice point back: 49 * (1/49) is
+    # 0.9999999999999999, which would move the letters +-1 off the limit's
+    sc = catalog["cor2_quantization"]
+    for n in range(1, 1025):
+        joint = sc.realize(n)
+        assert np.array_equal(joint.x_support, sc.limit.x_support), n
+        assert np.array_equal(joint.y_support, sc.limit.y_support), n
+    clone = dataclasses.replace(sc, name="markov-clone", markovian=True)
+    rep = run_scenario(clone, [49, 98, 103, 107], seed=0)
+    assert rep.diagnostics.markov_verified is True
 
 
 def test_additive_noise_paths_share_the_limit(catalog):
@@ -552,6 +566,32 @@ def test_example2_mc_allocates_per_bin_and_per_sample(catalog):
     finally:
         tracemalloc.stop()
     assert peak <= 17 * config.bins + 16 * config.n_samples + 2 ** 18
+
+
+@pytest.mark.parametrize("name, n", [
+    ("example4", 1024),              # 47 bins
+    ("cor1_additive", 1024),         # 47 bins; the draw takes two chunks
+    ("example2", 1024),              # 65,600 bins
+])
+def test_mc_in_caller_buffers_allocates_only_bins_and_chunks(catalog, name, n):
+    # the memory contract of the mc module docstring: with the sample
+    # buffers given, each bin holds a count (8 B), a retained flag (1 B) and
+    # a mean (8 B), and the rest is chunks of SAMPLE_CHUNK samples
+    sc = catalog[name]
+    config = RegressionConfig(
+        n_samples=convergence.MC_SAMPLES, seed=3,
+        bins=None if sc.mc_bins is None else sc.mc_bins(n))
+    bins = config.bins or cube_root_bins(config.n_samples)
+    xs, ys = np.empty((config.n_samples, 1)), np.empty((config.n_samples, 1))
+    draw = sc.mc_sampler(n)
+    mc_mmse(draw, config, xs, ys)  # lazy imports
+    tracemalloc.start()
+    try:
+        mc_mmse(draw, config, xs, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * bins + 3 * 8 * SAMPLE_CHUNK
 
 
 @pytest.mark.parametrize("name", ["example2", "example4"])
