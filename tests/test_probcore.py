@@ -360,6 +360,8 @@ def test_floor_quantize_reference_points():
     assert floor_quantize(np.array([2.7]), 1.0)[0] == 2.0
     assert floor_quantize(np.array([-0.3]), 0.25)[0] == -0.5
     assert floor_quantize(np.array([1.0]), 0.25)[0] == 1.0
+    # 49 * (1/49) is 0.9999999999999999, yet 1 is a lattice point
+    assert floor_quantize(np.array([1.0]), 1.0 / 49)[0] == 1.0
 
 
 def test_floor_quantize_rejects_bad_step():
@@ -375,7 +377,8 @@ def test_floor_quantize_rejects_bad_step():
                 allow_nan=False, allow_infinity=False),
     a=st.sampled_from([0.07, 0.25, 1.0 / 3.0, 0.5, 1.0, 2.5, 64.0]),
 )
-# x within the snap radius below a lattice point snaps up onto it
+# x within the snap radius below a lattice point counts as that point, and
+# is its own image
 @example(x=-2.1548387431351975e-15, a=2.5)
 @example(x=-2.8898570457831466e-130, a=64.0)
 def test_floor_quantize_idempotent_and_in_cell(x, a):
