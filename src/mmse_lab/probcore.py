@@ -191,7 +191,7 @@ class FiniteJoint:
         def dense():
             out = np.zeros((self.x_support.shape[0], self.y_support.shape[0]))
             out[self.x_idx, self.y_idx] = self.prob
-            return out
+            return _frozen(out)
 
         return _cached(self, "_pmf", dense)
 
@@ -206,22 +206,25 @@ class FiniteJoint:
 
 def _mass_by_row(idx: np.ndarray, prob: np.ndarray, rows: int) -> np.ndarray:
     """``np.bincount(idx, weights=prob, minlength=rows)``, adding in the
-    same order; np.add.at reads the read-only atom arrays in place, where
-    np.bincount would copy both."""
+    same order, read-only; np.add.at reads the read-only atom arrays in
+    place, where np.bincount would copy both."""
     out = np.zeros(rows)
     np.add.at(out, idx, prob)
-    return out
+    return _frozen(out)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only."""
+    arr.setflags(write=False)
+    return arr
 
 
 def _cached(owner, name: str, build):
     """``build()`` on first use, kept on the frozen ``owner`` and shared by
-    every later call.  An array is kept read-only; any other value must
-    come from ``build`` with its arrays read-only already."""
+    every later call; ``build`` returns its arrays read-only."""
     value = owner.__dict__.get(name)
     if value is None:
         value = build()
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
         owner.__dict__[name] = value
     return value
 
@@ -289,7 +292,7 @@ class SufficientJoint:
         return self.core.x_marginal()
 
     def y_marginal(self) -> np.ndarray:
-        return _cached(self, "_y_marginal", lambda: (
+        return _cached(self, "_y_marginal", lambda: _frozen(
             self.core.y_marginal()[self.y_stat] * self.y_given_stat))
 
 
@@ -473,13 +476,32 @@ def joint_from_atoms(atoms: Sequence[tuple[tuple, tuple, float]]) -> FiniteJoint
 def quantize_joint(joint: FiniteJoint, x_step: float, y_step: float) -> FiniteJoint:
     """Push a finite joint through floor quantization of both coordinates.
 
-    Atoms that land in the same cell merge; probabilities add exactly.
-    The supports are merged first, and the quantized supports keep the
-    image of every support atom, zero-mass ones included.
+    Atoms that land in the same cell (of ``floor_index``) merge;
+    probabilities add exactly.  The supports are merged first, and the
+    quantized supports keep one letter for the cell of every support atom,
+    zero-mass ones included.
     """
-    ux, xi = np.unique(floor_quantize(joint.x_support, x_step), axis=0,
-                       return_inverse=True)
-    uy, yi = np.unique(floor_quantize(joint.y_support, y_step), axis=0,
-                       return_inverse=True)
-    return _accumulate(ux, uy, xi.ravel()[joint.x_idx],
-                       yi.ravel()[joint.y_idx], joint.prob)
+    ux, xi = _quantize_support(joint.x_support, x_step)
+    uy, yi = _quantize_support(joint.y_support, y_step)
+    return _accumulate(ux, uy, xi[joint.x_idx], yi[joint.y_idx], joint.prob)
+
+
+def _quantize_support(support: np.ndarray, step: float):
+    """The sorted quantized letters of the support rows, and the letter of
+    each row.
+
+    Each coordinate quantizes on its own: the values of one coordinate
+    that share a cell of ``floor_index`` share one image, ``floor_quantize``
+    of the lowest of them.  That is the lowest lattice point among them if
+    one snapped, else k * step, so values in one cell merge even where one
+    of them is a lattice point that the product k * step does not give back.
+    """
+    index = floor_index(support, step)
+    image = np.empty_like(support)
+    for c in range(support.shape[1]):
+        cells, cell = np.unique(index[:, c], return_inverse=True)
+        lowest = np.full(cells.shape, np.inf)
+        np.minimum.at(lowest, cell, support[:, c])
+        image[:, c] = floor_quantize(lowest, step)[cell]
+    letters, letter = np.unique(image, axis=0, return_inverse=True)
+    return letters, letter.ravel()

@@ -35,6 +35,7 @@ from mmse_lab.probcore import (
     SAMPLE_CHUNK,
     FiniteJoint,
     SufficientJoint,
+    floor_index,
     floor_quantize,
     joint_from_atoms,
     moments_exact,
@@ -243,6 +244,18 @@ def test_quantization_keeps_the_limit_letters_on_the_linear_grid(catalog):
     clone = dataclasses.replace(sc, name="markov-clone", markovian=True)
     rep = run_scenario(clone, [49, 98, 103, 107], seed=0)
     assert rep.diagnostics.markov_verified is True
+
+
+def test_quantization_gives_each_cell_one_letter():
+    # 0.1 + 0.2 is 0.30000000000000004; both it and 0.3 snap to cell 3 of
+    # the 0.1 lattice, and the cell's letter is the lattice point 0.3
+    joint = joint_from_atoms([((0.0,), (0.1 + 0.2,), 0.25),
+                              ((1.0,), (0.3,), 0.25),
+                              ((1.0,), (0.35,), 0.5)])
+    q = quantize_joint(joint, 1.0, 0.1)
+    assert q.y_support.tolist() == [[0.3]]
+    assert q.x_support.tolist() == [[0.0], [1.0]]
+    assert q.pmf.tolist() == [[0.25], [0.75]]
 
 
 def test_additive_noise_paths_share_the_limit(catalog):
@@ -952,13 +965,24 @@ def _ref_joint_from_atoms(atoms):
                        pmf=pmf / pmf[pmf != 0.0].sum())
 
 
+def _ref_quantize_support(support, step):
+    # per coordinate, one image per floor_index cell: that of its lowest value
+    index = floor_index(support, step)
+    lowest = {}
+    for row, cells in zip(support, index):
+        for c, (v, k) in enumerate(zip(row, cells)):
+            lowest[c, k] = min(lowest.get((c, k), v), v)
+    images = [tuple(float(floor_quantize(lowest[c, k], step))
+                    for c, k in enumerate(cells)) for cells in index]
+    letters = sorted(set(images))
+    return np.array(letters), [letters.index(im) for im in images]
+
+
 def _ref_quantize_joint(joint, x_step, y_step):
-    ux, xi = np.unique(floor_quantize(joint.x_support, x_step), axis=0,
-                       return_inverse=True)
-    uy, yi = np.unique(floor_quantize(joint.y_support, y_step), axis=0,
-                       return_inverse=True)
+    ux, xi = _ref_quantize_support(joint.x_support, x_step)
+    uy, yi = _ref_quantize_support(joint.y_support, y_step)
     pmf = np.zeros((ux.shape[0], uy.shape[0]))
-    np.add.at(pmf, (xi.ravel()[:, None], yi.ravel()[None, :]), joint.pmf)
+    np.add.at(pmf, (np.array(xi)[:, None], np.array(yi)[None, :]), joint.pmf)
     return FiniteJoint(x_support=ux, y_support=uy, pmf=pmf)
 
 
@@ -1077,6 +1101,11 @@ def test_quantize_joint_matches_the_loop_reference():
     cells = ((np.arange(256) + 0.5) / 256)[:, None]
     lattice = FiniteJoint(x_support=cells, y_support=cells, pmf=np.eye(256) / 256)
     cases += [(lattice, 1.0 / 256, lam) for lam in (1 / 8, 1 / 16, 1 / 32)]
+    # lattice points within an ulp of each other, and a cell past one
+    near = [0.1 + 0.2, 0.3, 0.35, 0.9999999999999999, 1.0, 1.05]
+    masses = [0.125, 0.125, 0.25, 0.125, 0.125, 0.25]
+    cases += [(joint_from_atoms([((x, -x), (x,), p) for x, p in zip(near, masses)]),
+               step, step) for step in (0.1, 1.0 / 49)]
     for joint, x_step, y_step in cases:
         assert_bit_identical(quantize_joint(joint, x_step, y_step),
                              _ref_quantize_joint(joint, x_step, y_step))
