@@ -10,7 +10,11 @@ and no modeling assumption with it.
 
 Determinism: the sample stream is derived from ``config.seed`` only, and
 all reductions run in sample-index order, so identical inputs give
-bit-identical estimates on the same platform.
+bit-identical estimates on the same platform.  ``mc_mmse_vs_exact`` draws
+its atoms with ``probcore.draw_atom_indices``, the inverse CDF of
+``rng.choice`` read through a table of buckets.  The bucket count is a
+power of two, so every bucket bound is exact in floating point and the
+indices, and the generator state after them, are those of ``rng.choice``.
 
 Memory: ``mc_mmse`` works inside its two sample buffers, which the caller
 may pass in and reuse from call to call.  The draw fills them; the bin
@@ -40,6 +44,15 @@ def cube_root_bins(n: int) -> int:
     return max(1, math.ceil(n ** (1.0 / 3.0)))
 
 
+def _check_count(name: str, value) -> None:
+    """Refuse a count that is not an integer >= 1; a bool is no count."""
+    # `nan < 1` is False, so a bare comparison would let a NaN through
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < 1):
+        raise InvalidDistribution(
+            f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RegressionConfig:
     """Settings of the regressogram estimator.
@@ -54,10 +67,9 @@ class RegressionConfig:
     bins: int | None = None
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise InvalidDistribution("n_samples must be >= 1")
-        if self.bins is not None and self.bins < 1:
-            raise InvalidDistribution(f"bins must be >= 1, got {self.bins!r}")
+        _check_count("n_samples", self.n_samples)
+        if self.bins is not None:
+            _check_count("bins", self.bins)
 
 
 @dataclass(frozen=True)
@@ -93,8 +105,9 @@ def _binned_value(xs: np.ndarray, bin_idx: np.ndarray,
     # its sum, and every sample in it is filtered out below
     np.divide(means, counts[:, None], out=means, where=retained_bins[:, None])
     # the residual, in the buffer of X, gathering the means chunk by chunk
+    # (take along axis 0 gathers rows about 2.5 times as fast as means[idx])
     for part, idx in zip(_chunks(xs), _chunks(bin_idx)):
-        part -= means[idx]
+        part -= means.take(idx, axis=0)
     sq = _squared_norms_in_place(xs)
     n_eff = int(counts.sum(where=retained_bins))
     if n_eff < sq.size:
@@ -190,8 +203,8 @@ def mc_mmse_vs_exact(joint: FiniteJoint, config: RegressionConfig
     exact = mmse_exact(joint).mmse
     atom = draw_atom_indices(joint, config.n_samples,
                              rng_stream(config.seed, "mc_vs_exact"))
-    est = _binned_value(joint.x_support[joint.x_idx[atom]],
-                        joint.y_idx[atom], joint.y_support.shape[0])
+    est = _binned_value(joint.x_support.take(joint.x_idx.take(atom), axis=0),
+                        joint.y_idx.take(atom), joint.y_support.shape[0])
     if est.std_error > 0.0:
         z = (est.value - exact) / est.std_error
     else:

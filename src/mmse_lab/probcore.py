@@ -323,9 +323,37 @@ def draw_atom_indices(joint: FiniteJoint, size: int,
 
     Index ``a`` stands for the pair (x_support[x_idx[a]],
     y_support[y_idx[a]]).
+
+    The draw is the inverse CDF of ``rng.choice(prob.size, size,
+    p=prob / prob.sum())``: the same cdf (the cumulative sum of p divided
+    by its last value), the same uniforms, and so the same indices and
+    generator state.  The index of a uniform u is the number of cdf values
+    <= u.  A table of m buckets (the guide table of Chen & Asau 1974)
+    replaces most of the binary searches.  As m is a power of two, u * m
+    and c * m are exact in floating point, so u lies in bucket
+    b = floor(u * m) exactly when b <= u * m < b + 1.  Unless the bucket is
+    split, that is, some cdf value c has b < c * m < b + 1, the cdf values
+    <= u are those with c * m < b + 1, and the table holds their count.
+    Only the uniforms in split buckets are searched.
     """
-    return rng.choice(joint.prob.size, size=size,
-                      p=joint.prob / joint.prob.sum())
+    cdf = np.cumsum(joint.prob / joint.prob.sum())
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    # about 8 buckets per atom, so on average at most 1/8 of the uniforms
+    # fall in a split bucket; at most about 2 buckets per sample, so the
+    # table costs no more than the draw when the atoms outnumber the samples
+    m = 1 << max(4, (min(8 * cdf.size, 2 * size) - 1).bit_length())
+    scaled = cdf * m
+    whole = np.floor(scaled)
+    # a cdf value of 1.0 lands at m, past the last bucket
+    table = np.bincount(whole.astype(np.intp), minlength=m + 1)[:m].cumsum()
+    split = np.zeros(m, dtype=bool)
+    split[whole[whole != scaled].astype(np.intp)] = True
+    bucket = (u * m).astype(np.intp)
+    idx = table.take(bucket)
+    unsure = np.flatnonzero(split.take(bucket))
+    idx[unsure] = cdf.searchsorted(u[unsure], "right")
+    return idx
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ from mmse_lab import (
 )
 from mmse_lab import mc
 from mmse_lab.mc import MIN_BIN_COUNT, _binned_value
-from mmse_lab.probcore import draw_atom_indices, rng_stream
+from mmse_lab.probcore import SAMPLE_CHUNK, draw_atom_indices, rng_stream
+from mmse_lab.selftest import random_joint
 from mc_reference import binned_value
 from test_exact import bsc_joint
 from test_probcore import rademacher_sum_joint
@@ -94,6 +95,28 @@ def test_no_retained_bin_raises():
 def test_bin_count_below_one_rejected():
     with pytest.raises(InvalidDistribution, match="bins"):
         RegressionConfig(n_samples=100, seed=0, bins=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_samples", float("nan")),
+    ("n_samples", 1000.5),
+    ("n_samples", True),
+    ("n_samples", 0),
+    ("bins", 2.5),
+    ("bins", float("nan")),
+    ("bins", True),
+])
+def test_config_refuses_a_count_that_is_no_integer(field, value):
+    # nan < 1 is False, and True and 1000.5 compare like numbers; each would
+    # reach numpy and fail there or, as bins=2.5 did, run silently
+    with pytest.raises(InvalidDistribution, match=field):
+        RegressionConfig(**{"n_samples": 100, "seed": 0, field: value})
+
+
+def test_config_takes_numpy_integers():
+    config = RegressionConfig(n_samples=np.int64(100), seed=0,
+                              bins=np.int32(3))
+    assert (config.n_samples, config.bins) == (100, 3)
 
 
 def test_vector_measurement_rejected():
@@ -267,6 +290,101 @@ def test_mc_mmse_vs_exact_reads_read_only_samples(monkeypatch, joint, dropped):
 # --------------------------------------------------------------------------
 # mc_mmse_vs_exact
 # --------------------------------------------------------------------------
+
+def atoms_joint(masses) -> FiniteJoint:
+    """A joint whose atoms carry ``masses``, normalized, in order."""
+    prob = np.asarray(masses, dtype=float)
+    return FiniteJoint(np.arange(prob.size, dtype=float), [0.0],
+                       (prob / prob.sum())[:, None])
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponents=st.lists(st.floats(-300.0, 0.0), min_size=1, max_size=300),
+       size=st.sampled_from([0, 1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK + 1,
+                             100_000]),
+       seed=st.integers(0, 2 ** 64 - 1))
+@example(exponents=[0.0], size=100_000, seed=0)
+# long plateaus of the cdf, inside it and at its end
+@example(exponents=[0.0] + [-300.0] * 40 + [0.0] + [-300.0] * 40,
+         size=100_000, seed=1)
+def test_atom_draw_is_rng_choice(exponents, size, seed):
+    # masses from 1e-300 to 1; the bucketed draw gives rng.choice's indices
+    # and leaves the generator where rng.choice leaves it
+    joint = atoms_joint(10.0 ** np.array(exponents))
+    rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = draw_atom_indices(joint, size, rng)
+    want = want_rng.choice(joint.prob.size, size,
+                           p=joint.prob / joint.prob.sum())
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("stride", [97, 2], ids=["few_atoms", "many_atoms"])
+def test_atom_draw_is_rng_choice_where_a_uniform_is_a_cdf_value(seed, stride):
+    # uniforms are multiples of 2**-53, so atoms whose masses are the gaps
+    # between some of the stream's own uniforms have a cdf that passes
+    # exactly through them; the index of such a uniform counts the atom it
+    # closes, as searchsorted(..., "right") does.  A stride of 2 makes more
+    # atoms than a quarter of the samples, which caps the bucket count.
+    size = 2 * SAMPLE_CHUNK + 1
+    uniforms = np.random.default_rng(seed).random(size)
+    cuts = np.unique(uniforms[::stride])
+    joint = atoms_joint(np.diff(np.concatenate([[0.0], cuts, [1.0]])))
+    assert joint.prob.sum() == 1.0  # so rng.choice's cdf is the cuts
+    rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = draw_atom_indices(joint, size, rng)
+    want = want_rng.choice(joint.prob.size, size, p=joint.prob)
+    assert np.array_equal(got[::stride],
+                          np.searchsorted(cuts, uniforms[::stride]) + 1)
+    assert np.array_equal(got, want)
+    assert rng.random() == want_rng.random()
+
+
+# (value, std_error, z) of mc_mmse_vs_exact, recorded while the atom draw
+# called rng.choice itself; the seed is the sample count
+PINNED_VS_EXACT_ROWS = {
+    ("random_0", 3000):
+        (0.14456274716222314, 0.0017069374867484113, -1.0836662252394147),
+    ("random_0", 40000):
+        (0.14652138549341448, 0.00044032863051986026, 0.2472876407752039),
+    ("random_1", 3000):
+        (0.5012155349246687, 0.007144305997445525, 1.350709989872227),
+    ("random_1", 40000):
+        (0.4900972032610621, 0.002006668491024166, -0.7317831464047401),
+    ("random_2", 3000):
+        (0.7908132362273981, 0.02639290562880577, -0.5277312293791568),
+    ("random_2", 40000):
+        (0.798016086912443, 0.00725586889953753, -0.9269061972386947),
+    ("random_3", 3000):
+        (1.3747635652241526, 0.03428080580153359, 0.114204943017063),
+    ("random_3", 40000):
+        (1.3703069744945287, 0.009750839228454555, -0.05553914322578634),
+    ("random_4", 3000):
+        (1.6881632811827316, 0.03198011824443385, 1.260929163838238),
+    ("random_4", 40000):
+        (1.6504083967457701, 0.008685280103246764, 0.29587754106857206),
+    ("bsc", 3000):
+        (0.3489401295397724, 0.017378125675898044, -0.6364248174109363),
+    ("bsc", 40000):
+        (0.3589595332086713, 0.004796952173512433, -0.2169016395606349),
+}
+
+
+def _pin_joint(name: str) -> FiniteJoint:
+    if name == "bsc":
+        return bsc_joint(0.1)
+    seed = int(name.removeprefix("random_"))
+    return random_joint(rng_stream(seed, "mc_pin"))
+
+
+@pytest.mark.parametrize("name, n", sorted(PINNED_VS_EXACT_ROWS))
+def test_mc_vs_exact_rows_are_pinned(name, n):
+    est, _, z = mc_mmse_vs_exact(_pin_joint(name),
+                                 RegressionConfig(n_samples=n, seed=n))
+    assert (est.value, est.std_error, z) == PINNED_VS_EXACT_ROWS[name, n]
+
 
 def test_vs_exact_rademacher_sum_z_in_band():
     est, exact, z = mc_mmse_vs_exact(
