@@ -24,7 +24,6 @@ from .degradedness import (
 )
 from .errors import (
     AlphabetMismatch,
-    EmptySupport,
     InsufficientSamples,
     InvalidDistribution,
     MmseLabError,

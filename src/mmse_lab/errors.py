@@ -21,10 +21,6 @@ class NonPositiveStep(MmseLabError, ValueError):
     """A quantization step must be strictly positive."""
 
 
-class EmptySupport(MmseLabError, ValueError):
-    """All measurement mass is zero; no conditional estimate exists."""
-
-
 class AlphabetMismatch(MmseLabError, ValueError):
     """Channel and joint (or two channels) disagree on an alphabet."""
 

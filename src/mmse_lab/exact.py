@@ -41,8 +41,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EmptySupport, SelfCheckError
-from .probcore import FiniteJoint, SufficientJoint, _cached, _chunks
+from .errors import SelfCheckError
+from .probcore import FiniteJoint, SufficientJoint, _cached, _chunks, _freeze
 
 CHECK_TOL = 1e-10
 
@@ -75,8 +75,6 @@ def _conditional_expectation(joint: FiniteJoint) -> tuple[
     keeps a zero row, which no atom reads."""
     py = joint.y_marginal()
     keep = py > 0.0
-    if not np.any(keep):
-        raise EmptySupport("every measurement atom has zero probability")
     xa = joint.x_support[joint.x_idx]  # (nnz, k)
     by_letter = np.zeros((py.size, joint.k))
     for yi, prob, x in zip(_chunks(joint.y_idx), _chunks(joint.prob),
@@ -138,6 +136,14 @@ def _require_finite(check: str, *values) -> None:
         raise SelfCheckError(f"{check}: non-finite values {values!r}")
 
 
+def _require_close(check: str, a: float, b: float, tol: float) -> None:
+    """Raise SelfCheckError unless the two forms ``a`` and ``b`` of one
+    value are finite and within ``tol`` of each other."""
+    _require_finite(check, a, b)
+    if abs(a - b) > tol:
+        raise SelfCheckError(f"{check} disagree: {a!r} vs {b!r}")
+
+
 def mmse_exact(joint: FiniteJoint | SufficientJoint) -> MmseResult:
     """Exact MMSE of estimating X from Y under a finite joint.
 
@@ -173,20 +179,17 @@ def _mmse_exact(joint: FiniteJoint) -> MmseResult:
     px = joint.x_marginal()
     sm_x = float(px @ squared_norms(xs))
     est_sm = float(ce.posterior_mass @ (ce.estimates * ce.estimates).sum(axis=1))
-    difference = sm_x - est_sm
-    _require_finite("MMSE forms", direct, difference)
     scale = max(1.0, abs(sm_x))
-    if abs(direct - difference) > CHECK_TOL * scale:
-        raise SelfCheckError(
-            f"MMSE forms disagree: direct={direct!r} difference={difference!r}")
+    _require_close("MMSE forms (direct vs difference)", direct, sm_x - est_sm,
+                   CHECK_TOL * scale)
     eta_x = px @ xs
     trace_cx = sm_x - float(eta_x @ eta_x)
     _require_finite("prior variance bound", trace_cx)
     if direct > trace_cx + CHECK_TOL * scale:
         raise SelfCheckError(
             f"MMSE {direct!r} exceeds prior variance {trace_cx!r}")
-    for arr in (ce.y_support, ce.estimates, ce.posterior_mass):
-        arr.setflags(write=False)
+    _freeze(ce, y_support=ce.y_support, estimates=ce.estimates,
+            posterior_mass=ce.posterior_mass)
     return MmseResult(mmse=direct, estimator=ce, second_moment_x=sm_x,
                       estimator_second_moment=est_sm)
 

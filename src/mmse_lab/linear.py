@@ -22,12 +22,12 @@ the LMMSE of (X_n, Y_n) converges to that of (X, Y).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SelfCheckError
+from .exact import _require_close
 from .probcore import MomentSummary
 
 RANK_TOL_FACTOR = 1e-9
@@ -55,35 +55,23 @@ def lmmse(moments: MomentSummary) -> LmmseResult:
     """
     c_y = moments.c_y
     w, v = np.linalg.eigh((c_y + c_y.T) / 2.0)
-    w_max = float(w[-1]) if w.size else 0.0
-    if w_max <= 0.0:
-        kept = np.zeros(w.size, dtype=bool)
-    else:
-        kept = w > RANK_TOL_FACTOR * w_max
-    rank = int(kept.sum())
-    if rank == 0:
-        gain = np.zeros((moments.eta_x.shape[0], moments.eta_y.shape[0]))
-    else:
-        vr = v[:, kept]
-        inv = vr / w[kept]
-        gain = moments.c_xy @ vr @ inv.T
+    # a top eigenvalue <= 0 keeps none; the gain is then an empty product,
+    # zeros of shape (k, m)
+    kept = w > RANK_TOL_FACTOR * w[-1]
+    vr = v[:, kept]
+    gain = moments.c_xy @ vr @ (vr / w[kept]).T
     offset = moments.eta_x - gain @ moments.eta_y
     value = float(np.trace(moments.c_x - gain @ moments.c_xy.T))
     # cross-check: E||X||^2 - E||A Y + b||^2
     est_sm = float(np.trace(gain @ c_y @ gain.T)
                    + (gain @ moments.eta_y + offset) @ (gain @ moments.eta_y + offset))
-    alt = moments.second_moment_x - est_sm
-    if not (math.isfinite(value) and math.isfinite(alt)):
-        raise SelfCheckError(
-            f"LMMSE forms are non-finite: trace={value!r} second-moment={alt!r}")
     scale = max(1.0, abs(moments.second_moment_x))
-    if abs(value - alt) > FORM_TOL * scale:
-        raise SelfCheckError(
-            f"LMMSE forms disagree: trace={value!r} second-moment={alt!r}")
+    _require_close("LMMSE forms (trace vs second-moment)", value,
+                   moments.second_moment_x - est_sm, FORM_TOL * scale)
     clamped = False
     if value < 0.0:
         if value < -CLAMP_TOL * scale:
             raise SelfCheckError(f"LMMSE {value!r} below -tolerance; moments invalid")
         value, clamped = 0.0, True
     return LmmseResult(gain=gain, offset=offset, value=value,
-                       c_y_rank=rank, clamped=clamped)
+                       c_y_rank=int(kept.sum()), clamped=clamped)

@@ -136,10 +136,7 @@ class FiniteJoint:
                 raise InvalidDistribution(
                     f"pmf shape {pmf.shape} does not match supports "
                     f"({nx}, {ny})")
-            if not np.isfinite(pmf).all():
-                raise InvalidDistribution("pmf contains non-finite entries")
-            if (pmf < 0.0).any():
-                raise InvalidDistribution("pmf entries must be nonnegative")
+            _check_masses(pmf, "pmf entries")
             # the nonzero entries of a finite nonnegative matrix are
             # positive atoms in row-major order by construction
             x_idx, y_idx = np.nonzero(pmf)
@@ -155,10 +152,8 @@ class FiniteJoint:
                     "with integer indices")
             if prob.size == 0:
                 raise InvalidDistribution("a joint needs at least one atom")
-            # a NaN fails every comparison, so test finiteness first
-            if not np.isfinite(prob).all():
-                raise InvalidDistribution("atom probabilities are not finite")
-            if not (prob > 0.0).all():
+            _check_masses(prob, "atom probabilities")
+            if not prob.min() > 0.0:
                 raise InvalidDistribution("atom probabilities must be positive")
             if (x_idx.min() < 0 or x_idx.max() >= nx
                     or y_idx.min() < 0 or y_idx.max() >= ny):
@@ -176,10 +171,8 @@ class FiniteJoint:
         total = float(prob.sum())
         if abs(total - 1.0) > PMF_TOL:
             raise InvalidDistribution(f"pmf sums to {total!r}, not 1")
-        for arr, fname in ((xs, "x_support"), (ys, "y_support"),
-                           (x_idx, "x_idx"), (y_idx, "y_idx"), (prob, "prob")):
-            arr.setflags(write=False)
-            object.__setattr__(self, fname, arr)
+        _freeze(self, x_support=xs, y_support=ys, x_idx=x_idx, y_idx=y_idx,
+                prob=prob)
 
     @property
     def k(self) -> int:
@@ -217,6 +210,31 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     """``arr``, made read-only."""
     arr.setflags(write=False)
     return arr
+
+
+def _freeze(owner, **arrays: np.ndarray) -> None:
+    """Set each named field of the frozen dataclass ``owner`` to its
+    array, made read-only."""
+    for name, arr in arrays.items():
+        object.__setattr__(owner, name, _frozen(arr))
+
+
+def _check_masses(masses: np.ndarray, what: str) -> None:
+    """Refuse a non-empty array of masses unless every entry is finite and
+    nonnegative: NaN fails both comparisons, -inf the first and +inf the
+    second."""
+    if not (masses.min() >= 0.0 and masses.max() < np.inf):
+        raise InvalidDistribution(f"{what} must be finite and nonnegative")
+
+
+def _check_sums(sums: np.ndarray, what: str) -> None:
+    """Refuse unless every entry of ``sums``, one per ``what``, is 1 within
+    PMF_TOL; the message names the worst one."""
+    off = np.abs(sums - 1.0)
+    if off.max() > PMF_TOL:
+        raise InvalidDistribution(
+            f"{what}s must sum to 1 within {PMF_TOL}; worst {what} sum "
+            f"{float(sums[off.argmax()])!r}")
 
 
 def _cached(owner, name: str, build):
@@ -270,19 +288,10 @@ class SufficientJoint:
         if stat.min() < 0 or stat.max() >= letters:
             raise InvalidDistribution(
                 f"y_stat out of range for {letters} statistic letters")
-        # a NaN fails every comparison, so test finiteness first
-        if not np.isfinite(mass).all() or (mass < 0.0).any():
-            raise InvalidDistribution(
-                "y_given_stat must be finite and nonnegative")
-        totals = np.bincount(stat, weights=mass, minlength=letters)
-        if np.max(np.abs(totals - 1.0)) > PMF_TOL:
-            raise InvalidDistribution(
-                "y_given_stat must sum to 1 over the atoms of each statistic "
-                f"letter, got sums {totals!r}")
-        for arr, fname in ((ys, "y_support"), (stat, "y_stat"),
-                           (mass, "y_given_stat")):
-            arr.setflags(write=False)
-            object.__setattr__(self, fname, arr)
+        _check_masses(mass, "y_given_stat")
+        _check_sums(np.bincount(stat, weights=mass, minlength=letters),
+                    "y_given_stat letter")
+        _freeze(self, y_support=ys, y_stat=stat, y_given_stat=mass)
 
     @property
     def x_support(self) -> np.ndarray:
@@ -360,8 +369,9 @@ def draw_atom_indices(joint: FiniteJoint, size: int,
 class MomentSummary:
     """First/second moments of a pair, population convention.
 
-    Validates that every entry is finite, symmetry of the covariance blocks,
-    positive semidefiniteness down to -MOMENT_TOL, and the identity
+    Validates non-empty blocks of consistent shapes, that every entry is
+    finite, symmetry of the covariance blocks, positive semidefiniteness
+    down to -MOMENT_TOL, and the identity
     second_moment = trace(cov) + ||mean||^2 on both coordinates.
     """
 
@@ -380,8 +390,10 @@ class MomentSummary:
         c_y = np.atleast_2d(np.asarray(self.c_y, dtype=float))
         c_xy = np.atleast_2d(np.asarray(self.c_xy, dtype=float))
         k, m = eta_x.shape[0], eta_y.shape[0]
-        if c_x.shape != (k, k) or c_y.shape != (m, m) or c_xy.shape != (k, m):
-            raise InvalidDistribution("moment block shapes are inconsistent")
+        if (min(k, m) == 0 or c_x.shape != (k, k) or c_y.shape != (m, m)
+                or c_xy.shape != (k, m)):
+            raise InvalidDistribution(
+                "moment block shapes are empty or inconsistent")
         # an overflowed moment would turn the checks below into nan > tol
         if not np.isfinite(np.concatenate(
                 [eta_x, eta_y, c_x.ravel(), c_y.ravel(), c_xy.ravel(),
@@ -402,11 +414,8 @@ class MomentSummary:
                     f"second_moment_{name}={sm!r} violates trace identity "
                     f"(expected {expect!r})"
                 )
-        for arr, fname in ((eta_x, "eta_x"), (eta_y, "eta_y"), (c_x, "c_x"),
-                           (c_y, "c_y"), (c_xy, "c_xy")):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, fname, arr)
+        _freeze(self, eta_x=eta_x.copy(), eta_y=eta_y.copy(), c_x=c_x.copy(),
+                c_y=c_y.copy(), c_xy=c_xy.copy())
         object.__setattr__(self, "second_moment_x", float(self.second_moment_x))
         object.__setattr__(self, "second_moment_y", float(self.second_moment_y))
 

@@ -315,6 +315,8 @@ def test_main_rejects_inverted_grid(tmp_path, capsys):
     code = main(["run", "--scenarios", "example3", "--n-start", "9",
                  "--n-stop", "3", "--out", str(tmp_path)])
     assert code == EXIT_USAGE
+    with pytest.raises(ValueError, match="unknown spacing 'cubic'"):
+        make_config(tmp_path, ["example3"], n_spacing="cubic").n_grid()
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "0", "inf", "1e400"])

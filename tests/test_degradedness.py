@@ -1097,6 +1097,9 @@ def test_channel_rejects_non_stochastic_matrix():
         Channel(input_support=np.array([[0.0], [1.0]]),
                 output_support=np.array([[0.0], [1.0]]),
                 matrix=np.array([[0.7, 0.7], [0.5, 0.5]]))
+    for flip in (-0.1, 1.1, np.nan):
+        with pytest.raises(InvalidDistribution, match=r"outside \[0, 1\]"):
+            binary_symmetric_channel(flip)
 
 
 def binary_channel_fields(**changes) -> dict:

@@ -10,6 +10,7 @@ from mmse_lab import (
     moments_exact,
 )
 from mmse_lab.probcore import MomentSummary
+from mmse_lab.scenarios import example1_scenario
 from test_probcore import rademacher_sum_joint
 
 
@@ -97,6 +98,18 @@ def test_singular_measurement_covariance_uses_spectral_projection():
     r = lmmse(ms)
     assert r.c_y_rank == 1
     assert r.value == pytest.approx(0.5, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_constant_measurement_keeps_the_prior_mean_and_variance(n):
+    # example1 measures Y = 0: C_Y = 0 has no eigenvalue to keep, so the
+    # gain is +0.0 and the estimate is E[X], with error Var X = 1
+    ms = moments_exact(example1_scenario().realize(n))
+    r = lmmse(ms)
+    assert r.c_y_rank == 0
+    assert r.gain.tolist() == [[0.0]] and not np.signbit(r.gain).any()
+    assert r.offset.tolist() == ms.eta_x.tolist()
+    assert r.value == 1.0 and r.clamped is False
 
 
 def test_value_bounded_by_prior_trace():

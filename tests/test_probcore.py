@@ -49,6 +49,14 @@ def test_joint_rejects_negative_mass():
                     pmf=np.array([[1.5], [-0.5]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_joint_rejects_non_finite_dense_mass(bad):
+    with pytest.raises(InvalidDistribution):
+        FiniteJoint(x_support=np.array([[0.0], [1.0]]),
+                    y_support=np.array([[0.0]]),
+                    pmf=np.array([[1.0], [bad]]))
+
+
 def test_joint_rejects_unnormalized_mass():
     with pytest.raises(InvalidDistribution):
         FiniteJoint(x_support=np.array([[0.0], [1.0]]),
@@ -212,6 +220,7 @@ def test_atom_constructor_accepts_row_major_positive_atoms():
     ([], [], []),                               # no atom
     ([0.0, 1.0], [0, 1], [0.5, 0.5]),           # float indices
     ([0, 1], [0], [0.5, 0.5]),                  # lengths differ
+    (np.zeros(0, int), np.zeros(0, int), []),   # no atom, integer indices
 ])
 def test_atom_constructor_rejects_invalid_atoms(x_idx, y_idx, prob):
     with pytest.raises(InvalidDistribution):
@@ -236,6 +245,11 @@ def test_row_major_int32_atoms_on_wide_supports_are_accepted():
 def test_out_of_order_int32_atoms_on_wide_supports_are_rejected():
     with pytest.raises(InvalidDistribution, match="row-major"):
         wide_int32_joint([40_000, 0], [0, 1])
+
+
+def test_joint_from_atoms_needs_an_atom():
+    with pytest.raises(InvalidDistribution, match="at least one atom"):
+        joint_from_atoms([])
 
 
 def test_joint_needs_exactly_one_representation():
@@ -428,6 +442,21 @@ def test_moment_summary_rejects_asymmetric_covariance():
                       c_x=np.array([[1.0, 0.5], [-0.5, 1.0]]),
                       c_y=np.eye(1), c_xy=np.zeros((2, 1)),
                       second_moment_x=2.0, second_moment_y=1.0)
+
+
+@pytest.mark.parametrize("shapes", [
+    dict(eta_x=(2,), c_x=(1, 1), c_xy=(2, 1)),  # c_x not k x k
+    dict(eta_y=(2,), c_y=(1, 1), c_xy=(1, 2)),  # c_y not m x m
+    dict(c_xy=(1, 2)),                          # c_xy not k x m
+    dict(eta_x=(0,), c_x=(0, 0), c_xy=(0, 1)),  # no X coordinate
+    dict(eta_y=(0,), c_y=(0, 0), c_xy=(1, 0)),  # no Y coordinate
+])
+def test_moment_summary_rejects_inconsistent_shapes(shapes):
+    blocks = dict(eta_x=(1,), eta_y=(1,), c_x=(1, 1), c_y=(1, 1), c_xy=(1, 1))
+    blocks.update(shapes)
+    with pytest.raises(InvalidDistribution, match="shapes"):
+        MomentSummary(**{name: np.zeros(shape) for name, shape in blocks.items()},
+                      second_moment_x=0.0, second_moment_y=0.0)
 
 
 def test_moment_summary_rejects_trace_mismatch():

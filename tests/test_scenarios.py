@@ -432,6 +432,11 @@ def test_lmmse_audit_takes_no_monte_carlo_sampler(catalog):
         dataclasses.replace(catalog["example4"], audit="lmmse")
 
 
+def test_unknown_audit_is_refused(catalog):
+    with pytest.raises(InvalidDistribution, match="unknown audit 'mse'"):
+        dataclasses.replace(catalog["example1"], audit="mse")
+
+
 def test_limit_must_be_a_finite_joint(catalog):
     import dataclasses
 
@@ -1067,6 +1072,12 @@ def test_lattice_realize_allocates_near_its_supports(catalog, name):
 
 def test_example4_limit_matches_the_loop_reference(catalog):
     assert_bit_identical(catalog["example4"].limit, _ref_example4_limit())
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (1.0, 0.5)])
+def test_uniform_lattice_cells_need_a_positive_length(lo, hi):
+    with pytest.raises(InvalidDistribution, match="positive length"):
+        uniform_lattice_cells(lo, hi, 0.25)
 
 
 def test_uniform_lattice_cells_match_the_loop_reference():
