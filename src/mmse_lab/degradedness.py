@@ -102,7 +102,7 @@ HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
                  "dual_feasibility_tolerance": 1e-10}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel:
     """Row-stochastic transition matrix between two finite alphabets.
 
@@ -143,7 +143,7 @@ def binary_symmetric_channel(flip: float) -> Channel:
                    matrix=np.array([[1.0 - flip, flip], [flip, 1.0 - flip]]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GarblingCertificate:
     """Outcome of the garbling feasibility program.
 

@@ -9,28 +9,35 @@ and the minimum mean square error admits two algebraically equal forms,
     direct     = sum_ij pmf[i, j] ||x_i - g(y_j)||^2
     difference = E||X||^2 - E||g(Y)||^2.
 
-Both are computed on the first call for a joint and must agree to
-CHECK_TOL; the direct form is returned, and kept on the joint for every
-later call.  The conditional means and the direct form are sums over
-the joint's positive-mass atoms (``x_idx, y_idx, prob``), so their cost
-follows the number of atoms rather than the dense (nx, ny) table; a
-``SufficientJoint`` is reduced to its (X, T) core first.  The
-difference form is the orthogonality principle in disguise, so the
-agreement doubles as a structural self-check.  A self-check whose
-compared values are not finite (overflowing atoms, say) raises
-SelfCheckError instead of passing.
+One function, ``_mmse_exact``, builds the table of g and computes and
+checks both forms on the first call for a joint.  It returns the direct
+form, and the result, table included, is kept on the joint for every
+later call and for ``conditional_expectation``.  The conditional means
+and the direct form are sums over the joint's positive-mass atoms
+(``x_idx, y_idx, prob``), so their cost follows the number of atoms, not
+the dense (nx, ny) table; a ``SufficientJoint`` is reduced to its (X, T)
+core first.  The difference form is the orthogonality principle in
+disguise, so the agreement doubles as a structural self-check.
+
+Its three checks share one scale s = max(1, E||X||^2): the two forms
+agree to CHECK_TOL * s, the MMSE is at most trace(Cov X) + CHECK_TOL * s,
+and E[g(Y)] equals E[X] to CHECK_TOL * sqrt(s), which bounds the rounding
+of sums of size RMS(X).  A check whose compared values are not finite
+(overflowing atoms, say) raises SelfCheckError instead of passing.
 
 Memory: besides the joint and its cached marginals, ``mmse_exact`` holds
 one atom-sized (nnz, k) array, the x value of each atom, which becomes its
-residual in place.  The column weights and the gathered estimates are made
-``probcore.SAMPLE_CHUNK`` atoms at a time, and the residual is squared,
-weighted and summed in its own buffer (for k > 1 the row sums take one
-more atom-sized array).  The rest is sized by the supports, and so is the
+residual in place; E||X||^2 is formed before it exists.  The column
+weights and the gathered estimates are made ``probcore.SAMPLE_CHUNK``
+atoms at a time, and the residual is squared, weighted and summed in its
+own buffer (for k > 1 the row sums take one more atom-sized array).
+``x`` and ``r``, the last chunks of the two loops, are views of it and
+are released with it.  The rest is sized by the supports, and so is the
 result that stays with the joint: the estimator table over the
-measurement letters with mass, and three numbers.  It lives as long as the
-joint does, and holds no atom-sized array.  The joint's read-only index
-and mass arrays are read by slicing, fancy indexing and ``np.add.at``,
-which use them in place (``np.bincount``, ``np.take`` copy).
+measurement letters with mass, and three numbers.  It lives as long as
+the joint does, and holds no atom-sized array.  The joint's read-only
+index and mass arrays are read by slicing, fancy indexing and
+``np.add.at``, which use them in place (``np.bincount``, ``np.take`` copy).
 """
 
 from __future__ import annotations
@@ -42,12 +49,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SelfCheckError
-from .probcore import FiniteJoint, SufficientJoint, _cached, _chunks, _freeze
+from .probcore import FiniteJoint, SufficientJoint, _cached, _chunks, _frozen
 
 CHECK_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalExpectation:
     """Tabulated conditional mean estimate of X given Y = y.
 
@@ -63,47 +70,12 @@ class ConditionalExpectation:
 
 
 def conditional_expectation(joint: FiniteJoint) -> ConditionalExpectation:
-    """Exact conditional mean table for a finite joint."""
-    return _conditional_expectation(joint)[0]
+    """Exact conditional mean table for a finite joint: the estimator of
+    ``mmse_exact(joint)``, the same read-only object."""
+    return mmse_exact(joint).estimator
 
 
-def _conditional_expectation(joint: FiniteJoint) -> tuple[
-        ConditionalExpectation, np.ndarray, np.ndarray]:
-    """The table, with what built it, so that a caller does not repeat
-    those whole-atom passes: the estimates indexed by measurement letter
-    (ny, k) and the x value of each atom (nnz, k).  A letter without mass
-    keeps a zero row, which no atom reads."""
-    py = joint.y_marginal()
-    keep = py > 0.0
-    xa = joint.x_support[joint.x_idx]  # (nnz, k)
-    by_letter = np.zeros((py.size, joint.k))
-    for yi, prob, x in zip(_chunks(joint.y_idx), _chunks(joint.prob),
-                           _chunks(xa)):
-        for c in range(joint.k):
-            # adds in atom order, as np.bincount does, but reads the
-            # read-only y_idx in place, where np.bincount would copy it
-            np.add.at(by_letter[:, c], yi, prob * x[:, c])
-    mass = py[keep]
-    est = by_letter[keep]
-    est /= mass[:, None]
-    by_letter[keep] = est
-    ce = ConditionalExpectation(
-        y_support=joint.y_support[keep],
-        estimates=est,
-        posterior_mass=mass,
-        dropped_zero_mass=bool(not np.all(keep)),
-    )
-    # law of total expectation: E[g(Y)] must equal E[X]
-    ex = joint.x_marginal() @ joint.x_support
-    eg = ce.posterior_mass @ ce.estimates
-    _require_finite("law of total expectation", ex, eg)
-    if np.max(np.abs(ex - eg)) > CHECK_TOL * max(1.0, float(np.max(np.abs(ex)))):
-        raise SelfCheckError(
-            f"law of total expectation violated: E[X]={ex!r} vs E[g(Y)]={eg!r}")
-    return ce, by_letter, xa
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MmseResult:
     """MMSE value together with the estimator that achieves it."""
 
@@ -118,8 +90,7 @@ def squared_norms(points: np.ndarray) -> np.ndarray:
 
     The squares of scalar rows are the result, so no second array is made.
     """
-    sq = points * points
-    return sq[:, 0] if sq.shape[1] == 1 else sq.sum(axis=1)
+    return _squared_norms_in_place(points.copy())
 
 
 def _squared_norms_in_place(resid: np.ndarray) -> np.ndarray:
@@ -166,30 +137,50 @@ def mmse_exact(joint: FiniteJoint | SufficientJoint) -> MmseResult:
 def _mmse_exact(joint: FiniteJoint) -> MmseResult:
     """``mmse_exact`` of a FiniteJoint, computed afresh; the result's
     arrays are read-only, since every later call shares them."""
-    ce, by_letter, resid = _conditional_expectation(joint)
-    # the x value of each atom is no longer needed: make it the residual
+    xs = joint.x_support
+    px = joint.x_marginal()
+    sm_x = float(px @ squared_norms(xs))
+    eta_x = px @ xs
+    scale = max(1.0, abs(sm_x))
+    py = joint.y_marginal()
+    keep = py > 0.0
+    resid = xs[joint.x_idx]  # (nnz, k), the x value of each atom for now
+    # the estimates by measurement letter; a letter without mass keeps a
+    # zero row, which no atom reads
+    by_letter = np.zeros((py.size, joint.k))
+    for yi, prob, x in zip(_chunks(joint.y_idx), _chunks(joint.prob),
+                           _chunks(resid)):
+        for c in range(joint.k):
+            # adds in atom order, as np.bincount does, but reads the
+            # read-only y_idx in place, where np.bincount would copy it
+            np.add.at(by_letter[:, c], yi, prob * x[:, c])
+    by_letter /= np.where(keep, py, 1.0)[:, None]
+    mass, est = py[keep], by_letter[keep]
+    # law of total expectation: E[g(Y)] must equal E[X], up to the rounding
+    # of sums of size RMS(X)
+    eg = mass @ est
+    _require_finite("law of total expectation", eta_x, eg)
+    if np.max(np.abs(eta_x - eg)) > CHECK_TOL * math.sqrt(scale):
+        raise SelfCheckError(
+            f"law of total expectation violated: E[X]={eta_x!r} vs E[g(Y)]={eg!r}")
     for r, yi in zip(_chunks(resid), _chunks(joint.y_idx)):
         r -= by_letter[yi]
     sq = _squared_norms_in_place(resid)
     sq *= joint.prob
     direct = float(sq.sum())
-    # r, the last chunk, is a view that would keep the residual alive
-    del resid, sq, r
-    xs = joint.x_support
-    px = joint.x_marginal()
-    sm_x = float(px @ squared_norms(xs))
-    est_sm = float(ce.posterior_mass @ (ce.estimates * ce.estimates).sum(axis=1))
-    scale = max(1.0, abs(sm_x))
+    # x and r, the last chunks, are views that would keep the residual alive
+    del resid, sq, x, r
+    est_sm = float(mass @ (est * est).sum(axis=1))
     _require_close("MMSE forms (direct vs difference)", direct, sm_x - est_sm,
                    CHECK_TOL * scale)
-    eta_x = px @ xs
     trace_cx = sm_x - float(eta_x @ eta_x)
     _require_finite("prior variance bound", trace_cx)
     if direct > trace_cx + CHECK_TOL * scale:
         raise SelfCheckError(
             f"MMSE {direct!r} exceeds prior variance {trace_cx!r}")
-    _freeze(ce, y_support=ce.y_support, estimates=ce.estimates,
-            posterior_mass=ce.posterior_mass)
+    ce = ConditionalExpectation(
+        y_support=_frozen(joint.y_support[keep]), estimates=_frozen(est),
+        posterior_mass=_frozen(mass), dropped_zero_mass=bool(not np.all(keep)))
     return MmseResult(mmse=direct, estimator=ce, second_moment_x=sm_x,
                       estimator_second_moment=est_sm)
 

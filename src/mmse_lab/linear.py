@@ -35,7 +35,7 @@ FORM_TOL = 1e-8
 CLAMP_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LmmseResult:
     """Gain, offset, achieved value, and the measurement rank used."""
 

@@ -88,7 +88,7 @@ def _as_support(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class FiniteJoint:
     """Exact joint law of (X, Y) on finite supports, stored as its atoms.
 
@@ -365,14 +365,16 @@ def draw_atom_indices(joint: FiniteJoint, size: int,
     return idx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentSummary:
     """First/second moments of a pair, population convention.
 
     Validates non-empty blocks of consistent shapes, that every entry is
-    finite, symmetry of the covariance blocks, positive semidefiniteness
-    down to -MOMENT_TOL, and the identity
-    second_moment = trace(cov) + ||mean||^2 on both coordinates.
+    finite, symmetry and positive semidefiniteness of the covariance blocks,
+    and the identity second_moment = trace(cov) + ||mean||^2 on both
+    coordinates.  The tolerances are relative to the block: MOMENT_TOL
+    times max(1, largest variance) for a covariance, and times
+    max(1, |trace(cov) + ||mean||^2|) for the identity.
     """
 
     eta_x: np.ndarray        # (k,)
@@ -400,9 +402,10 @@ class MomentSummary:
                  [float(self.second_moment_x), float(self.second_moment_y)]])).all():
             raise InvalidDistribution("moments contain non-finite values")
         for mat, name in ((c_x, "c_x"), (c_y, "c_y")):
-            if np.max(np.abs(mat - mat.T)) > MOMENT_TOL:
+            tol = MOMENT_TOL * max(1.0, mat.diagonal().max())
+            if np.max(np.abs(mat - mat.T)) > tol:
                 raise InvalidDistribution(f"{name} is not symmetric")
-            if np.min(np.linalg.eigvalsh((mat + mat.T) / 2.0)) < -MOMENT_TOL:
+            if np.min(np.linalg.eigvalsh((mat + mat.T) / 2.0)) < -tol:
                 raise InvalidDistribution(f"{name} is not positive semidefinite")
         for tr, eta, sm, name in (
             (np.trace(c_x), eta_x, self.second_moment_x, "x"),
@@ -486,7 +489,11 @@ def _accumulate(x_support, y_support, xi, yi, weights) -> FiniteJoint:
     nonzero = prob != 0.0
     if not nonzero.all():
         flat, prob = flat[nonzero], prob[nonzero]
-    prob /= prob.sum()
+    total = float(prob.sum())
+    if not 0.0 < total < np.inf:
+        raise InvalidDistribution(
+            f"atom masses sum to {total!r}, not to a positive finite total")
+    prob /= total
     return FiniteJoint(x_support, y_support, x_idx=flat // ny,
                        y_idx=flat % ny, prob=prob)
 
@@ -503,10 +510,11 @@ def joint_from_atoms(atoms: Sequence[tuple[tuple, tuple, float]]) -> FiniteJoint
     if not atoms:
         raise InvalidDistribution("joint_from_atoms needs at least one atom")
     xs, ys, probs = zip(*atoms)
-    ux, xi = np.unique(np.array([np.atleast_1d(x) for x in xs], dtype=float),
-                       axis=0, return_inverse=True)
-    uy, yi = np.unique(np.array([np.atleast_1d(y) for y in ys], dtype=float),
-                       axis=0, return_inverse=True)
+    xs, ys = ([np.atleast_1d(a) for a in side] for side in (xs, ys))
+    if len({x.shape for x in xs}) > 1 or len({y.shape for y in ys}) > 1:
+        raise InvalidDistribution("x atoms, and y atoms, must each have one length")
+    ux, xi = np.unique(np.array(xs, dtype=float), axis=0, return_inverse=True)
+    uy, yi = np.unique(np.array(ys, dtype=float), axis=0, return_inverse=True)
     return _accumulate(ux, uy, xi.ravel(), yi.ravel(), probs)
 
 

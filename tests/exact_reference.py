@@ -1,8 +1,8 @@
 """The exact engine as written before its temporaries were made in place.
 
-``exact.mmse_exact`` and ``exact._conditional_expectation`` build the
-residuals in the buffer of the atoms' x values, gather and weight in chunks
-of atoms and accumulate with ``np.add.at``, as the joints' marginals now
+``exact.mmse_exact`` builds the conditional means and the residuals in
+the buffer of the atoms' x values, gathers and weights in chunks
+of atoms and accumulates with ``np.add.at``, as the joints' marginals now
 do; ``convergence._second_moments`` and ``convergence.ui_functional``
 square and weight in one buffer.  The versions below allocate a new array
 for each step and sum with ``np.bincount``, in the same IEEE operations and

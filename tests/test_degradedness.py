@@ -158,6 +158,22 @@ def test_certificate_fields_of_both_answers():
     assert 0.0 < cert.lower_bound <= cert.residual + 1e-12
 
 
+def test_channels_and_certificates_compare_and_hash_by_identity():
+    w, copy = binary_symmetric_channel(0.1), binary_symmetric_channel(0.1)
+    assert w == w and w != copy and len({w, copy}) == 2
+    cert, again = is_degraded(w, w), is_degraded(w, copy)
+    assert cert == cert and cert != again and len({cert, again}) == 2
+
+
+def test_a_lower_bound_above_the_residual_raises():
+    # G = I meets W2 = W1 exactly, so no witness can bound its residual
+    # away from 0
+    w = np.array([[0.9, 0.1], [0.2, 0.8]])
+    with pytest.raises(SelfCheckError, match="is not a bound on the residual"):
+        degradedness._shown_infeasible(w, w, np.eye(2), np.eye(2) / 2.0, 0.5,
+                                       "lp")
+
+
 def _ref_garbling_lp(m1, m2):
     """The epigraph LP's constraint matrices, built row by row."""
     n_in, n_mid = m1.shape

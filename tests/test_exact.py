@@ -157,6 +157,78 @@ def test_mmse_never_exceeds_prior_variance_random_joints():
         assert abs(r.mmse - (r.second_moment_x - r.estimator_second_moment)) <= 1e-10
 
 
+@st.composite
+def centred_joints(draw):
+    """The arrays of a joint whose X has mean 0 up to rounding, and a
+    power of ten to scale X by."""
+    k = draw(st.sampled_from([1, 2]))
+    nx = draw(st.integers(min_value=2, max_value=5))
+    ny = draw(st.integers(min_value=1, max_value=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pmf = rng.exponential(1.0, (nx, ny))
+    pmf /= pmf.sum()
+    xs = rng.normal(size=(nx, k))
+    xs -= pmf.sum(axis=1) @ xs
+    ys = np.arange(ny, dtype=float)
+    return xs, ys, pmf, 10.0 ** draw(st.integers(min_value=-6, max_value=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(centred_joints())
+def test_mmse_of_centred_x_scales_with_its_square(case):
+    # the checks scale with the size of X, not with |E[X]|: a centred X
+    # scaled up to 1e12 is checked and returned, with MMSE(sX) = s^2 MMSE(X)
+    xs, ys, pmf, s = case
+    base = mmse_exact(FiniteJoint(xs, ys, pmf))
+    scaled = mmse_exact(FiniteJoint(s * xs, ys, pmf))
+    assert (abs(scaled.mmse - s * s * base.mmse)
+            <= 1e-12 * s * s * base.second_moment_x)
+
+
+def tampered(joint, cache, values):
+    """A new joint on the arrays of ``joint`` whose cached marginal
+    ``cache`` holds ``values``: the engine then reads a wrong law."""
+    copy = FiniteJoint(joint.x_support, joint.y_support, pmf=joint.pmf)
+    copy.__dict__[cache] = np.asarray(values, dtype=float)
+    return copy
+
+
+def test_law_of_total_expectation_fires_at_scale():
+    # x = +-1e9: the tolerance is CHECK_TOL * RMS(X) = 0.1, and an X
+    # marginal off by 1e-6 moves E[X] by 2e3 from E[g(Y)] = 0
+    joint = FiniteJoint(np.array([-1e9, 1e9]), np.array([0.0, 1.0]),
+                        pmf=0.5 * np.array([[0.9, 0.1], [0.1, 0.9]]))
+    with pytest.raises(SelfCheckError, match="law of total expectation"):
+        mmse_exact(tampered(joint, "_x_marginal", [0.5 + 1e-6, 0.5 - 1e-6]))
+
+
+def test_mmse_forms_that_disagree_raise():
+    # the tampered X marginal keeps E[X] = 0 but moves E||X||^2 from 2.5
+    # to 4, which only the difference form reads
+    joint = FiniteJoint(np.array([-2.0, -1.0, 1.0, 2.0]), np.array([0.0]),
+                        pmf=np.full((4, 1), 0.25))
+    with pytest.raises(SelfCheckError,
+                       match=r"MMSE forms \(direct vs difference\) disagree"):
+        mmse_exact(tampered(joint, "_x_marginal", [0.5, 0.0, 0.0, 0.5]))
+
+
+def test_mmse_above_the_prior_variance_raises():
+    # a Y marginal 1e11 times too large shrinks every estimate to ~0, so
+    # the direct form reads E||X||^2 = 2; the two forms still agree to
+    # 1e-11, but the prior variance is 1
+    joint = bsc_joint(0.1)
+    joint = FiniteJoint(joint.x_support + 1.0, joint.y_support, pmf=joint.pmf)
+    with pytest.raises(SelfCheckError, match="exceeds prior variance 1.0"):
+        mmse_exact(tampered(joint, "_y_marginal", [0.5e11, 0.5e11]))
+
+
+def test_value_types_of_the_result_compare_by_identity():
+    result = mmse_exact(bsc_joint(0.1))
+    again = mmse_exact(bsc_joint(0.1))
+    for a, b in ((result, again), (result.estimator, again.estimator)):
+        assert a == a and a != b and len({a, b}) == 2
+
+
 # --------------------------------------------------------------------------
 # orthogonality_check
 # --------------------------------------------------------------------------
@@ -304,17 +376,22 @@ def test_mmse_exact_holds_one_atom_sized_array():
 def test_mmse_exact_computes_once_per_joint(monkeypatch):
     from mmse_lab import exact
 
-    real, tables = exact._conditional_expectation, []
+    real, tables = exact._mmse_exact, []
 
     def counted(joint):
         tables.append(joint)
         return real(joint)
 
-    monkeypatch.setattr(exact, "_conditional_expectation", counted)
+    monkeypatch.setattr(exact, "_mmse_exact", counted)
     joint = bsc_joint(0.1)
     first = mmse_exact(joint)
     assert mmse_exact(joint) is first
     assert tables == [joint]
+
+
+def test_conditional_expectation_is_the_kept_table():
+    joint = bsc_joint(0.1)
+    assert conditional_expectation(joint) is mmse_exact(joint).estimator
 
 
 def test_sufficient_joint_shares_the_result_of_its_core():

@@ -79,6 +79,19 @@ def test_offset_absorbs_translation():
     assert b.offset[0] == pytest.approx(a.offset[0] + 5.0, abs=1e-12)
 
 
+def test_negative_lmmse_beyond_the_clamp_raises():
+    # |c_xy| = 2 exceeds sqrt(c_x c_y) = 1, which MomentSummary does not
+    # check; both forms then read 1 - 4 = -3, far below -CLAMP_TOL
+    with pytest.raises(SelfCheckError, match="LMMSE -3.0 below -tolerance"):
+        lmmse(scalar_moments(1.0, 1.0, 2.0))
+
+
+def test_lmmse_results_compare_by_identity():
+    moments = scalar_moments(1.0, 1.0, 0.5)
+    a, b = lmmse(moments), lmmse(moments)
+    assert a == a and a != b and len({a, b}) == 2
+
+
 def test_tiny_negative_value_clamps_to_zero():
     # c_x one ulp below c_xy^2 / c_y makes the trace formula land at ~-1e-16
     r = lmmse(scalar_moments(1.0 - 2**-53, 1.0, 1.0))

@@ -252,6 +252,26 @@ def test_joint_from_atoms_needs_an_atom():
         joint_from_atoms([])
 
 
+@pytest.mark.parametrize("atoms, message", [
+    ([((0.0,), (0.0,), 0.5), ((1.0, 2.0), (1.0,), 0.5)], "one length"),
+    ([((0.0,), (0.0,), 0.5), ((1.0,), (1.0, 2.0), 0.5)], "one length"),
+    ([((0.0,), (0.0,), 0.5), ((1.0,), (1.0,), -0.5)], "sum to 0.0"),
+    ([((0.0,), (0.0,), -1.0)], "sum to -1.0"),
+    ([((0.0,), (0.0,), math.inf)], "sum to inf"),
+])
+def test_joint_from_atoms_refuses_bad_atoms(atoms, message):
+    # refused before numpy sees them: no bare ValueError, no warning
+    with pytest.raises(InvalidDistribution, match=message):
+        joint_from_atoms(atoms)
+
+
+def test_joints_compare_and_hash_by_identity():
+    j, copy = diagonal_pm1_joint(), diagonal_pm1_joint()
+    assert j == j and j != copy and len({j, copy}) == 2
+    ms = moments_exact(j)
+    assert ms == ms and ms != moments_exact(copy)
+
+
 def test_joint_needs_exactly_one_representation():
     xs, ys = np.array([[0.0]]), np.array([[0.0]])
     with pytest.raises(InvalidDistribution):
@@ -464,6 +484,40 @@ def test_moment_summary_rejects_trace_mismatch():
         MomentSummary(eta_x=np.zeros(1), eta_y=np.zeros(1),
                       c_x=np.eye(1), c_y=np.eye(1), c_xy=np.zeros((1, 1)),
                       second_moment_x=5.0, second_moment_y=1.0)
+
+
+def rank_deficient_joint(seed: int, scale: float) -> FiniteJoint:
+    """X = (x1, 0.3 x1, 1.7 x1 + 0.1 s) of size ``scale``, s = +-scale: Cov X
+    has rank 2 at most."""
+    rng = np.random.default_rng(seed)
+    x1 = rng.normal(0.0, scale, 6)
+    s = scale * rng.choice([-1.0, 1.0], 6)
+    pmf = rng.exponential(1.0, (6, 3))
+    return FiniteJoint(np.stack([x1, 0.3 * x1, 1.7 * x1 + 0.1 * s], axis=1),
+                       np.arange(3.0), pmf / pmf.sum())
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6, 1e9])
+def test_moments_of_a_rank_deficient_x_are_accepted_at_every_scale(scale):
+    # the rounding of a rank-deficient covariance leaves eigenvalues of
+    # about -eps times its size; they must not read as indefinite
+    for seed in range(20):
+        ms = moments_exact(rank_deficient_joint(seed, scale))
+        assert ms.c_x[1, 1] == pytest.approx(0.09 * ms.c_x[0, 0], rel=1e-12)
+
+
+@pytest.mark.parametrize("c_x, message", [
+    ([[1.0, 0.5], [-0.5, 1.0]], "c_x is not symmetric"),
+    ([[1.0, 2.0], [2.0, 1.0]], "c_x is not positive semidefinite"),
+])
+@pytest.mark.parametrize("scale", [1.0, 1e9])
+def test_relative_covariance_tolerances_refuse_at_every_scale(c_x, message,
+                                                              scale):
+    with pytest.raises(InvalidDistribution, match=message):
+        MomentSummary(eta_x=np.zeros(2), eta_y=np.zeros(1),
+                      c_x=scale * np.array(c_x), c_y=np.eye(1),
+                      c_xy=np.zeros((2, 1)), second_moment_x=2.0 * scale,
+                      second_moment_y=1.0)
 
 
 def test_moment_summary_rejects_indefinite_covariance():
