@@ -42,8 +42,11 @@ it leave the pair open:
 
        minimize t   s.t.   |(W1 G - W2)_ij| <= t,   G >= 0,   G 1 = 1.
 
-   Its G answers "yes" on the recomputed residual and row sums, whatever
-   status HiGHS reports; a "no" needs a clean solve and finite duals.
+   Its constraints, the sparse Kronecker products kron(W1, I) and
+   kron(I, 1^T), hold O(n_in n_mid n_out) nonzeros, and their build peaks
+   at a few times the CSC arrays HiGHS gets.  Its G answers "yes" on the
+   recomputed residual and row sums, whatever status HiGHS reports; a
+   "no" needs a clean solve and finite duals.
 
 Every certificate reports the recomputed max-entry residual of the
 returned G (never the solver's own objective value).  Feasibility means
@@ -371,27 +374,25 @@ def _epigraph(m1: np.ndarray, m2: np.ndarray) -> GarblingCertificate:
     n_out = m2.shape[1]
     n_g = n_mid * n_out
     # scipy.optimize is slow to import, and only the epigraph LP needs it
+    from scipy import sparse
     from scipy.optimize import linprog
 
     cost = np.zeros(n_g + 1)
     cost[-1] = 1.0
     # |(W1 G - W2)_ij| <= t as the row pair (+dev, -dev) for each entry
     # (i, j): dev = kron(W1, I), whose row (i, j) picks sum_l W1_il G_lj.
-    # It is written in place through a view, because a kron temporary
-    # raises the peak memory of the solve at 32 letters by about 5 MiB.
-    a_ub = np.empty((n_in, n_out, 2, n_g + 1))
-    dev = a_ub[:, :, 0, :n_g].reshape(n_in, n_out, n_mid, n_out)
-    np.multiply(m1[:, None, :, None], np.eye(n_out)[None, :, None, :], out=dev)
-    np.negative(a_ub[:, :, 0, :n_g], out=a_ub[:, :, 1, :n_g])
-    a_ub[..., -1] = -1.0
-    a_ub = a_ub.reshape(2 * n_in * n_out, n_g + 1)
+    # The inner product is COO: a BSR one would store explicit zeros.
+    dev = sparse.kron(m1, sparse.identity(n_out, format="coo"), format="coo")
+    a_ub = sparse.hstack([sparse.kron(dev, [[1.0], [-1.0]]),
+                          np.full((2 * n_in * n_out, 1), -1.0)])
     b_ub = np.stack([m2.ravel(), -m2.ravel()], axis=1).ravel()
     # rows of G sum to one
-    a_eq = np.hstack([np.kron(np.eye(n_mid), np.ones(n_out)),
-                      np.zeros((n_mid, 1))])
+    a_eq = sparse.hstack([sparse.kron(sparse.identity(n_mid, format="coo"),
+                                      [np.ones(n_out)]),
+                          np.zeros((n_mid, 1))])
     b_eq = np.ones(n_mid)
     result = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                     bounds=[(0.0, None)] * n_g + [(0.0, None)],
+                     bounds=(0.0, None),
                      method="highs", options=HIGHS_OPTIONS)
     if result.x is not None:
         g, residual = _garbling(result.x, m1, m2)

@@ -48,7 +48,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import SelfCheckError
+from .errors import InvalidDistribution, SelfCheckError
 from .probcore import FiniteJoint, SufficientJoint, _cached, _chunks, _frozen
 
 CHECK_TOL = 1e-10
@@ -195,8 +195,12 @@ def orthogonality_check(
     This is zero up to rounding for every bounded h; the tests shift g off
     the conditional mean to show that the check can fail.  Each test
     function maps a measurement atom (1-D array of length m) to a vector
-    of length k.
+    of length k.  A SufficientJoint, which has no (X, Y) atoms, is refused.
     """
+    if not isinstance(joint, FiniteJoint):
+        raise InvalidDistribution(
+            f"orthogonality_check needs a FiniteJoint, got "
+            f"{type(joint).__name__}")
     ce = conditional_expectation(joint)
     # the table row of each atom: the table lists the positive-mass
     # measurement columns in order, and every atom sits in one of them

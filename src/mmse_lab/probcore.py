@@ -370,11 +370,13 @@ class MomentSummary:
     """First/second moments of a pair, population convention.
 
     Validates non-empty blocks of consistent shapes, that every entry is
-    finite, symmetry and positive semidefiniteness of the covariance blocks,
-    and the identity second_moment = trace(cov) + ||mean||^2 on both
-    coordinates.  The tolerances are relative to the block: MOMENT_TOL
-    times max(1, largest variance) for a covariance, and times
-    max(1, |trace(cov) + ||mean||^2|) for the identity.
+    finite, symmetry of c_x and c_y, positive semidefiniteness of the joint
+    covariance [[c_x, c_xy], [c_xy^T, c_y]], and the identity
+    second_moment = trace(cov) + ||mean||^2 on both coordinates.  The
+    tolerances are relative: MOMENT_TOL times max(1, largest variance) for
+    the symmetry of a block, MOMENT_TOL for the smallest eigenvalue of the
+    joint covariance with each coordinate scaled by max(1, variance)^(-1/2),
+    and MOMENT_TOL times max(1, |trace(cov) + ||mean||^2|) for the identity.
     """
 
     eta_x: np.ndarray        # (k,)
@@ -401,12 +403,25 @@ class MomentSummary:
                 [eta_x, eta_y, c_x.ravel(), c_y.ravel(), c_xy.ravel(),
                  [float(self.second_moment_x), float(self.second_moment_y)]])).all():
             raise InvalidDistribution("moments contain non-finite values")
-        for mat, name in ((c_x, "c_x"), (c_y, "c_y")):
-            tol = MOMENT_TOL * max(1.0, mat.diagonal().max())
+        blocks = [(mat, name, MOMENT_TOL * max(1.0, mat.diagonal().max()))
+                  for mat, name in ((c_x, "c_x"), (c_y, "c_y"))]
+        for mat, name, tol in blocks:
             if np.max(np.abs(mat - mat.T)) > tol:
                 raise InvalidDistribution(f"{name} is not symmetric")
-            if np.min(np.linalg.eigvalsh((mat + mat.T) / 2.0)) < -tol:
-                raise InvalidDistribution(f"{name} is not positive semidefinite")
+        # The blocks can each be PSD while c_xy exceeds what they allow, as
+        # c_x = c_y = 1 with c_xy = 2 does, so the joint covariance is
+        # checked.  Scaling each coordinate by max(1, variance)^(-1/2) holds
+        # it to its own scale, cannot overflow, and makes a pass imply the
+        # block checks, which only pick the refusal message.
+        cov = np.concatenate([np.concatenate([c_x, c_xy], axis=1),
+                              np.concatenate([c_xy.T, c_y], axis=1)])
+        s = 1.0 / np.sqrt(np.maximum(cov.diagonal(), 1.0))
+        corr = (cov + cov.T) / 2.0 * s * s[:, None]
+        if np.min(np.linalg.eigvalsh(corr)) < -MOMENT_TOL:
+            for mat, name, tol in blocks:
+                if np.min(np.linalg.eigvalsh((mat + mat.T) / 2.0)) < -tol:
+                    raise InvalidDistribution(f"{name} is not positive semidefinite")
+            raise InvalidDistribution("joint covariance is not positive semidefinite")
         for tr, eta, sm, name in (
             (np.trace(c_x), eta_x, self.second_moment_x, "x"),
             (np.trace(c_y), eta_y, self.second_moment_y, "y"),

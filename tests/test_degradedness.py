@@ -4,6 +4,7 @@ import re
 import runpy
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -216,8 +217,10 @@ def spanned_pair(rng, n_in: int, n_mid: int, n_out: int) -> tuple[Channel, Chann
 @pytest.mark.parametrize("n_in, n_mid, n_out",
                          [(2, 2, 2), (3, 5, 4), (5, 3, 7), (8, 8, 8)])
 def test_garbling_lp_matches_the_loop_reference(monkeypatch, n_in, n_mid, n_out):
-    # the solver must get the same bytes, -0.0 sign bits included
+    # HiGHS must get the same bytes: linprog hands it each matrix in CSC
+    # form, so an explicit zero or a reordered entry would show here
     import scipy.optimize
+    from scipy.sparse import csc_array
 
     seen = []
     solve = scipy.optimize.linprog
@@ -235,9 +238,45 @@ def test_garbling_lp_matches_the_loop_reference(monkeypatch, n_in, n_mid, n_out)
                           n_in, n_mid, n_out)
     is_degraded(w1, w2)
     assert len(seen) == 1
-    for got, want in zip(seen[0], _ref_garbling_lp(w1.matrix, w2.matrix)):
+    a_ub, b_ub, a_eq = seen[0]
+    ref_ub, ref_b_ub, ref_eq = _ref_garbling_lp(w1.matrix, w2.matrix)
+    assert b_ub.tobytes() == ref_b_ub.tobytes()
+    for got, want in ((a_ub, ref_ub), (a_eq, ref_eq)):
+        got, want = csc_array(got), csc_array(want)
         assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        for part in ("data", "indices", "indptr"):
+            assert (getattr(got, part).tobytes()
+                    == getattr(want, part).tobytes()), part
+
+
+def test_garbling_lp_build_holds_memory_of_its_sparse_matrices(monkeypatch):
+    # the memory contract of the module docstring, as a ratio to the CSC
+    # arrays HiGHS gets; the LP is built at 64 letters and not solved.  A
+    # dense A_ub (256 MiB here) puts the peak at 42 times their 6.2 MiB
+    import scipy.optimize
+    from scipy.sparse import csc_array
+
+    class Built(Exception):
+        pass
+
+    seen = []
+
+    def record(c, A_ub, b_ub, A_eq, b_eq, **kwargs):
+        seen.append((A_ub, A_eq))
+        raise Built
+
+    monkeypatch.setattr(scipy.optimize, "linprog", record)
+    w1, w2 = square_garbling_pair(64, 61)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Built):
+            degradedness._epigraph(w1.matrix, w2.matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    csc = sum(part.nbytes for a in seen[0] for m in [csc_array(a)]
+              for part in (m.data, m.indices, m.indptr))
+    assert peak <= 5.0 * csc
 
 
 def garbling_pair(rng, n_in: int, n_mid: int, n_out: int) -> tuple[Channel, Channel]:
@@ -1197,8 +1236,8 @@ def run_after_import(code: str, **environ: str) -> str:
 def test_decisions_do_not_depend_on_the_blas_thread_count():
     # from 128 letters on, the LU route's certificate bits differ between
     # one and two OpenBLAS threads; the verdicts and the LP calls may not.
-    # The LP is recorded, not solved: at 256 letters it would not fit in
-    # memory.
+    # The LP is recorded, not solved: at 256 letters HiGHS would take far
+    # too long (a 128-letter solve did not finish in 9 minutes).
     code = (
         "import numpy as np\n"
         "from mmse_lab import Channel, degradedness, is_degraded, rng_stream\n"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mmse_lab import (
     FiniteJoint,
+    InvalidDistribution,
     SelfCheckError,
     conditional_expectation,
     mmse_exact,
@@ -250,6 +251,14 @@ def test_orthogonality_flags_perturbed_estimator(monkeypatch):
     # E[(X - Xhat) * 1] = -0.1 by hand
     worst = orthogonality_check(diagonal_pm1_joint(), [lambda y: np.ones(1)])
     assert worst >= 0.09
+
+
+def test_orthogonality_check_refuses_a_sufficient_joint():
+    # a SufficientJoint has no (X, Y) atoms to weigh the test functions on
+    joint = builtin_scenarios()["example2"].realize(16)
+    assert isinstance(joint, SufficientJoint)
+    with pytest.raises(InvalidDistribution, match="got SufficientJoint"):
+        orthogonality_check(joint, [lambda y: y])
 
 
 @st.composite

@@ -44,11 +44,15 @@ def test_lmmse_overflowing_atoms_fail_loudly():
 
 
 def test_lmmse_overflowing_gain_fails_loudly():
-    # finite moments whose gain C_XY / C_Y overflows: both forms turn
-    # non-finite and must raise instead of comparing as equal
+    # moments whose gain C_XY / C_Y overflows: both forms turn non-finite
+    # and must raise instead of comparing as equal.  MomentSummary refuses
+    # |c_xy| = 1e10 > sqrt(c_x c_y), so the field is replaced after
+    # construction
+    moments = scalar_moments(1.0, 1e-300, 0.0)
+    object.__setattr__(moments, "c_xy", np.array([[1e10]]))
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(SelfCheckError, match="non-finite"):
-        lmmse(scalar_moments(1.0, 1e-300, 1e10))
+        lmmse(moments)
 
 
 def test_rademacher_sum_lmmse_equals_mmse():
@@ -80,10 +84,13 @@ def test_offset_absorbs_translation():
 
 
 def test_negative_lmmse_beyond_the_clamp_raises():
-    # |c_xy| = 2 exceeds sqrt(c_x c_y) = 1, which MomentSummary does not
-    # check; both forms then read 1 - 4 = -3, far below -CLAMP_TOL
+    # MomentSummary refuses |c_xy| = 2 > sqrt(c_x c_y) = 1, so the field is
+    # replaced after construction; both forms then read 1 - 4 = -3, far
+    # below -CLAMP_TOL
+    moments = scalar_moments(1.0, 1.0, 0.5)
+    object.__setattr__(moments, "c_xy", np.array([[2.0]]))
     with pytest.raises(SelfCheckError, match="LMMSE -3.0 below -tolerance"):
-        lmmse(scalar_moments(1.0, 1.0, 2.0))
+        lmmse(moments)
 
 
 def test_lmmse_results_compare_by_identity():

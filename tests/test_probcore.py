@@ -526,3 +526,22 @@ def test_moment_summary_rejects_indefinite_covariance():
                       c_x=np.array([[1.0, 2.0], [2.0, 1.0]]),
                       c_y=np.eye(1), c_xy=np.zeros((2, 1)),
                       second_moment_x=2.0, second_moment_y=1.0)
+
+
+@pytest.mark.parametrize("c_x, c_y", [(1.0, 1.0), (1e9, 1e9), (1.0, 1e12)])
+def test_moment_summary_rejects_an_indefinite_joint_covariance(c_x, c_y):
+    # each block is PSD, but |c_xy| = 2 sqrt(c_x c_y) exceeds what they
+    # allow.  At mixed scales, (1, 1e12, 2e6), the smallest eigenvalue of
+    # the joint covariance (about -3) is far inside a tolerance taken from
+    # the largest variance (1e-10 * 1e12)
+    def summary(corr):
+        return MomentSummary(eta_x=np.zeros(1), eta_y=np.zeros(1),
+                             c_x=[[c_x]], c_y=[[c_y]],
+                             c_xy=[[corr * np.sqrt(c_x * c_y)]],
+                             second_moment_x=c_x, second_moment_y=c_y)
+
+    with pytest.raises(InvalidDistribution,
+                       match="joint covariance is not positive semidefinite"):
+        summary(2.0)
+    # Y a multiple of X, whose joint covariance is singular, stays valid
+    assert summary(1.0).c_xy[0, 0] == np.sqrt(c_x * c_y)
