@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degradedness import Channel, _channel_of, is_degraded
-from .errors import MmseLabError, ScenarioRunError
+from .errors import InvalidDistribution, MmseLabError, ScenarioRunError
 from .exact import mmse_exact, squared_norms
 from .linear import lmmse
 from .mc import RegressionConfig, mc_mmse
@@ -108,7 +108,10 @@ class ConvergenceReport:
 
 def ui_functional(joint: FiniteJoint | SufficientJoint,
                   threshold: float) -> float:
-    """E[ 1{||X||^2 > a} ||X||^2 ] for the prior marginal of a joint."""
+    """E[ 1{||X||^2 > a} ||X||^2 ] for the prior marginal of a joint; the
+    threshold a must be finite, since every comparison with nan is False."""
+    if not math.isfinite(threshold):
+        raise InvalidDistribution(f"threshold must be finite, got {threshold!r}")
     sq = squared_norms(joint.x_support)
     above = sq > threshold
     sq *= joint.x_marginal()

@@ -8,12 +8,12 @@ and achieves
 
     lmmse = trace( C_X - C_XY C_Y^+ C_XY^T ).
 
-Singular measurement covariance is not an error: the pseudo-inverse is
-taken on the eigenspace with eigenvalues above ``RANK_TOL_FACTOR`` times the
-largest one, which amounts to discarding linearly dependent measurement
-coordinates.  The trace form is cross-checked against the second-moment
-difference  E||X||^2 - E||A Y + b||^2  on every call; forms that are not
-finite raise SelfCheckError instead of passing the comparison.
+All three come from the ``probcore.schur_split`` that ``MomentSummary``
+accepted the moments on and kept: C_Y is inverted where, scaled to about unit
+variances, its eigenvalues exceed ``MOMENT_TOL``, and the value is clamped
+at the split's slack.  On every call the returned gain and offset must
+reproduce the value as E||X||^2 - E||A Y + b||^2 and E[X] as A E[Y] + b;
+forms that are not finite raise SelfCheckError.
 
 The standard statement of continuity: if the means and covariances of
 (X_n, Y_n) converge to those of (X, Y) and the limit C_Y is nonsingular,
@@ -30,9 +30,7 @@ from .errors import SelfCheckError
 from .exact import _require_close
 from .probcore import MomentSummary
 
-RANK_TOL_FACTOR = 1e-9
 FORM_TOL = 1e-8
-CLAMP_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,29 +47,30 @@ class LmmseResult:
 def lmmse(moments: MomentSummary) -> LmmseResult:
     """Best affine estimator and its mean square error.
 
-    Never raises on singular C_Y; the computation projects onto the
-    numerically nonzero eigenspace.  A value within CLAMP_TOL below zero is
-    clamped to zero and flagged.
+    A value within the split's slack below zero is clamped to zero and
+    flagged.  Nothing that ``MomentSummary`` accepted raises; SelfCheckError
+    means a summary changed after construction, or an engine bug.
     """
-    c_y = moments.c_y
-    w, v = np.linalg.eigh((c_y + c_y.T) / 2.0)
-    # a top eigenvalue <= 0 keeps none; the gain is then an empty product,
-    # zeros of shape (k, m)
-    kept = w > RANK_TOL_FACTOR * w[-1]
-    vr = v[:, kept]
-    gain = moments.c_xy @ vr @ (vr / w[kept]).T
-    offset = moments.eta_x - gain @ moments.eta_y
-    value = float(np.trace(moments.c_x - gain @ moments.c_xy.T))
-    # cross-check: E||X||^2 - E||A Y + b||^2
-    est_sm = float(np.trace(gain @ c_y @ gain.T)
-                   + (gain @ moments.eta_y + offset) @ (gain @ moments.eta_y + offset))
+    p, gain, offset, rank, remainder, slack = moments._split
+    unscale = -2 * p[:gain.shape[0]]  # back to the units of X
+    value = float(np.ldexp(remainder.diagonal()[:unscale.size], unscale).sum())
+    # E||A Y + b||^2 = trace(A C_Y A^T) + ||eta_X||^2, through the returned
+    # gain and the raw C_Y, whose rounding grows with the gain as S's does
     scale = max(1.0, abs(moments.second_moment_x))
     _require_close("LMMSE forms (trace vs second-moment)", value,
-                   moments.second_moment_x - est_sm, FORM_TOL * scale)
+                   moments.second_moment_x - moments.eta_x @ moments.eta_x
+                   - float(((gain @ moments.c_y) * gain).sum()),
+                   (FORM_TOL + slack) * scale)
+    # the error X - A Y - b has mean zero, to the rounding of the offset,
+    # which a large A eta_Y can make far larger than Var X
+    bias = moments.eta_x - gain @ moments.eta_y - offset
+    size = np.abs(moments.eta_x) + np.abs(gain) @ np.abs(moments.eta_y)
+    _require_close("LMMSE means (E[X] vs E[A Y + b])", float(np.abs(bias).sum()),
+                   0.0, FORM_TOL * float(size.sum()))
     clamped = False
     if value < 0.0:
-        if value < -CLAMP_TOL * scale:
+        if value < -float(np.ldexp(slack, unscale).sum()):
             raise SelfCheckError(f"LMMSE {value!r} below -tolerance; moments invalid")
         value, clamped = 0.0, True
     return LmmseResult(gain=gain, offset=offset, value=value,
-                       c_y_rank=int(kept.sum()), clamped=clamped)
+                       c_y_rank=rank, clamped=clamped)

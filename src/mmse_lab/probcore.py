@@ -365,18 +365,57 @@ def draw_atom_indices(joint: FiniteJoint, size: int,
     return idx
 
 
+def schur_split(eta_x, eta_y, c_x, c_y, c_xy):
+    """The covariance [[c_x, c_xy], [c_xy^T, c_y]] split at the measured
+    directions, in coordinates scaled to about unit variance.
+
+    Coordinate i is scaled by 2**p_i, p_i = -(binary exponent of its
+    variance // 2), or by 1 for a variance <= 0, which in the normal range
+    rounds nothing.  Eigenvalues w of the scaled C_Y above MOMENT_TOL are
+    kept (+), the rest dropped (0), G = C_XY V_+ W_+^-1 V_+^T, and the
+    remainder [[S, B_0], [B_0^T, W_0]], S = C_X - G C_YX, B_0 = C_XY V_0,
+    is PSD exactly when the covariance is.  Returns the p_i, the gain G and
+    offset eta_x - G eta_y in the units of the moments, both read-only, the
+    rank, the remainder, and its slack: MOMENT_TOL plus the rounding of S.
+    eigh and the sums behind the moments move C_Y by some eps ||C_Y||,
+    which moves S by that times ||G||^2; 16 eps covers sums over thousands
+    of atoms.  Nothing raises; an entry that overflows comes out inf or nan.
+    """
+    k = c_x.shape[0]
+    cov = np.concatenate([np.concatenate([c_x, c_xy], axis=1),
+                          np.concatenate([c_xy.T, c_y], axis=1)])
+    p = -(np.frexp(np.maximum(cov.diagonal(), 0.0))[1] // 2)  # 0.0 has 0
+    cov = np.ldexp(cov, p[:, None] + p)
+    cxy, cy = cov[:k, k:], cov[k:, k:]
+    w, v = np.linalg.eigh((cy + cy.T) / 2.0)
+    d = int(np.count_nonzero(w <= MOMENT_TOL))  # w ascends: these d are dropped
+    vr = v[:, d:]
+    # with no eigenvalue kept, the gain is an empty product: zeros
+    gain = cxy @ vr @ (vr / w[d:]).T
+    b0 = cxy @ v[:, :d]
+    remainder = np.concatenate([
+        np.concatenate([cov[:k, :k] - gain @ cxy.T, b0], axis=1),
+        np.concatenate([b0.T, np.diag(w[:d])], axis=1)])
+    slack = MOMENT_TOL + 16 * np.finfo(float).eps * w.sum() * (gain * gain).sum()
+    gain = _frozen(np.ldexp(gain, p[k:] - p[:k, None]))
+    return p, gain, _frozen(eta_x - gain @ eta_y), w.size - d, remainder, float(slack)
+
+
+def _psd(mat: np.ndarray, tol: float) -> bool:
+    # eigvalsh may make up an answer for a matrix that is not finite
+    return np.isfinite(mat).all() and np.linalg.eigvalsh(mat)[0] >= -tol
+
+
 @dataclass(frozen=True, eq=False)
 class MomentSummary:
     """First/second moments of a pair, population convention.
 
-    Validates non-empty blocks of consistent shapes, that every entry is
-    finite, symmetry of c_x and c_y, positive semidefiniteness of the joint
-    covariance [[c_x, c_xy], [c_xy^T, c_y]], and the identity
-    second_moment = trace(cov) + ||mean||^2 on both coordinates.  The
-    tolerances are relative: MOMENT_TOL times max(1, largest variance) for
-    the symmetry of a block, MOMENT_TOL for the smallest eigenvalue of the
-    joint covariance with each coordinate scaled by max(1, variance)^(-1/2),
-    and MOMENT_TOL times max(1, |trace(cov) + ||mean||^2|) for the identity.
+    Validates non-empty blocks of consistent shapes, finite entries, and
+    second_moment = trace(cov) + ||mean||^2 to MOMENT_TOL times
+    max(1, |trace(cov) + ||mean||^2|).  In the scaled coordinates of
+    ``schur_split`` c_x and c_y are symmetric to MOMENT_TOL, the remainder
+    has no eigenvalue below -slack, so the joint covariance is PSD, and the
+    gain and offset are finite.  The split is kept for ``linear.lmmse``.
     """
 
     eta_x: np.ndarray        # (k,)
@@ -403,25 +442,25 @@ class MomentSummary:
                 [eta_x, eta_y, c_x.ravel(), c_y.ravel(), c_xy.ravel(),
                  [float(self.second_moment_x), float(self.second_moment_y)]])).all():
             raise InvalidDistribution("moments contain non-finite values")
-        blocks = [(mat, name, MOMENT_TOL * max(1.0, mat.diagonal().max()))
-                  for mat, name in ((c_x, "c_x"), (c_y, "c_y"))]
-        for mat, name, tol in blocks:
-            if np.max(np.abs(mat - mat.T)) > tol:
-                raise InvalidDistribution(f"{name} is not symmetric")
-        # The blocks can each be PSD while c_xy exceeds what they allow, as
-        # c_x = c_y = 1 with c_xy = 2 does, so the joint covariance is
-        # checked.  Scaling each coordinate by max(1, variance)^(-1/2) holds
-        # it to its own scale, cannot overflow, and makes a pass imply the
-        # block checks, which only pick the refusal message.
-        cov = np.concatenate([np.concatenate([c_x, c_xy], axis=1),
-                              np.concatenate([c_xy.T, c_y], axis=1)])
-        s = 1.0 / np.sqrt(np.maximum(cov.diagonal(), 1.0))
-        corr = (cov + cov.T) / 2.0 * s * s[:, None]
-        if np.min(np.linalg.eigvalsh(corr)) < -MOMENT_TOL:
-            for mat, name, tol in blocks:
-                if np.min(np.linalg.eigvalsh((mat + mat.T) / 2.0)) < -tol:
-                    raise InvalidDistribution(f"{name} is not positive semidefinite")
-            raise InvalidDistribution("joint covariance is not positive semidefinite")
+        # a scaled entry far outside what a covariance allows may overflow;
+        # _psd then refuses it, and no nan passes a comparison
+        with np.errstate(over="ignore", invalid="ignore"):
+            split = schur_split(eta_x, eta_y, c_x, c_y, c_xy)
+            p, _, offset, _, remainder, slack = split
+            blocks = (("c_x", np.ldexp(c_x, p[:k, None] + p[:k])),
+                      ("c_y", np.ldexp(c_y, p[k:, None] + p[k:])))
+            for name, mat in blocks:
+                if (np.abs(mat - mat.T) > MOMENT_TOL).any():
+                    raise InvalidDistribution(f"{name} is not symmetric")
+            # a PSD remainder implies PSD blocks: these pick the message
+            if not _psd(remainder, slack):
+                name = next((name for name, mat in blocks
+                             if not _psd((mat + mat.T) / 2.0, MOMENT_TOL)),
+                            "joint covariance")
+                raise InvalidDistribution(f"{name} is not positive semidefinite")
+        # an infinite gain entry times any finite eta_y is not finite
+        if not np.isfinite(offset).all():
+            raise InvalidDistribution("the LMMSE gain or offset overflows")
         for tr, eta, sm, name in (
             (np.trace(c_x), eta_x, self.second_moment_x, "x"),
             (np.trace(c_y), eta_y, self.second_moment_y, "y"),
@@ -436,10 +475,16 @@ class MomentSummary:
                 c_y=c_y.copy(), c_xy=c_xy.copy())
         object.__setattr__(self, "second_moment_x", float(self.second_moment_x))
         object.__setattr__(self, "second_moment_y", float(self.second_moment_y))
+        # a summary cannot change, so lmmse reads the split made here
+        object.__setattr__(self, "_split", split)
 
 
 def moments_exact(joint: FiniteJoint) -> MomentSummary:
-    """Exact moments of a finite joint (weighted sums over atoms)."""
+    """Exact moments of a finite joint (weighted sums over atoms).  A
+    SufficientJoint, which has no (X, Y) atoms, is refused."""
+    if not isinstance(joint, FiniteJoint):
+        raise InvalidDistribution(
+            f"moments_exact needs a FiniteJoint, got {type(joint).__name__}")
     xs = joint.x_support[joint.x_idx]
     ys = joint.y_support[joint.y_idx]
     w = joint.prob / joint.prob.sum()

@@ -337,6 +337,13 @@ def assert_matches_reference(joint):
                 == exact_reference.ui_functional(joint, a))
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
+def test_ui_functional_refuses_a_non_finite_threshold(threshold):
+    # ||X||^2 > nan is False for every atom, so nan would read as 0.0
+    with pytest.raises(InvalidDistribution, match="threshold must be finite"):
+        convergence.ui_functional(diagonal_pm1_joint(), threshold)
+
+
 @settings(max_examples=150, deadline=None)
 @given(joint=reference_joints(), chunk=st.sampled_from([1, 3, None]))
 def test_in_place_engine_matches_the_allocating_reference(joint, chunk):

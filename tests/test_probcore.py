@@ -18,6 +18,7 @@ from mmse_lab import (
     rng_stream,
 )
 from mmse_lab.probcore import MomentSummary
+from mmse_lab.scenarios import builtin_scenarios
 
 
 def rademacher_sum_joint() -> FiniteJoint:
@@ -368,6 +369,14 @@ def test_independent_product_has_zero_cross_covariance():
                     np.outer([0.25, 0.75], [0.5, 0.25, 0.25]))
     ms = moments_exact(j)
     np.testing.assert_allclose(ms.c_xy, np.zeros((1, 1)), atol=1e-10)
+
+
+def test_moments_exact_refuses_a_sufficient_joint():
+    # a SufficientJoint has no (X, Y) atoms to take the cross moments over
+    joint = builtin_scenarios()["example2"].realize(16)
+    assert isinstance(joint, SufficientJoint)
+    with pytest.raises(InvalidDistribution, match="got SufficientJoint"):
+        moments_exact(joint)
 
 
 # --------------------------------------------------------------------------
