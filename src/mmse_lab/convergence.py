@@ -24,8 +24,8 @@ says to watch:
   escaping-mass scenario keeps it pinned at 1.
 * ``markov_verified`` — for a scenario that claims ``markovian``, whether
   ``is_degraded`` finds P(Y_n | X) a garbling of the limit's P(Y | X),
-  X — Y — Y_n, on the same X law within PMF_TOL at every grid index (None
-  for the rest).  A SufficientJoint is decided on its (X, T) core.
+  X — Y — Y_n, on the same X law (the same letters carry mass, within
+  PMF_TOL) at every index (None for the rest), on a SufficientJoint's core.
 
 Memory: one index holds one realized law at a time.  The law is realized,
 checked, reduced to its second moments and its audited value (and, at the
@@ -58,6 +58,7 @@ from .probcore import (
     FiniteJoint,
     SufficientJoint,
     _chunks,
+    _core,
     moments_exact,
     rng_stream,
 )
@@ -254,20 +255,11 @@ def _mc_rows(scenario: ScenarioSequence, grid: list[int],
 
 
 def _check_realized(scenario: ScenarioSequence, n: int, joint) -> None:
-    """Raise ScenarioRunError unless ``joint`` is a law the audit can read.
-
-    The LMMSE audit reads every (X_n, Y_n) atom, which a SufficientJoint
-    does not hold.
-    """
-    where = f"scenario {scenario.name!r}: realize({n}) returned"
-    if isinstance(joint, SufficientJoint) and scenario.audit == "lmmse":
-        raise ScenarioRunError(
-            f"{where} a SufficientJoint; its LMMSE audit needs the (X, Y) "
-            "atoms of a FiniteJoint")
+    """Raise ScenarioRunError unless ``joint`` is a law at all."""
     if not isinstance(joint, (FiniteJoint, SufficientJoint)):
         raise ScenarioRunError(
-            f"{where} {type(joint).__name__}, not a FiniteJoint or "
-            "SufficientJoint")
+            f"scenario {scenario.name!r}: realize({n}) returned "
+            f"{type(joint).__name__}, not a FiniteJoint or SufficientJoint")
 
 
 def _derived_seed(seed: int, tag: str, n: int) -> int:
@@ -276,9 +268,10 @@ def _derived_seed(seed: int, tag: str, n: int) -> int:
 
 def _is_garbling(limit: FiniteJoint, w: Channel, joint) -> bool:
     """X — Y — Y_n for the limit's channel ``w`` (see the module docstring)?"""
-    joint = joint.core if isinstance(joint, SufficientJoint) else joint
+    joint = _core(joint)
     px, px_n = limit.x_marginal(), joint.x_marginal()
     return bool(np.array_equal(joint.x_support, limit.x_support)
+                and np.array_equal(px_n > 0.0, px > 0.0)
                 and np.abs(px_n - px).max() <= PMF_TOL
                 and is_degraded(w, _channel_of(joint)).feasible)
 

@@ -92,8 +92,8 @@ import numpy as np
 
 from .errors import AlphabetMismatch, InvalidDistribution, SelfCheckError
 from .exact import mmse_exact
-from .probcore import (FiniteJoint, _as_support, _check_masses, _check_sums,
-                       _freeze)
+from .probcore import (FiniteJoint, _as_support, _atoms, _check_masses,
+                       _check_sums, _freeze)
 
 FEASIBILITY_TOL = 1e-7
 ORDER_TOL = 1e-10             # garbling may lower the exact MMSE by this much
@@ -428,6 +428,7 @@ def compose(joint: FiniteJoint, channel: Channel) -> FiniteJoint:
     atom-for-atom.  The prior (X marginal) is preserved exactly because
     channel rows sum to one.
     """
+    joint = _atoms(joint, "compose")
     if not np.array_equal(channel.input_support, joint.y_support):
         raise AlphabetMismatch(
             "channel input alphabet differs from the joint measurement support")
@@ -439,6 +440,7 @@ def compose(joint: FiniteJoint, channel: Channel) -> FiniteJoint:
 def _channel_of(joint: FiniteJoint) -> Channel:
     """P(Y | X) of a joint, on the X letters with mass (the others put no
     constraint on a garbling of Y)."""
+    joint = _atoms(joint, "_channel_of")
     px = joint.x_marginal()
     matrix = np.zeros((px.size, joint.y_support.shape[0]))
     matrix[joint.x_idx, joint.y_idx] = joint.prob / px[joint.x_idx]
@@ -453,6 +455,7 @@ def blackwell_verify(joint: FiniteJoint, channel: Channel) -> tuple[float, float
     ORDER_TOL.  Information processing makes `ordered` true for every valid
     input.
     """
+    joint = _atoms(joint, "blackwell_verify")
     before = mmse_exact(joint).mmse
     after = mmse_exact(compose(joint, channel)).mmse
     return before, after, bool(after >= before - ORDER_TOL)

@@ -48,8 +48,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidDistribution, SelfCheckError
-from .probcore import FiniteJoint, SufficientJoint, _cached, _chunks, _frozen
+from .errors import SelfCheckError
+from .probcore import (FiniteJoint, SufficientJoint, _atoms, _cached, _chunks,
+                       _core, _frozen)
 
 CHECK_TOL = 1e-10
 
@@ -69,9 +70,11 @@ class ConditionalExpectation:
     dropped_zero_mass: bool
 
 
-def conditional_expectation(joint: FiniteJoint) -> ConditionalExpectation:
+def conditional_expectation(joint: FiniteJoint | SufficientJoint
+                            ) -> ConditionalExpectation:
     """Exact conditional mean table for a finite joint: the estimator of
-    ``mmse_exact(joint)``, the same read-only object."""
+    ``mmse_exact(joint)``, the same read-only object.  For a SufficientJoint
+    the table is over the letters of T, not of Y."""
     return mmse_exact(joint).estimator
 
 
@@ -129,8 +132,7 @@ def mmse_exact(joint: FiniteJoint | SufficientJoint) -> MmseResult:
     core), with its arrays read-only, and every later call returns that
     same object.
     """
-    if isinstance(joint, SufficientJoint):
-        joint = joint.core
+    joint = _core(joint)
     return _cached(joint, "_mmse", lambda: _mmse_exact(joint))
 
 
@@ -197,10 +199,7 @@ def orthogonality_check(
     function maps a measurement atom (1-D array of length m) to a vector
     of length k.  A SufficientJoint, which has no (X, Y) atoms, is refused.
     """
-    if not isinstance(joint, FiniteJoint):
-        raise InvalidDistribution(
-            f"orthogonality_check needs a FiniteJoint, got "
-            f"{type(joint).__name__}")
+    joint = _atoms(joint, "orthogonality_check")
     ce = conditional_expectation(joint)
     # the table row of each atom: the table lists the positive-mass
     # measurement columns in order, and every atom sits in one of them

@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import InsufficientSamples, InvalidDistribution
 from .exact import _squared_norms_in_place, mmse_exact
-from .probcore import Draw, FiniteJoint, _chunks, draw_atom_indices, rng_stream
+from .probcore import (Draw, FiniteJoint, _atoms, _chunks, draw_atom_indices,
+                       rng_stream)
 
 MIN_BIN_COUNT = 5
 
@@ -200,6 +201,7 @@ def mc_mmse_vs_exact(joint: FiniteJoint, config: RegressionConfig
     z = (mc - exact) / std_error.  A zero standard error with matching
     values reports z = 0.
     """
+    joint = _atoms(joint, "mc_mmse_vs_exact")
     exact = mmse_exact(joint).mmse
     atom = draw_atom_indices(joint, config.n_samples,
                              rng_stream(config.seed, "mc_vs_exact"))

@@ -274,9 +274,7 @@ class SufficientJoint:
     y_given_stat: np.ndarray  # (ny,) P(Y = y | T = T(y))
 
     def __post_init__(self):
-        if not isinstance(self.core, FiniteJoint):
-            raise InvalidDistribution(
-                f"core must be a FiniteJoint, got {type(self.core).__name__}")
+        _atoms(self.core, "a SufficientJoint's core")
         ys = _as_support(self.y_support, "y_support")
         stat = np.asarray(self.y_stat)
         mass = np.asarray(self.y_given_stat, dtype=float)
@@ -303,6 +301,19 @@ class SufficientJoint:
     def y_marginal(self) -> np.ndarray:
         return _cached(self, "_y_marginal", lambda: _frozen(
             self.core.y_marginal()[self.y_stat] * self.y_given_stat))
+
+
+def _atoms(joint, caller: str) -> FiniteJoint:
+    """Law-form rule where (X, Y) atoms are read: a FiniteJoint, or refused."""
+    if not isinstance(joint, FiniteJoint):
+        raise InvalidDistribution(
+            f"{caller} needs a FiniteJoint, got {type(joint).__name__}")
+    return joint
+
+
+def _core(joint: FiniteJoint | SufficientJoint) -> FiniteJoint:
+    """Law-form rule for the MMSE: a SufficientJoint's (X, T) core, or joint."""
+    return joint.core if isinstance(joint, SufficientJoint) else joint
 
 
 # a string, because evaluating np.random here would import numpy.random,
@@ -482,9 +493,7 @@ class MomentSummary:
 def moments_exact(joint: FiniteJoint) -> MomentSummary:
     """Exact moments of a finite joint (weighted sums over atoms).  A
     SufficientJoint, which has no (X, Y) atoms, is refused."""
-    if not isinstance(joint, FiniteJoint):
-        raise InvalidDistribution(
-            f"moments_exact needs a FiniteJoint, got {type(joint).__name__}")
+    joint = _atoms(joint, "moments_exact")
     xs = joint.x_support[joint.x_idx]
     ys = joint.y_support[joint.y_idx]
     w = joint.prob / joint.prob.sum()
@@ -586,6 +595,7 @@ def quantize_joint(joint: FiniteJoint, x_step: float, y_step: float) -> FiniteJo
     quantized supports keep one letter for the cell of every support atom,
     zero-mass ones included.
     """
+    joint = _atoms(joint, "quantize_joint")
     ux, xi = _quantize_support(joint.x_support, x_step)
     uy, yi = _quantize_support(joint.y_support, y_step)
     return _accumulate(ux, uy, xi[joint.x_idx], yi[joint.y_idx], joint.prob)

@@ -121,11 +121,11 @@ class ScenarioSequence:
     ``realize(n)`` produces the exact law of (X_n, Y_n) and ``limit`` is the
     exact law of (X, Y), a FiniteJoint.  ``realize(n)`` returns a
     FiniteJoint, or a SufficientJoint when a statistic T of Y_n with
-    X_n — T(Y_n) — Y_n carries all that Y_n says about X_n; the LMMSE
-    audit reads every (X_n, Y_n) atom, so a scenario with it must return a
-    FiniteJoint.  ``markovian`` claims that every Y_n is a garbling of the
-    limit's Y over the same X law, X — Y — Y_n; ``run_scenario`` decides
-    the claim at every grid index and reports it as ``markov_verified``.
+    X_n — T(Y_n) — Y_n carries all that Y_n says about X_n; which engines
+    and audits it feeds is ``probcore``'s law-form rule.  ``markovian``
+    claims that every Y_n is a garbling of the limit's Y over the same X
+    law, X — Y — Y_n; ``run_scenario`` decides the claim at every grid
+    index and reports it as ``markov_verified``.
     ``mc_sampler(n)`` is a draw function (``probcore.Draw``) of the
     un-quantized continuous law for the Monte Carlo cross-path: it fills
     the caller's (size, 1) sample arrays of X_n and Y_n, with no array of

@@ -7,8 +7,11 @@ exact), and the textbook formulas are evaluated at 60 digits:
     A = C_XY C_Y^-1,   b = eta_X - A eta_Y,   value = trace(C_X - A C_XY^T).
 
 C_Y must be nonsingular, or zero: a zero C_Y tells nothing, so A = 0 and
-the value is trace(C_X).  Nothing is clamped; a value below zero means the
-moments are not those of any pair.
+the value is trace(C_X).  C_Y^-1 is D (D C_Y D)^-1 D for D = diag(C_Y)^-1/2,
+so that mpmath's pivot test, which is relative to the largest entry, does
+not call a C_Y singular only because its coordinates differ in scale.
+Nothing is clamped; a value below zero means the moments are not those of
+any pair.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ def lmmse(eta_x, eta_y, c_x, c_y, c_xy):
         if all(v == 0 for v in cy):
             gain = mpmath.zeros(cxy.rows, cxy.cols)
         else:
-            gain = cxy * mpmath.inverse(cy)
+            d = mpmath.diag([1 / mpmath.sqrt(cy[i, i]) for i in range(cy.rows)])
+            gain = cxy * d * mpmath.inverse(d * cy * d) * d
         explained = gain * cxy.T
         value = mpmath.fsum(cx[i, i] - explained[i, i] for i in range(cx.rows))
         return value, gain, ex - gain * ey

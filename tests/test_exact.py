@@ -253,14 +253,6 @@ def test_orthogonality_flags_perturbed_estimator(monkeypatch):
     assert worst >= 0.09
 
 
-def test_orthogonality_check_refuses_a_sufficient_joint():
-    # a SufficientJoint has no (X, Y) atoms to weigh the test functions on
-    joint = builtin_scenarios()["example2"].realize(16)
-    assert isinstance(joint, SufficientJoint)
-    with pytest.raises(InvalidDistribution, match="got SufficientJoint"):
-        orthogonality_check(joint, [lambda y: y])
-
-
 @st.composite
 def small_joints(draw):
     nx = draw(st.integers(min_value=1, max_value=5))

@@ -15,6 +15,7 @@ from mmse_lab import (
     mmse_exact,
     moments_exact,
 )
+from mmse_lab.linear import FORM_TOL
 from mmse_lab.probcore import MOMENT_TOL, MomentSummary, schur_split
 from mmse_lab.scenarios import example1_scenario
 from test_probcore import rademacher_sum_joint
@@ -317,3 +318,60 @@ def test_lmmse_is_refused_or_meets_the_60_digit_reference(case):
     assert (abs(r.offset[0] - offset)
             <= LAW_REL * (abs(eta_x) + unit * abs(eta_y))
             + LAW_ABS * (1 + abs(eta_y)))
+
+
+def _matrix(draw, rows: int, cols: int, bound: float) -> np.ndarray:
+    entries = st.floats(-bound, bound)
+    return np.array([[draw(entries) for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
+def vector_moment_cases(draw):
+    """(eta_x, eta_y, c_x, c_y, c_xy) of X = A Y + noise for k, m <= 3.
+
+    C_Y = Q diag(w) Q^T for a reflection Q and w from 1e-10 to 1, the
+    noise covariance of rank up to k from 1e-12 to 1 or zero, and each
+    coordinate then scaled by 10^e, |e| <= 30.  The split's scaled C_Y then
+    has eigenvalues from about 1e-10 to 2.
+    """
+    k, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    # a Householder reflection that mixes every coordinate of Y
+    v = np.array([draw(st.floats(0.1, 1.0)) for _ in range(m)])
+    q = np.eye(m) - 2.0 * np.outer(v, v) / (v @ v)
+    w = 10.0 ** np.array([draw(st.floats(-10.0, 0.0)) for _ in range(m)])
+    c_y = (q * w) @ q.T
+    gain = _matrix(draw, k, m, 10.0)
+    noise = _matrix(draw, k, k, 1.0)
+    noise = noise @ noise.T * draw(st.one_of(
+        st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e), st.just(0.0)))
+    cov = np.block([[gain @ c_y @ gain.T + noise, gain @ c_y],
+                    [c_y @ gain.T, c_y]])
+    scale = 10.0 ** np.array([draw(st.floats(-30.0, 30.0)) for _ in range(k + m)])
+    cov = cov * scale[:, None] * scale
+    cov = (cov + cov.T) / 2.0
+    eta = np.array([draw(st.floats(-10.0, 10.0)) for _ in range(k + m)])
+    eta *= np.sqrt(cov.diagonal())
+    return eta[:k], eta[k:], cov[:k, :k], cov[k:, k:], cov[:k, k:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_moment_cases())
+def test_vector_lmmse_is_refused_or_within_the_slack_of_the_reference(case):
+    # the law of the scalar test above for vectors, with the tolerance lmmse
+    # itself clamps at: the split's slack in the units of X, plus the
+    # FORM_TOL of its two-form check
+    eta_x, eta_y, c_x, c_y, c_xy = case
+    try:
+        ms = MomentSummary(eta_x=eta_x, eta_y=eta_y, c_x=c_x, c_y=c_y,
+                           c_xy=c_xy, second_moment_x=np.trace(c_x) + eta_x @ eta_x,
+                           second_moment_y=np.trace(c_y) + eta_y @ eta_y)
+    except InvalidDistribution:
+        return
+    p, _, _, rank, _, slack = ms._split
+    if rank < c_y.shape[0]:
+        return  # the reference inverts C_Y, which the split calls singular
+    r = lmmse(ms)  # raises no SelfCheckError
+    value, _, _ = lmmse_reference.lmmse(eta_x, eta_y, c_x, c_y, c_xy)
+    tol = (float(np.ldexp(slack, -2 * p[:eta_x.size]).sum())
+           + FORM_TOL * max(1.0, ms.second_moment_x))
+    assert abs(r.value - max(value, 0)) <= tol

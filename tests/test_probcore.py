@@ -6,17 +6,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmse_lab import (
+    Channel,
     FiniteJoint,
     InvalidDistribution,
     NonPositiveStep,
+    RegressionConfig,
     SufficientJoint,
+    blackwell_verify,
+    compose,
     floor_quantize,
     joint_from_atoms,
+    mc_mmse_vs_exact,
     mmse_exact,
     moments_exact,
+    orthogonality_check,
     quantize_joint,
     rng_stream,
 )
+from mmse_lab.degradedness import _channel_of
 from mmse_lab.probcore import MomentSummary
 from mmse_lab.scenarios import builtin_scenarios
 
@@ -371,12 +378,34 @@ def test_independent_product_has_zero_cross_covariance():
     np.testing.assert_allclose(ms.c_xy, np.zeros((1, 1)), atol=1e-10)
 
 
-def test_moments_exact_refuses_a_sufficient_joint():
-    # a SufficientJoint has no (X, Y) atoms to take the cross moments over
-    joint = builtin_scenarios()["example2"].realize(16)
+# Every entry that reads the (X, Y) atoms of a law, called on a law.  A
+# SufficientJoint holds no such atoms, so each must refuse it before any
+# work, by the law-form rule, and never with an AttributeError.
+ATOM_READERS = {
+    "moments_exact": moments_exact,
+    "orthogonality_check": lambda j: orthogonality_check(j, [lambda y: y]),
+    "compose": lambda j: compose(j, _identity_channel(j.y_support)),
+    "blackwell_verify": lambda j: blackwell_verify(
+        j, _identity_channel(j.y_support)),
+    "mc_mmse_vs_exact": lambda j: mc_mmse_vs_exact(
+        j, RegressionConfig(n_samples=1000, seed=0)),
+    "quantize_joint": lambda j: quantize_joint(j, 0.5, 0.5),
+    "_channel_of": _channel_of,
+}
+
+
+def _identity_channel(alphabet: np.ndarray) -> Channel:
+    return Channel(alphabet, alphabet, np.eye(alphabet.shape[0]))
+
+
+@pytest.mark.parametrize("name, n", [("example2", 16), ("cor1_additive", 4)])
+@pytest.mark.parametrize("entry", ATOM_READERS)
+def test_atom_readers_refuse_a_sufficient_joint(entry, name, n):
+    joint = builtin_scenarios()[name].realize(n)
     assert isinstance(joint, SufficientJoint)
-    with pytest.raises(InvalidDistribution, match="got SufficientJoint"):
-        moments_exact(joint)
+    with pytest.raises(InvalidDistribution,
+                       match=f"{entry} needs a FiniteJoint, got SufficientJoint"):
+        ATOM_READERS[entry](joint)
 
 
 # --------------------------------------------------------------------------

@@ -395,7 +395,7 @@ def test_reduced_realization_is_refused_where_every_atom_is_read(catalog):
     clone = dataclasses.replace(catalog["cor1_additive"], name="reduced-clone",
                                 audit="lmmse", mc_sampler=None)
     with pytest.raises(ScenarioRunError,
-                       match=r"reduced-clone.*realize\(1\).*LMMSE audit"):
+                       match=r"reduced-clone.*moments_exact needs a FiniteJoint"):
         run_scenario(clone, [1, 2], seed=0)
 
 
@@ -422,6 +422,28 @@ def test_markovian_claim_needs_the_limit_x_law(catalog):
                          pmf=np.array([[0.54, 0.06], [0.04, 0.36]]))
     clone = dataclasses.replace(sc, name="tilted", realize=lambda n: tilted)
     assert run_scenario(clone, [1], seed=0).diagnostics.markov_verified is False
+
+
+@pytest.mark.parametrize("side", ["limit", "realization"])
+def test_markovian_claim_needs_the_limit_x_letters_with_mass(catalog, side):
+    # markov_degraded_family on the X letters {-1, 0, 1}: one side puts 1e-13,
+    # within PMF_TOL, on X = 0, taken from a cell of X = -1, and the other
+    # puts none.  Each channel keeps only the letters with mass, so their
+    # input alphabets differ; that is another X law, not a failed run.
+    import dataclasses
+
+    def joint(pmf, moved):
+        pmf = np.insert(pmf, 1, 0.0, axis=0)
+        pmf[0, 0] -= moved
+        pmf[1, 0] += moved
+        return FiniteJoint(np.array([-1.0, 0.0, 1.0]), np.array([-1.0, 1.0]), pmf)
+
+    sc = catalog["markov_degraded_family"]
+    on_limit = 1e-13 if side == "limit" else 0.0
+    clone = dataclasses.replace(
+        sc, name="near-empty-letter", limit=joint(sc.limit.pmf, on_limit),
+        realize=lambda n: joint(sc.realize(n).pmf, 1e-13 - on_limit))
+    assert run_scenario(clone, [1, 2], seed=0).diagnostics.markov_verified is False
 
 
 def test_lmmse_audit_takes_no_monte_carlo_sampler(catalog):
