@@ -27,6 +27,11 @@ says to watch:
   X — Y — Y_n, on the same X law (the same letters carry mass, within
   PMF_TOL) at every index (None for the rest), on a SufficientJoint's core.
 
+The second moments in the rows and gaps are the ones each law keeps
+(``probcore._second_moments``), which ``mmse_exact`` and ``moments_exact``
+read too: one exactly rounded sum per side and law, whatever the BLAS
+thread count.
+
 Memory: one index holds one realized law at a time.  The law is realized,
 checked, reduced to its second moments and its audited value (and, at the
 last index only, to the ``ui_proxy``), and dropped before the next index.
@@ -42,7 +47,6 @@ bin-sized arrays and chunks, and no page of the buffers is faulted twice.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -50,15 +54,16 @@ import numpy as np
 
 from .degradedness import Channel, _channel_of, is_degraded
 from .errors import InvalidDistribution, MmseLabError, ScenarioRunError
-from .exact import mmse_exact, squared_norms
+from .exact import mmse_exact
 from .linear import lmmse
 from .mc import RegressionConfig, mc_mmse
 from .probcore import (
     PMF_TOL,
     FiniteJoint,
     SufficientJoint,
-    _chunks,
     _core,
+    _second_moments,
+    _squared_norms_in_place,
     moments_exact,
     rng_stream,
 )
@@ -113,28 +118,11 @@ def ui_functional(joint: FiniteJoint | SufficientJoint,
     threshold a must be finite, since every comparison with nan is False."""
     if not math.isfinite(threshold):
         raise InvalidDistribution(f"threshold must be finite, got {threshold!r}")
-    sq = squared_norms(joint.x_support)
+    sq = _squared_norms_in_place(joint.x_support.copy())
     above = sq > threshold
     sq *= joint.x_marginal()
     sq *= above
     return float(sq.sum())
-
-
-def _second_moments(joint: FiniteJoint | SufficientJoint
-                    ) -> tuple[float, float]:
-    return (_second_moment(joint.x_support, joint.x_marginal()),
-            _second_moment(joint.y_support, joint.y_marginal()))
-
-
-def _second_moment(points: np.ndarray, marginal: np.ndarray) -> float:
-    # math.fsum, not a BLAS dot: a threaded dot splits long sums across
-    # threads, so its last bits would depend on the BLAS thread count.
-    # fsum is exactly rounded, so feeding it Python floats chunk by chunk
-    # gives the bits of fsum(sq) without walking numpy scalars.
-    sq = squared_norms(points)
-    sq *= marginal
-    return math.fsum(itertools.chain.from_iterable(
-        chunk.tolist() for chunk in _chunks(sq)))
 
 
 def _audit_value(scenario: ScenarioSequence,

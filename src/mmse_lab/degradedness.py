@@ -92,8 +92,8 @@ import numpy as np
 
 from .errors import AlphabetMismatch, InvalidDistribution, SelfCheckError
 from .exact import mmse_exact
-from .probcore import (FiniteJoint, _as_support, _atoms, _check_masses,
-                       _check_sums, _freeze)
+from .probcore import (FiniteJoint, _as_array, _as_support, _atoms,
+                       _check_masses, _check_sums, _freeze)
 
 FEASIBILITY_TOL = 1e-7
 ORDER_TOL = 1e-10             # garbling may lower the exact MMSE by this much
@@ -112,11 +112,11 @@ class Channel:
     Each alphabet is a support as ``FiniteJoint`` takes one: a non-empty
     1-D or 2-D array of finite, pairwise distinct letters (0.0 and -0.0
     are the same letter).  The constructor raises InvalidDistribution for
-    a support that is not, for a matrix whose shape is not (n_in, n_out),
-    for a non-finite or negative entry, and for a row that does not sum to
-    1 within ``probcore.PMF_TOL``.  It stores read-only copies of all three
-    arrays, so a caller that changes its own arrays later does not change
-    the channel.
+    ragged or non-numeric input, for a support that is not, for a matrix
+    whose shape is not (n_in, n_out), for a non-finite or negative entry,
+    and for a row that does not sum to 1 within ``probcore.PMF_TOL``.  It
+    stores read-only copies of all three arrays, so a caller that changes
+    its own arrays later does not change the channel.
     """
 
     input_support: np.ndarray   # (n_in, d)
@@ -126,7 +126,7 @@ class Channel:
     def __post_init__(self):
         ins = _as_support(self.input_support, "input_support")
         outs = _as_support(self.output_support, "output_support")
-        mat = np.asarray(self.matrix, dtype=float)
+        mat = _as_array(self.matrix, "matrix")
         if mat.shape != (ins.shape[0], outs.shape[0]):
             raise InvalidDistribution(
                 f"matrix shape {mat.shape} does not match alphabets "

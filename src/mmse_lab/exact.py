@@ -25,9 +25,10 @@ and E[g(Y)] equals E[X] to CHECK_TOL * sqrt(s), which bounds the rounding
 of sums of size RMS(X).  A check whose compared values are not finite
 (overflowing atoms, say) raises SelfCheckError instead of passing.
 
-Memory: besides the joint and its cached marginals, ``mmse_exact`` holds
-one atom-sized (nnz, k) array, the x value of each atom, which becomes its
-residual in place; E||X||^2 is formed before it exists.  The column
+Memory: besides the joint and what it keeps, ``mmse_exact`` holds one
+atom-sized (nnz, k) array, the x value of each atom, which becomes its
+residual in place.  E||X||^2 is read from the law, which keeps it with its
+marginals (``probcore._second_moments``), before that array exists.  The column
 weights and the gathered estimates are made ``probcore.SAMPLE_CHUNK``
 atoms at a time, and the residual is squared, weighted and summed in its
 own buffer (for k > 1 the row sums take one more atom-sized array).
@@ -50,7 +51,7 @@ import numpy as np
 
 from .errors import SelfCheckError
 from .probcore import (FiniteJoint, SufficientJoint, _atoms, _cached, _chunks,
-                       _core, _frozen)
+                       _core, _frozen, _second_moments, _squared_norms_in_place)
 
 CHECK_TOL = 1e-10
 
@@ -86,20 +87,6 @@ class MmseResult:
     estimator: ConditionalExpectation
     second_moment_x: float
     estimator_second_moment: float
-
-
-def squared_norms(points: np.ndarray) -> np.ndarray:
-    """||p||^2 of each row of a (n, d) array, as a new (n,) array.
-
-    The squares of scalar rows are the result, so no second array is made.
-    """
-    return _squared_norms_in_place(points.copy())
-
-
-def _squared_norms_in_place(resid: np.ndarray) -> np.ndarray:
-    """Squared row norms of the (n, k) residual, squared in its buffer."""
-    resid *= resid
-    return resid[:, 0] if resid.shape[1] == 1 else resid.sum(axis=1)
 
 
 def _require_finite(check: str, *values) -> None:
@@ -139,14 +126,12 @@ def mmse_exact(joint: FiniteJoint | SufficientJoint) -> MmseResult:
 def _mmse_exact(joint: FiniteJoint) -> MmseResult:
     """``mmse_exact`` of a FiniteJoint, computed afresh; the result's
     arrays are read-only, since every later call shares them."""
-    xs = joint.x_support
-    px = joint.x_marginal()
-    sm_x = float(px @ squared_norms(xs))
-    eta_x = px @ xs
+    sm_x = _second_moments(joint)[0]
+    eta_x = joint.x_marginal() @ joint.x_support
     scale = max(1.0, abs(sm_x))
     py = joint.y_marginal()
     keep = py > 0.0
-    resid = xs[joint.x_idx]  # (nnz, k), the x value of each atom for now
+    resid = joint.x_support[joint.x_idx]  # (nnz, k), each atom's x for now
     # the estimates by measurement letter; a letter without mass keeps a
     # zero row, which no atom reads
     by_letter = np.zeros((py.size, joint.k))

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamples, InvalidDistribution
-from .exact import _squared_norms_in_place, mmse_exact
-from .probcore import (Draw, FiniteJoint, _atoms, _chunks, draw_atom_indices,
-                       rng_stream)
+from .exact import mmse_exact
+from .probcore import (Draw, FiniteJoint, _atoms, _chunks,
+                       _squared_norms_in_place, draw_atom_indices, rng_stream)
 
 MIN_BIN_COUNT = 5
 

@@ -37,6 +37,8 @@ Conventions (load-bearing, relied on by tests):
 
 from __future__ import annotations
 
+import itertools
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -67,8 +69,17 @@ def rng_stream(seed: int, *tags: int | str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(words))
 
 
+def _as_array(values, name: str, dtype=float) -> np.ndarray:
+    """``np.asarray(values, dtype)``; input that numpy cannot make into an
+    array, ragged or not numeric, raises InvalidDistribution naming it."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError) as err:
+        raise InvalidDistribution(f"{name} is not a numeric array: {err}") from None
+
+
 def _as_support(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = _as_array(values, name)
     if arr.ndim == 1:
         arr = arr[:, None]
     # size 0 also refuses a support of rows with no coordinates
@@ -131,7 +142,7 @@ class FiniteJoint:
             raise InvalidDistribution(
                 "give either a dense pmf or the atoms x_idx, y_idx, prob")
         if pmf is not None:
-            pmf = np.asarray(pmf, dtype=float)
+            pmf = _as_array(pmf, "pmf")
             if pmf.shape != (nx, ny):
                 raise InvalidDistribution(
                     f"pmf shape {pmf.shape} does not match supports "
@@ -143,8 +154,9 @@ class FiniteJoint:
             prob = pmf[x_idx, y_idx]
             xs, ys = xs.copy(), ys.copy()
         else:
-            x_idx, y_idx = np.asarray(self.x_idx), np.asarray(self.y_idx)
-            prob = np.asarray(self.prob, dtype=float)
+            x_idx = _as_array(self.x_idx, "x_idx", None)
+            y_idx = _as_array(self.y_idx, "y_idx", None)
+            prob = _as_array(self.prob, "prob")
             if not (prob.ndim == 1 and x_idx.shape == y_idx.shape == prob.shape
                     and x_idx.dtype.kind in "iu" and y_idx.dtype.kind in "iu"):
                 raise InvalidDistribution(
@@ -239,7 +251,7 @@ def _check_sums(sums: np.ndarray, what: str) -> None:
 
 def _cached(owner, name: str, build):
     """``build()`` on first use, kept on the frozen ``owner`` and shared by
-    every later call; ``build`` returns its arrays read-only."""
+    every later call; ``build`` returns any array in it read-only."""
     value = owner.__dict__.get(name)
     if value is None:
         value = build()
@@ -276,8 +288,8 @@ class SufficientJoint:
     def __post_init__(self):
         _atoms(self.core, "a SufficientJoint's core")
         ys = _as_support(self.y_support, "y_support")
-        stat = np.asarray(self.y_stat)
-        mass = np.asarray(self.y_given_stat, dtype=float)
+        stat = _as_array(self.y_stat, "y_stat", None)
+        mass = _as_array(self.y_given_stat, "y_given_stat")
         ny, letters = ys.shape[0], self.core.y_support.shape[0]
         if not (stat.shape == mass.shape == (ny,) and stat.dtype.kind in "iu"):
             raise InvalidDistribution(
@@ -337,6 +349,34 @@ def _chunks(a: np.ndarray):
         yield a[start:start + SAMPLE_CHUNK]
 
 
+def _squared_norms_in_place(rows: np.ndarray) -> np.ndarray:
+    """||r||^2 of each row of a (n, k) array, squared in its buffer; for
+    k = 1 the result is a view of it, so no second array is made."""
+    rows *= rows
+    return rows[:, 0] if rows.shape[1] == 1 else rows.sum(axis=1)
+
+
+def _second_moment(points: np.ndarray, weights: np.ndarray) -> float:
+    """sum_i weights[i] ||points[i]||^2, exactly rounded: math.fsum, not a
+    BLAS dot, whose threads split long sums, so its last bits would depend
+    on the BLAS thread count.  Fed Python floats chunk by chunk, fsum gives
+    the bits of fsum(sq) without walking numpy scalars."""
+    sq = _squared_norms_in_place(points.copy())
+    sq *= weights
+    return math.fsum(itertools.chain.from_iterable(
+        chunk.tolist() for chunk in _chunks(sq)))
+
+
+def _second_moments(joint: FiniteJoint | SufficientJoint) -> tuple[float, float]:
+    """The law's E||X||^2 and E||Y||^2, reduced on first use and kept on it
+    like its marginals; a SufficientJoint keeps E||X||^2 on its core."""
+    core = _core(joint)
+    return (_cached(core, "_second_moment_x", lambda: _second_moment(
+                core.x_support, core.x_marginal())),
+            _cached(joint, "_second_moment_y", lambda: _second_moment(
+                joint.y_support, joint.y_marginal())))
+
+
 def draw_atom_indices(joint: FiniteJoint, size: int,
                       rng: np.random.Generator) -> np.ndarray:
     """``size`` atom indices of ``joint`` drawn with the atom probabilities.
@@ -354,8 +394,10 @@ def draw_atom_indices(joint: FiniteJoint, size: int,
     b = floor(u * m) exactly when b <= u * m < b + 1.  Unless the bucket is
     split, that is, some cdf value c has b < c * m < b + 1, the cdf values
     <= u are those with c * m < b + 1, and the table holds their count.
-    Only the uniforms in split buckets are searched.
+    Only the uniforms in split buckets are searched.  A SufficientJoint,
+    which has no (X, Y) atoms, is refused.
     """
+    joint = _atoms(joint, "draw_atom_indices")
     cdf = np.cumsum(joint.prob / joint.prob.sum())
     cdf /= cdf[-1]
     u = rng.random(size)
@@ -438,20 +480,23 @@ class MomentSummary:
     second_moment_y: float
 
     def __post_init__(self):
-        eta_x = np.atleast_1d(np.asarray(self.eta_x, dtype=float))
-        eta_y = np.atleast_1d(np.asarray(self.eta_y, dtype=float))
-        c_x = np.atleast_2d(np.asarray(self.c_x, dtype=float))
-        c_y = np.atleast_2d(np.asarray(self.c_y, dtype=float))
-        c_xy = np.atleast_2d(np.asarray(self.c_xy, dtype=float))
+        eta_x = np.atleast_1d(_as_array(self.eta_x, "eta_x"))
+        eta_y = np.atleast_1d(_as_array(self.eta_y, "eta_y"))
+        c_x = np.atleast_2d(_as_array(self.c_x, "c_x"))
+        c_y = np.atleast_2d(_as_array(self.c_y, "c_y"))
+        c_xy = np.atleast_2d(_as_array(self.c_xy, "c_xy"))
+        sm_x = _as_array(self.second_moment_x, "second_moment_x")
+        sm_y = _as_array(self.second_moment_y, "second_moment_y")
         k, m = eta_x.shape[0], eta_y.shape[0]
         if (min(k, m) == 0 or c_x.shape != (k, k) or c_y.shape != (m, m)
-                or c_xy.shape != (k, m)):
+                or c_xy.shape != (k, m) or sm_x.ndim or sm_y.ndim):
             raise InvalidDistribution(
                 "moment block shapes are empty or inconsistent")
+        sm_x, sm_y = float(sm_x), float(sm_y)
         # an overflowed moment would turn the checks below into nan > tol
         if not np.isfinite(np.concatenate(
                 [eta_x, eta_y, c_x.ravel(), c_y.ravel(), c_xy.ravel(),
-                 [float(self.second_moment_x), float(self.second_moment_y)]])).all():
+                 [sm_x, sm_y]])).all():
             raise InvalidDistribution("moments contain non-finite values")
         # a scaled entry far outside what a covariance allows may overflow;
         # _psd then refuses it, and no nan passes a comparison
@@ -473,25 +518,26 @@ class MomentSummary:
         if not np.isfinite(offset).all():
             raise InvalidDistribution("the LMMSE gain or offset overflows")
         for tr, eta, sm, name in (
-            (np.trace(c_x), eta_x, self.second_moment_x, "x"),
-            (np.trace(c_y), eta_y, self.second_moment_y, "y"),
+            (np.trace(c_x), eta_x, sm_x, "x"),
+            (np.trace(c_y), eta_y, sm_y, "y"),
         ):
             expect = float(tr + eta @ eta)
-            if abs(expect - float(sm)) > MOMENT_TOL * max(1.0, abs(expect)):
+            if abs(expect - sm) > MOMENT_TOL * max(1.0, abs(expect)):
                 raise InvalidDistribution(
                     f"second_moment_{name}={sm!r} violates trace identity "
                     f"(expected {expect!r})"
                 )
         _freeze(self, eta_x=eta_x.copy(), eta_y=eta_y.copy(), c_x=c_x.copy(),
                 c_y=c_y.copy(), c_xy=c_xy.copy())
-        object.__setattr__(self, "second_moment_x", float(self.second_moment_x))
-        object.__setattr__(self, "second_moment_y", float(self.second_moment_y))
+        object.__setattr__(self, "second_moment_x", sm_x)
+        object.__setattr__(self, "second_moment_y", sm_y)
         # a summary cannot change, so lmmse reads the split made here
         object.__setattr__(self, "_split", split)
 
 
 def moments_exact(joint: FiniteJoint) -> MomentSummary:
-    """Exact moments of a finite joint (weighted sums over atoms).  A
+    """Exact moments of a finite joint (weighted sums over atoms), with the
+    second moments the joint keeps (``_second_moments``).  A
     SufficientJoint, which has no (X, Y) atoms, is refused."""
     joint = _atoms(joint, "moments_exact")
     xs = joint.x_support[joint.x_idx]
@@ -504,8 +550,7 @@ def moments_exact(joint: FiniteJoint) -> MomentSummary:
     c_x = (dx * w[:, None]).T @ dx
     c_y = (dy * w[:, None]).T @ dy
     c_xy = (dx * w[:, None]).T @ dy
-    sm_x = float(w @ (xs * xs).sum(axis=1))
-    sm_y = float(w @ (ys * ys).sum(axis=1))
+    sm_x, sm_y = _second_moments(joint)
     # symmetrize away the last-ulp asymmetry from the matrix products
     c_x = (c_x + c_x.T) / 2.0
     c_y = (c_y + c_y.T) / 2.0
@@ -554,7 +599,7 @@ def _accumulate(x_support, y_support, xi, yi, weights) -> FiniteJoint:
     """
     ny = y_support.shape[0]
     flat, inverse = np.unique(xi * ny + yi, return_inverse=True)
-    prob = np.bincount(inverse, weights=np.asarray(weights, dtype=float))
+    prob = np.bincount(inverse, weights=_as_array(weights, "atom masses"))
     nonzero = prob != 0.0
     if not nonzero.all():
         flat, prob = flat[nonzero], prob[nonzero]
@@ -582,8 +627,8 @@ def joint_from_atoms(atoms: Sequence[tuple[tuple, tuple, float]]) -> FiniteJoint
     xs, ys = ([np.atleast_1d(a) for a in side] for side in (xs, ys))
     if len({x.shape for x in xs}) > 1 or len({y.shape for y in ys}) > 1:
         raise InvalidDistribution("x atoms, and y atoms, must each have one length")
-    ux, xi = np.unique(np.array(xs, dtype=float), axis=0, return_inverse=True)
-    uy, yi = np.unique(np.array(ys, dtype=float), axis=0, return_inverse=True)
+    ux, xi = np.unique(_as_array(xs, "x atoms"), axis=0, return_inverse=True)
+    uy, yi = np.unique(_as_array(ys, "y atoms"), axis=0, return_inverse=True)
     return _accumulate(ux, uy, xi.ravel(), yi.ravel(), probs)
 
 

@@ -67,6 +67,7 @@ from .probcore import (
     Draw,
     FiniteJoint,
     SufficientJoint,
+    _atoms,
     _chunks,
     floor_index,
     joint_from_atoms,
@@ -155,10 +156,7 @@ class ScenarioSequence:
             raise InvalidDistribution(
                 f"scenario {self.name!r}: the Monte Carlo path estimates the "
                 "MMSE, so an LMMSE audit takes no mc_sampler")
-        if not isinstance(self.limit, FiniteJoint):
-            raise InvalidDistribution(
-                f"scenario {self.name!r}: limit must be a FiniteJoint, "
-                f"got {type(self.limit).__name__}")
+        _atoms(self.limit, f"scenario {self.name!r}: limit")
 
 
 # ---------------------------------------------------------------------------

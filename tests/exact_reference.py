@@ -3,7 +3,8 @@
 ``exact.mmse_exact`` builds the conditional means and the residuals in
 the buffer of the atoms' x values, gathers and weights in chunks
 of atoms and accumulates with ``np.add.at``, as the joints' marginals now
-do; ``convergence._second_moments`` and ``convergence.ui_functional``
+do; ``probcore._second_moments``, which keeps a law's E||X||^2 and E||Y||^2
+on the law for the engine to read, and ``convergence.ui_functional``
 square and weight in one buffer.  The versions below allocate a new array
 for each step and sum with ``np.bincount``, in the same IEEE operations and
 order, and leave out the self-checks, which change no value.
@@ -44,12 +45,10 @@ def mmse_exact(joint: FiniteJoint | SufficientJoint) -> MmseResult:
     if isinstance(joint, SufficientJoint):
         joint = joint.core
     ce, rows, resid = _conditional_expectation(joint)
-    xs = joint.x_support
-    px = np.bincount(joint.x_idx, weights=joint.prob, minlength=xs.shape[0])
     resid -= ce.estimates[rows]
     resid *= resid
     direct = float((joint.prob * resid.sum(axis=1)).sum())
-    sm_x = float(px @ (xs * xs).sum(axis=1))
+    sm_x = second_moments(joint)[0]
     est_sm = float(ce.posterior_mass @ (ce.estimates * ce.estimates).sum(axis=1))
     return MmseResult(mmse=direct, estimator=ce, second_moment_x=sm_x,
                       estimator_second_moment=est_sm)

@@ -119,6 +119,26 @@ def test_run_does_not_depend_on_the_blas_thread_count(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_mmse_second_moment_does_not_depend_on_the_blas_thread_count():
+    # the measurement support of cor1_additive_fast_y at n=1024 is long
+    # enough for a threaded BLAS dot over it to split the sum across threads;
+    # mmse_exact reads the law's one exactly rounded E||X||^2, as the report
+    src = str(Path(mmse_lab.__file__).resolve().parent.parent)
+    code = ("from mmse_lab import builtin_scenarios, mmse_exact, run_scenario\n"
+            "sc = builtin_scenarios()['cor1_additive_fast_y']\n"
+            "print(mmse_exact(sc.realize(1024)).second_moment_x.hex(),\n"
+            "      run_scenario(sc, [1024]).rows[0].second_moment_x.hex())\n")
+    values = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              check=True, capture_output=True, text=True)
+        values += done.stdout.split()
+    assert len(values) == 4 and len(set(values)) == 1, values
+
+
 def test_module_form_runs_the_cli():
     # `python -m mmse_lab.cli` is the same program as the console script
     src = str(Path(mmse_lab.__file__).resolve().parent.parent)

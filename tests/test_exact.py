@@ -322,7 +322,7 @@ def assert_same_bits(got, want):
 
 def assert_matches_reference(joint):
     assert_same_bits(mmse_exact(joint), exact_reference.mmse_exact(joint))
-    assert (convergence._second_moments(joint)
+    assert (probcore._second_moments(joint)
             == exact_reference.second_moments(joint))
     for a in convergence.UI_GRID + (0.0,):
         assert (convergence.ui_functional(joint, a)
@@ -360,11 +360,12 @@ def test_in_place_engine_matches_the_reference_on_realizations(name, n):
 
 def test_mmse_exact_holds_one_atom_sized_array():
     # the memory contract of the module docstring, as a ratio to one (nnz, k)
-    # array of floats; example2's core has one x letter per atom, so an
-    # atom-sized residual kept alive beside squared_norms(x_support) reads 2
+    # array of floats; a second atom-sized array alive beside the residual
+    # reads 2.  What the law keeps, its marginals and second moments, is made
+    # first, as run_scenario does
     joint = builtin_scenarios()["example2"].realize(4096)
     core = joint.core
-    core.x_marginal(), core.y_marginal()  # cached with the joint
+    core.x_marginal(), core.y_marginal(), probcore._second_moments(core)
     atom_array = core.prob.size * core.k * 8
     tracemalloc.start()
     try:

@@ -24,7 +24,7 @@ from mmse_lab import (
     rng_stream,
 )
 from mmse_lab.degradedness import _channel_of
-from mmse_lab.probcore import MomentSummary
+from mmse_lab.probcore import MomentSummary, draw_atom_indices
 from mmse_lab.scenarios import builtin_scenarios
 
 
@@ -139,6 +139,40 @@ def test_joint_arrays_are_read_only():
     j = diagonal_pm1_joint()
     with pytest.raises(ValueError):
         j.pmf[0, 0] = 0.9
+
+
+# ragged or non-numeric input to each value type, by the field that holds it
+UNI = dict(x_support=[0.0], y_support=[0.0])
+MALFORMED = {
+    "x_support": lambda: FiniteJoint([[0.0], [1.0, 2.0]], [0.0], [[0.5], [0.5]]),
+    "y_support": lambda: FiniteJoint([0.0], ["a"], [[1.0]]),
+    "pmf": lambda: FiniteJoint([0.0, 1.0], [0.0, 1.0], [[0.5], [0.25, 0.25]]),
+    "x_idx": lambda: FiniteJoint(**UNI, x_idx=[[0], [0, 0]], y_idx=[0],
+                                 prob=[1.0]),
+    "prob": lambda: FiniteJoint(**UNI, x_idx=np.array([0]),
+                                y_idx=np.array([0]), prob=["one"]),
+    "input_support": lambda: Channel([[0.0], [1.0, 2.0]], [0.0], [[1.0], [1.0]]),
+    "matrix": lambda: Channel([0.0, 1.0], [0.0, 1.0], [[1.0, 0.0], [1.0]]),
+    "y_stat": lambda: SufficientJoint(diagonal_pm1_joint(), [[-1.0], [1.0]],
+                                      [[0], [0, 1]], [1.0, 1.0]),
+    "y_given_stat": lambda: SufficientJoint(
+        diagonal_pm1_joint(), [[-1.0], [1.0]], np.array([0, 1]), ["1", "x"]),
+    "c_x": lambda: MomentSummary(eta_x=[0.0], eta_y=[0.0], c_x=[["a"]],
+                                 c_y=[[1.0]], c_xy=[[0.0]], second_moment_x=1.0,
+                                 second_moment_y=1.0),
+    "second_moment_y": lambda: MomentSummary(
+        eta_x=[0.0], eta_y=[0.0], c_x=[[1.0]], c_y=[[1.0]], c_xy=[[0.0]],
+        second_moment_x=1.0, second_moment_y="one"),
+    "x atoms": lambda: joint_from_atoms([(("a",), (0.0,), 1.0)]),
+    "atom masses": lambda: joint_from_atoms([((0.0,), (0.0,), "one")]),
+}
+
+
+@pytest.mark.parametrize("field", MALFORMED)
+def test_malformed_input_is_an_invalid_distribution(field):
+    # numpy's own ValueError or TypeError would escape the error hierarchy
+    with pytest.raises(InvalidDistribution, match=f"^{field} is not a numeric"):
+        MALFORMED[field]()
 
 
 # --------------------------------------------------------------------------
@@ -391,6 +425,7 @@ ATOM_READERS = {
         j, RegressionConfig(n_samples=1000, seed=0)),
     "quantize_joint": lambda j: quantize_joint(j, 0.5, 0.5),
     "_channel_of": _channel_of,
+    "draw_atom_indices": lambda j: draw_atom_indices(j, 10, rng_stream(0)),
 }
 
 

@@ -28,7 +28,7 @@ from mmse_lab import (
     run_scenario,
     usc_check,
 )
-from mmse_lab import convergence
+from mmse_lab import convergence, probcore
 from mmse_lab.degradedness import _channel_of
 from mmse_lab.mc import cube_root_bins
 from mmse_lab.probcore import (
@@ -281,6 +281,31 @@ def test_closed_form_values_on_the_deep_grid(catalog, n):
     assert mmse_exact(catalog["example3"].realize(n)).mmse == 0.0
 
 
+@pytest.mark.parametrize("name", list(builtin_scenarios()))
+def test_every_engine_reads_the_law_s_second_moments(catalog, name):
+    # a law has one E||X||^2 and one E||Y||^2: the report's, which the
+    # engines must give bit for bit on fresh realizations of the same laws
+    sc = catalog[name]
+    rep = run_scenario(sc, DEEP_GRID, seed=0)
+    last, diag = rep.rows[-1], rep.diagnostics
+    for row in rep.rows:
+        law = sc.realize(row.n)
+        assert mmse_exact(law).second_moment_x == row.second_moment_x, row.n
+        if isinstance(law, FiniteJoint):
+            ms = moments_exact(law)
+            assert (ms.second_moment_x, ms.second_moment_y) == (
+                row.second_moment_x, row.second_moment_y), row.n
+    # the limit's moments reach the report through the gaps
+    limit = FiniteJoint(sc.limit.x_support, sc.limit.y_support,
+                        sc.limit.pmf)
+    ms = moments_exact(limit)
+    assert mmse_exact(limit).second_moment_x == ms.second_moment_x
+    assert diag.second_moment_gap == abs(last.second_moment_x
+                                         - ms.second_moment_x)
+    assert diag.second_moment_gap_y == abs(last.second_moment_y
+                                           - ms.second_moment_y)
+
+
 POWERS_OF_TWO = [2**k for k in range(15)]  # 1 .. 16384
 CLOSED_FORM_ULPS = 4
 
@@ -462,7 +487,7 @@ def test_unknown_audit_is_refused(catalog):
 def test_limit_must_be_a_finite_joint(catalog):
     import dataclasses
 
-    with pytest.raises(InvalidDistribution, match="limit must be a FiniteJoint"):
+    with pytest.raises(InvalidDistribution, match="limit needs a FiniteJoint"):
         dataclasses.replace(catalog["example4"],
                             limit=catalog["example4"].mc_sampler(1))
 
@@ -583,8 +608,8 @@ def second_moment_terms():
 
 @pytest.mark.parametrize("terms", list(second_moment_terms()))
 def test_second_moment_is_the_exactly_rounded_sum(terms):
-    # unit points leave the marginal as the terms of the sum
-    got = convergence._second_moment(np.ones((terms.size, 1)), terms)
+    # unit points leave the weights as the terms of the sum
+    got = probcore._second_moment(np.ones((terms.size, 1)), terms)
     assert got.hex() == math.fsum(terms).hex()
 
 
